@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .catalog import (
     FamilyError,
@@ -30,12 +29,14 @@ from .homology import ProfileError, profile_from_json, profile_to_json
 from .specseq import (
     CONTRADICTION,
     FEASIBLE,
+    MaslovTooSmallError,
     SearchCapError,
     UnknownSlotsError,
     WitnessError,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
+    require_maslov,
     verdict_from_json,
     verdict_to_json,
 )
@@ -43,28 +44,6 @@ from .specseq import (
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_FORMAT = 2
-
-LIFTED_THEORY_PRECONDITION = "lifted Floer theory needs minimal Maslov number >= 3"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation, normalized across subcommands."""
-
-    command: str
-    fmt: str = "text"
-    verbose: bool = False
-    g: int | None = None
-    m1: int | None = None
-    m2: int | None = None
-    bound: int = 16
-    profile_path: str | None = None
-    maslov: int | None = None
-    nu: int | None = None
-    use_oracle: bool = False
-    search_cap: int | None = None
-    witness_path: str | None = None
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are domain errors (exit 1), not format errors
@@ -129,24 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        fmt=getattr(args, "format", "text"),
-        verbose=getattr(args, "verbose", False),
-        g=getattr(args, "g", None),
-        m1=getattr(args, "m1", None),
-        m2=getattr(args, "m2", None),
-        bound=getattr(args, "bound", 16),
-        profile_path=getattr(args, "profile", None),
-        maslov=getattr(args, "maslov", None),
-        nu=getattr(args, "nu", None),
-        use_oracle=getattr(args, "oracle", False),
-        search_cap=getattr(args, "cap", None),
-        witness_path=getattr(args, "witness_file", None),
-    )
-
-
 def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -203,26 +164,26 @@ def _verdict_summary(verdict) -> str:
     return verdict.kind
 
 
-def _cmd_classify(config: CliConfig) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     try:
-        family = validate_family(config.g, config.m1, config.m2)
+        family = validate_family(args.g, args.m1, args.m2)
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     report = classify(family)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(report_to_json(report))
     else:
-        _print_report_text(report, config.verbose)
+        _print_report_text(report, args.verbose)
     return EXIT_OK
 
 
-def _cmd_classify_all(config: CliConfig) -> int:
-    if config.bound < 2:
+def _cmd_classify_all(args: argparse.Namespace) -> int:
+    if args.bound < 2:
         print("error: --bound must be >= 2", file=sys.stderr)
         return EXIT_DOMAIN
-    reports = [classify(f) for f in enumerate_families(config.bound)]
-    if config.fmt == "json":
+    reports = [classify(f) for f in enumerate_families(args.bound)]
+    if args.format == "json":
         _emit_json([report_to_json(r) for r in reports])
         return EXIT_OK
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  status")
@@ -238,8 +199,8 @@ def _cmd_classify_all(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_narrow_check(config: CliConfig) -> int:
-    data = _load_json_file(config.profile_path)
+def _cmd_narrow_check(args: argparse.Namespace) -> int:
+    data = _load_json_file(args.profile)
     if data is None:
         return EXIT_FORMAT
     try:
@@ -247,39 +208,41 @@ def _cmd_narrow_check(config: CliConfig) -> int:
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    if config.maslov < 3:
-        print(f"error: {LIFTED_THEORY_PRECONDITION}, got {config.maslov}", file=sys.stderr)
+    try:
+        require_maslov(args.maslov)
+    except MaslovTooSmallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    nu = config.nu if config.nu is not None else (profile.n + 1) // config.maslov
+    nu = args.nu if args.nu is not None else (profile.n + 1) // args.maslov
     if nu < 0:
         print("error: --nu must be >= 0", file=sys.stderr)
         return EXIT_DOMAIN
-    verdict = propagate_narrow(profile, config.maslov, profile.n, nu)
+    verdict = propagate_narrow(profile, args.maslov, profile.n, nu)
     oracle_verdict = None
     oracle_note = None
-    if config.use_oracle:
+    if args.oracle:
         try:
-            oracle_verdict = oracle_narrow_feasible(profile, config.maslov, nu, config.search_cap)
+            oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu, args.cap)
         except (UnknownSlotsError, SearchCapError) as exc:
             oracle_note = str(exc)
     envelope = {
         "profile": profile_to_json(profile),
-        "maslov": config.maslov,
+        "maslov": args.maslov,
         "n": profile.n,
         "nu": nu,
         "verdict": verdict_to_json(verdict),
         "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
     }
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(envelope)
     else:
         print(f"propagation: {_verdict_summary(verdict)}")
-        if config.verbose or verdict.kind == CONTRADICTION:
+        if args.verbose or verdict.kind == CONTRADICTION:
             for line in _verdict_text_lines(verdict)[1:]:
                 print(f"  {line}")
         if oracle_verdict is not None:
             print(f"oracle: {_verdict_summary(oracle_verdict)}")
-            if config.verbose:
+            if args.verbose:
                 for line in _verdict_text_lines(oracle_verdict)[1:]:
                     print(f"  {line}")
         elif oracle_note is not None:
@@ -287,8 +250,8 @@ def _cmd_narrow_check(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_wide_check(config: CliConfig) -> int:
-    data = _load_json_file(config.profile_path)
+def _cmd_wide_check(args: argparse.Namespace) -> int:
+    data = _load_json_file(args.profile)
     if data is None:
         return EXIT_FORMAT
     try:
@@ -297,20 +260,20 @@ def _cmd_wide_check(config: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     try:
-        wide = wide_check_biran_cornea(profile, config.maslov)
+        wide = wide_check_biran_cornea(profile, args.maslov)
     except (ProfileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    tested = list(range(config.maslov - 1, profile.n + 1, config.maslov))
-    if config.fmt == "json":
-        _emit_json({"wide": wide, "maslov": config.maslov, "tested_degrees": tested})
+    tested = list(range(args.maslov - 1, profile.n + 1, args.maslov))
+    if args.format == "json":
+        _emit_json({"wide": wide, "maslov": args.maslov, "tested_degrees": tested})
     else:
         print(f"wide: {'yes' if wide else 'no'} (degrees tested: {tested})")
     return EXIT_OK
 
 
-def _cmd_replay(config: CliConfig) -> int:
-    data = _load_json_file(config.witness_path)
+def _cmd_replay(args: argparse.Namespace) -> int:
+    data = _load_json_file(args.witness_file)
     if data is None:
         return EXIT_FORMAT
     try:
@@ -328,19 +291,19 @@ def _cmd_replay(config: CliConfig) -> int:
     except WitnessError as exc:
         print(f"error: malformed witness file: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json({"replayed": ok, "verdicts": len(verdicts)})
     else:
         print("witness replay: " + ("ok" if ok else "MISMATCH"))
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def _cmd_catalog(config: CliConfig) -> int:
-    if config.bound < 2:
+def _cmd_catalog(args: argparse.Namespace) -> int:
+    if args.bound < 2:
         print("error: --bound must be >= 2", file=sys.stderr)
         return EXIT_DOMAIN
-    records = [gauss_image_data(f) for f in enumerate_families(config.bound)]
-    if config.fmt == "json":
+    records = [gauss_image_data(f) for f in enumerate_families(args.bound)]
+    if args.format == "json":
         _emit_json([data_to_json(rec) for rec in records])
         return EXIT_OK
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")
@@ -360,8 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse help exits 0; our _Parser.error exits 1
         return exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
-    config = _config_from_args(args)
-    return args.handler(config)
+    return args.handler(args)
 
 
 def main_entry() -> None:

@@ -34,9 +34,11 @@ from .catalog import (
 from .homology import BettiProfile, ProfileError
 from .specseq import (
     CONTRADICTION,
+    LIFTED_MIN_MASLOV,
     MaslovTooSmallError,
     NarrownessVerdict,
     propagate_narrow,
+    require_maslov,
     verdict_from_json,
     verdict_to_json,
 )
@@ -48,18 +50,17 @@ UNRESOLVED = "Unresolved"
 STATUSES = (WIDE, NON_DISPLACEABLE, UNRESOLVED)
 
 
-def wide_check_biran_cornea(betti_l: BettiProfile, maslov: int) -> bool:
-    """Vanishing test in degrees congruent to -1 mod the Maslov number.
+def wideness_obstructions(betti_l: BettiProfile, maslov: int) -> list[int]:
+    """Degrees congruent to -1 mod the Maslov number where H(L; Z2) is nonzero.
 
-    When H_i(L; Z2) = 0 for every i = maslov - 1, 2*maslov - 1, ... in
-    [0, n], no Floer differential can connect the surviving generators,
-    and the Floer homology equals H(L; Z2) (x) Lambda: L is wide.
+    Every tested degree maslov - 1, 2*maslov - 1, ... in [0, n] must be
+    known exactly.
     """
     if maslov < 2:
         raise MaslovTooSmallError(
             f"the wideness criterion needs minimal Maslov number >= 2, got {maslov}"
         )
-    wide = True
+    failed = []
     for degree in range(maslov - 1, betti_l.n + 1, maslov):
         slot = betti_l.bound(degree)
         if not slot.known:
@@ -67,16 +68,18 @@ def wide_check_biran_cornea(betti_l: BettiProfile, maslov: int) -> bool:
                 f"degree {degree} of the profile is unknown; the wideness test needs it exactly"
             )
         if slot.lo != 0:
-            wide = False
-    return wide
+            failed.append(degree)
+    return failed
 
 
-def _failed_degrees(betti_l: BettiProfile, maslov: int) -> list[int]:
-    return [
-        degree
-        for degree in range(maslov - 1, betti_l.n + 1, maslov)
-        if betti_l.bound(degree).lo != 0
-    ]
+def wide_check_biran_cornea(betti_l: BettiProfile, maslov: int) -> bool:
+    """Vanishing test in degrees congruent to -1 mod the Maslov number.
+
+    When H_i(L; Z2) = 0 for every i = maslov - 1, 2*maslov - 1, ... in
+    [0, n], no Floer differential can connect the surviving generators,
+    and the Floer homology equals H(L; Z2) (x) Lambda: L is wide.
+    """
+    return not wideness_obstructions(betti_l, maslov)
 
 
 def damian_nondisplaceable(family: IsoparametricFamily) -> NarrownessVerdict:
@@ -84,16 +87,13 @@ def damian_nondisplaceable(family: IsoparametricFamily) -> NarrownessVerdict:
 
     A Contradiction certifies that the lifted Floer homology of the
     covering cannot vanish; since it vanishes for displaceable
-    Lagrangians, the Gauss image is Hamiltonian non-displaceable.
+    Lagrangians, the Gauss image is Hamiltonian non-displaceable.  The
+    Maslov threshold is checked first, so (6, 1, 1), which has no table
+    on record, raises MaslovTooSmallError rather than MissingTableError.
     """
     maslov = minimal_maslov(family)
-    if maslov < 3:
-        raise MaslovTooSmallError(
-            f"lifted Floer theory needs minimal Maslov number >= 3, got {maslov} "
-            f"for ({family.g}, {family.m1}, {family.m2})"
-        )
-    table = munzner_betti_N(family)
-    return propagate_narrow(table, maslov, family.n, collapse_step(family))
+    require_maslov(maslov)
+    return propagate_narrow(munzner_betti_N(family), maslov, family.n, collapse_step(family))
 
 
 def volume_lower_bound(n: int) -> float:
@@ -176,7 +176,8 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                     "covering-space transfer and Euler characteristic",
                 )
             )
-        if wide_check_biran_cornea(homology.profile, maslov):
+        bad = wideness_obstructions(homology.profile, maslov)
+        if not bad:
             steps.append(
                 JustificationStep(
                     "wide-criterion",
@@ -189,7 +190,6 @@ def classify(family: IsoparametricFamily) -> CaseReport:
             return CaseReport(
                 family, WIDE, tuple(steps), True, volume_lower_bound(family.n)
             )
-        bad = _failed_degrees(homology.profile, maslov)
         steps.append(
             JustificationStep(
                 "wide-criterion",
@@ -203,49 +203,51 @@ def classify(family: IsoparametricFamily) -> CaseReport:
 
     # g in {4, 6}
     maslov = minimal_maslov(family)
-    if maslov >= 3:
-        table = munzner_betti_N(family)
+    try:
+        require_maslov(maslov)
+    except MaslovTooSmallError:
         steps.append(
             JustificationStep(
-                "covering-homology",
-                "cited",
-                f"Z2 Betti numbers of the covering N^{family.n}: {_profile_brief(table)}",
-                "Muenzner: Z2 homology of isoparametric hypersurfaces",
-            )
-        )
-        verdict = damian_nondisplaceable(family)
-        if verdict.kind == CONTRADICTION:
-            steps.append(
-                JustificationStep(
-                    "narrowness-contradiction",
-                    "computed",
-                    f"a vanishing lifted Floer homology would force dimension >= "
-                    f"{verdict.bound} in slot {verdict.slot} of the final page; "
-                    "contradiction, so the lifted Floer homology is nonzero",
-                    "lifted Floer spectral sequence of the covering N -> L",
-                    verdict,
-                )
-            )
-            return CaseReport(family, NON_DISPLACEABLE, tuple(steps), False, None)
-        steps.append(
-            JustificationStep(
-                "no-contradiction",
+                "maslov-threshold",
                 "computed",
-                "interval propagation derives no contradiction from a vanishing "
-                "lifted Floer homology",
-                "lifted Floer spectral sequence of the covering N -> L",
-                verdict,
+                f"minimal Maslov number {maslov} is below the threshold {LIFTED_MIN_MASLOV} "
+                "of the lifted theory and no wideness route applies",
+                "minimal Maslov number 2n/g of the Gauss image",
             )
         )
         return CaseReport(family, UNRESOLVED, tuple(steps), False, None)
 
+    table = munzner_betti_N(family)
     steps.append(
         JustificationStep(
-            "maslov-threshold",
+            "covering-homology",
+            "cited",
+            f"Z2 Betti numbers of the covering N^{family.n}: {_profile_brief(table)}",
+            "Muenzner: Z2 homology of isoparametric hypersurfaces",
+        )
+    )
+    verdict = propagate_narrow(table, maslov, family.n, collapse_step(family))
+    if verdict.kind == CONTRADICTION:
+        steps.append(
+            JustificationStep(
+                "narrowness-contradiction",
+                "computed",
+                f"a vanishing lifted Floer homology would force dimension >= "
+                f"{verdict.bound} in slot {verdict.slot} of the final page; "
+                "contradiction, so the lifted Floer homology is nonzero",
+                "lifted Floer spectral sequence of the covering N -> L",
+                verdict,
+            )
+        )
+        return CaseReport(family, NON_DISPLACEABLE, tuple(steps), False, None)
+    steps.append(
+        JustificationStep(
+            "no-contradiction",
             "computed",
-            f"minimal Maslov number {maslov} is below the threshold 3 of the lifted "
-            "theory and no wideness route applies",
-            "minimal Maslov number 2n/g of the Gauss image",
+            "interval propagation derives no contradiction from a vanishing "
+            "lifted Floer homology",
+            "lifted Floer spectral sequence of the covering N -> L",
+            verdict,
         )
     )
     return CaseReport(family, UNRESOLVED, tuple(steps), False, None)

@@ -7,17 +7,32 @@ outside [0, n] always query as exactly zero; the bound computations
 downstream lean on that vanishing constantly, so it is part of the
 query contract rather than an error.
 
-Everything here is immutable and pure.
+Profiles are sparse: a support maps listed degrees to their bounds and one
+default bound covers the other degrees in [0, n].  A Muenzner table lists
+at most 2g degrees, so it costs O(support), not O(n), to build and query.
+
+Everything here is pure, and a profile's support is never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class ProfileError(ValueError):
     """Bad profile construction, or an exact query against unknown slots."""
+
+
+def as_int(value, error: type[ValueError] = ProfileError, what: str = "value") -> int:
+    """Return ``value`` if it is a plain int, else raise ``error``.
+
+    The JSON readers use this instead of ``int()``, which would quietly read
+    1.7 as 1, "2" as 2 and true as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,60 +70,79 @@ class DimBound:
 ZERO = DimBound.exact(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BettiProfile:
     """Z2 Betti numbers over degrees 0..n, possibly partially known.
 
-    ``cap``, when present, bounds the *total* Betti number; it is what the
-    unknown slots' upper ends were derived from and it tightens
+    ``support`` maps listed degrees to their bounds; every unlisted degree
+    in [0, n] has the bound ``default``.  Equality compares the dense
+    views, so one profile written with two different supports is one
+    value.  ``cap``, when present, bounds the *total* Betti number; it is
+    what the unknown slots' upper ends were derived from and it tightens
     ``total_betti`` beyond the slotwise sum.
     """
 
     n: int
-    slots: tuple[DimBound, ...]
+    support: Mapping[int, DimBound]
+    default: DimBound = ZERO
     cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ProfileError(f"top degree must be >= 0, got {self.n}")
-        if len(self.slots) != self.n + 1:
-            raise ProfileError(
-                f"profile over degrees 0..{self.n} needs {self.n + 1} slots, got {len(self.slots)}"
-            )
+        for degree in self.support:
+            if not 0 <= degree <= self.n:
+                raise ProfileError(f"degree {degree} outside [0, {self.n}]")
 
     def bound(self, degree: int) -> DimBound:
         """Bound at any integer degree; exactly zero outside [0, n]."""
         if 0 <= degree <= self.n:
-            return self.slots[degree]
+            return self.support.get(degree, self.default)
         return ZERO
 
     @property
+    def slots(self) -> tuple[DimBound, ...]:
+        """Dense view: the bound at every degree 0..n."""
+        get, default = self.support.get, self.default
+        return tuple(get(s, default) for s in range(self.n + 1))
+
+    @property
     def fully_known(self) -> bool:
-        return all(slot.known for slot in self.slots)
+        covered = len(self.support) == self.n + 1
+        return (covered or self.default.known) and all(
+            slot.known for slot in self.support.values()
+        )
 
     def dims(self) -> tuple[int, ...]:
         if not self.fully_known:
             raise ProfileError("profile has unknown slots")
-        return tuple(slot.lo for slot in self.slots)
+        dims = [self.default.lo] * (self.n + 1)
+        for degree, slot in self.support.items():
+            dims[degree] = slot.lo
+        return tuple(dims)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BettiProfile):
+            return NotImplemented
+        return (self.n, self.cap, self.slots) == (other.n, other.cap, other.slots)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.cap, self.slots))
 
 
-def _checked_entries(n: int, entries: Iterable[Sequence[int]]) -> dict[int, int]:
-    seen: dict[int, int] = {}
+def _exact_entries(entries: Iterable[Sequence[int]]) -> dict[int, DimBound]:
+    # DimBound refuses negative dims and BettiProfile degrees outside [0, n]
+    seen: dict[int, DimBound] = {}
     for degree, dim in entries:
-        if not 0 <= degree <= n:
-            raise ProfileError(f"degree {degree} outside [0, {n}]")
-        if dim < 0:
-            raise ProfileError(f"negative dimension {dim} at degree {degree}")
         if degree in seen:
             raise ProfileError(f"duplicate degree {degree}")
-        seen[degree] = dim
+        seen[degree] = DimBound.exact(dim)
     return seen
 
 
 def make_profile(n: int, entries: Iterable[Sequence[int]]) -> BettiProfile:
     """Fully known profile: listed degrees get their dims, the rest are 0."""
-    known = _checked_entries(n, entries)
-    return BettiProfile(n, tuple(DimBound.exact(known.get(s, 0)) for s in range(n + 1)))
+    return BettiProfile(n, _exact_entries(entries))
 
 
 def make_partial_profile(
@@ -120,15 +154,11 @@ def make_partial_profile(
     Betti number is supplied, and [0, unbounded) otherwise.  A cap equal to
     the known sum therefore forces every unlisted slot to exactly zero.
     """
-    entries = _checked_entries(n, known)
-    used = sum(entries.values())
+    entries = _exact_entries(known)
+    used = sum(slot.lo for slot in entries.values())
     if cap is not None and used > cap:
         raise ProfileError(f"known dimensions total {used}, exceeding cap {cap}")
-    rest = DimBound(0, None if cap is None else cap - used)
-    slots = tuple(
-        DimBound.exact(entries[s]) if s in entries else rest for s in range(n + 1)
-    )
-    return BettiProfile(n, slots, cap)
+    return BettiProfile(n, entries, DimBound(0, None if cap is None else cap - used), cap)
 
 
 def euler_char(profile: BettiProfile) -> int:
@@ -165,6 +195,7 @@ def profile_to_json(profile: BettiProfile) -> dict:
 
 
 def profile_from_json(data: dict) -> BettiProfile:
+    """Parse strictly: every integer field must be a JSON integer, not a bool."""
     if not isinstance(data, dict):
         raise ProfileError("profile object must be a JSON object")
     try:
@@ -173,12 +204,11 @@ def profile_from_json(data: dict) -> BettiProfile:
         cap = data.get("cap")
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: missing {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ProfileError("profile field 'n' must be an integer")
-    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool)):
-        raise ProfileError("profile field 'cap' must be an integer or null")
+    as_int(n, what="profile field 'n'")
+    if cap is not None:
+        as_int(cap, what="profile field 'cap'")
     try:
-        known = [(int(d), int(v)) for d, v in raw]
+        known = [(as_int(d, what="degree"), as_int(v, what="dimension")) for d, v in raw]
     except (TypeError, ValueError) as exc:
         raise ProfileError(f"malformed 'known' entries: {exc}") from exc
     return make_partial_profile(n, known, cap)

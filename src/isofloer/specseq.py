@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
-from .homology import BettiProfile, DimBound, total_betti
+from .homology import BettiProfile, DimBound, as_int, total_betti
 
 
 class EngineError(ValueError):
@@ -72,10 +73,14 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 
 
-def _require_maslov(maslov: int) -> None:
-    if maslov < 3:
+LIFTED_MIN_MASLOV = 3
+
+
+def require_maslov(maslov: int) -> None:
+    """Refuse a minimal Maslov number below the lifted theory's threshold."""
+    if maslov < LIFTED_MIN_MASLOV:
         raise MaslovTooSmallError(
-            f"lifted Floer theory needs minimal Maslov number >= 3, got {maslov}"
+            f"lifted Floer theory needs minimal Maslov number >= {LIFTED_MIN_MASLOV}, got {maslov}"
         )
 
 
@@ -109,7 +114,7 @@ class ReducedPage:
 
 def init_page(profile: BettiProfile, maslov: int) -> ReducedPage:
     """First page: the slots are the homology bounds of the covering."""
-    _require_maslov(maslov)
+    require_maslov(maslov)
     return ReducedPage(1, maslov, profile.slots)
 
 
@@ -245,43 +250,45 @@ def propagate_narrow(
     then lowest slot) and keeps verdicts invariant under padding the
     profile with zero slots above its top degree.
     """
-    _require_maslov(maslov)
+    require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    width = profile.n + 1
-    his = [slot.hi for slot in profile.slots]  # constant across pages
+    bound = profile.bound  # upper bounds are constant across pages
 
-    def hi_at(s: int) -> int | None:
-        if 0 <= s < width:
-            return his[s]
-        return 0
+    # A slot starting at lower bound 0 stays at 0, so only the positive ones
+    # are walked; lows[s] is slot s's lower bound on pages 1..nu+1.
+    if profile.default.lo > 0:
+        live = range(profile.n + 1)
+    else:
+        live = [s for s, slot in profile.support.items() if slot.lo > 0]
+    shifts = [r * maslov - 1 for r in range(1, nu + 1)]
+    lows: dict[int, list[int]] = {}
+    for s in live:
+        lo = bound(s).lo
+        trail = [lo]
+        for shift in shifts:
+            if lo:
+                left_hi, right_hi = bound(s - shift).hi, bound(s + shift).hi
+                lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
+            trail.append(lo)
+        lows[s] = trail
 
-    pages: list[list[int]] = [[slot.lo for slot in profile.slots]]
-    for r in range(1, nu + 1):
-        shift = r * maslov - 1
-        current = pages[-1]
-        nxt = []
-        for s in range(width):
-            left_hi, right_hi = hi_at(s - shift), hi_at(s + shift)
-            if left_hi is None or right_hi is None:
-                nxt.append(0)
-            else:
-                nxt.append(max(0, current[s] - left_hi - right_hi))
-        pages.append(nxt)
-
-    final = pages[-1]
-    positive = [s for s in range(width) if final[s] > 0]
+    positive = [s for s, trail in lows.items() if trail[-1] > 0]
     if not positive:
         witness = FinalPageWitness(
-            tuple(DimBound(final[s], his[s]) for s in range(width))
+            tuple(
+                DimBound(lows[s][-1], slot.hi) if s in lows else slot
+                for s, slot in enumerate(profile.slots)
+            )
         )
         return NarrownessVerdict(NO_CONTRADICTION, None, nu + 1, None, witness)
 
-    best = max(positive, key=lambda s: (final[s], -abs(2 * s - n), -s))
+    best = max(positive, key=lambda s: (lows[s][-1], -abs(2 * s - n), -s))
+    trail = lows[best]
     chain = []
     for r in range(1, nu + 1):
         shift = r * maslov - 1
-        left_hi, right_hi = hi_at(best - shift), hi_at(best + shift)
+        left_hi, right_hi = bound(best - shift).hi, bound(best + shift).hi
         # a surviving positive bound never met an unbounded neighbour
         assert left_hi is not None and right_hi is not None
         chain.append(
@@ -292,12 +299,12 @@ def propagate_narrow(
                 left_hi=left_hi,
                 right=best + shift,
                 right_hi=right_hi,
-                lower_before=pages[r - 1][best],
-                lower_after=pages[r][best],
+                lower_before=trail[r - 1],
+                lower_after=trail[r],
             )
         )
-    witness = ContradictionWitness(best, final[best], tuple(chain))
-    return NarrownessVerdict(CONTRADICTION, best, nu + 1, final[best], witness)
+    witness = ContradictionWitness(best, trail[-1], tuple(chain))
+    return NarrownessVerdict(CONTRADICTION, best, nu + 1, trail[-1], witness)
 
 
 def oracle_narrow_feasible(
@@ -313,7 +320,7 @@ def oracle_narrow_feasible(
     their caps, memoizing visited (page, dims) states, so a Feasible
     verdict always carries the lexicographically greediest witness.
     """
-    _require_maslov(maslov)
+    require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
     total = total_betti(profile)
@@ -520,10 +527,7 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
     }
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WitnessError(f"expected an integer, got {value!r}")
-    return value
+_as_int = partial(as_int, error=WitnessError, what="witness field")
 
 
 def _as_opt_int(value) -> int | None:

@@ -248,10 +248,11 @@ def test_a8_randomized_property_battery(capsys):
             maslov = rng.randint(3, 5)
             nu = (profile.n + 1) // maslov
             extra = rng.randint(1, 3)
+            # the padded degrees are listed as exact zeros: unlisted ones would
+            # take the profile's default, which is not zero for a partial profile
+            zeros = {s: DimBound.exact(0) for s in range(profile.n + 1, profile.n + extra + 1)}
             padded = BettiProfile(
-                profile.n + extra,
-                profile.slots + (DimBound.exact(0),) * extra,
-                profile.cap,
+                profile.n + extra, {**profile.support, **zeros}, profile.default, profile.cap
             )
             a = propagate_narrow(profile, maslov, profile.n, nu)
             b = propagate_narrow(padded, maslov, profile.n, nu)

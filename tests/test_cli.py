@@ -1,5 +1,6 @@
 """CLI tests, run in-process through cli.main."""
 
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,18 @@ class TestNarrowCheck:
         code, _, err = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "4"])
         assert code == 2
 
+    def test_non_integer_entries_exit_2(self, capsys, tmp_path):
+        # int() coercion would read this as [[1, 2], [2, 1]] and exit 0
+        path = tmp_path / "coerced.json"
+        path.write_text(
+            json.dumps({"n": 3, "known": [[1.7, 2], ["2", True]], "cap": None}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "4"])
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
 
 class TestWideCheck:
     def test_sphere_profile_is_wide(self, capsys, tmp_path):
@@ -272,3 +285,21 @@ class TestDispatch:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "1", "--frob"])[0] == 1
+
+
+class TestGolden:
+    """classify-all JSON is byte-identical to the output recorded at the seed."""
+
+    @pytest.mark.parametrize(
+        "bound,size,digest",
+        [
+            (16, 159_171, "bb9aa9b110298734a118608e096849aa8d14063c8e6ac1ec0de09be1ef59f7a0"),
+            (64, 2_722_353, "809d3c9964010c93cee1f3ad51aacaa9199d62f3a0354821ae135dba5821ea0b"),
+        ],
+    )
+    def test_classify_all_json_bytes(self, capsys, bound, size, digest):
+        code, out, _ = run(capsys, ["classify-all", "--bound", str(bound), "--format", "json"])
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest

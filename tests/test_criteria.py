@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from isofloer import criteria
 from isofloer.catalog import (
     enumerate_families,
     gauss_image_betti_g3,
@@ -81,6 +82,29 @@ class TestNarrownessCriterion:
     def test_maslov_2_families_refused(self, g, m):
         with pytest.raises(MaslovTooSmallError):
             damian_nondisplaceable(validate_family(g, m, m))
+
+
+def test_classify_builds_one_table_per_family(monkeypatch):
+    calls = []
+    build = criteria.munzner_betti_N
+
+    def counted(family):
+        calls.append(family)
+        return build(family)
+
+    monkeypatch.setattr(criteria, "munzner_betti_N", counted)
+    families = [f for f in enumerate_families(16) if f.g in (4, 6)]
+    tabled = 0
+    for f in families:
+        calls.clear()
+        report = classify(f)
+        if report.justification[0].rule == "maslov-threshold":
+            # no table is looked up below Maslov 3: (6, 1, 1) has none on record
+            assert calls == [], f
+        else:
+            assert calls == [f], f
+            tabled += 1
+    assert tabled == len(families) - 2  # all but (4, 1, 1) and (6, 1, 1)
 
 
 def half_sphere_volume_exact(n):

@@ -51,9 +51,27 @@ class TestConstruction:
         assert p.fully_known
         assert p.cap is None
 
-    def test_slot_count_enforced(self):
+    def test_support_degree_range_enforced(self):
         with pytest.raises(ProfileError):
-            BettiProfile(3, (DimBound.exact(1),))
+            BettiProfile(3, {4: DimBound.exact(1)})
+        with pytest.raises(ProfileError):
+            BettiProfile(3, {-1: DimBound.exact(1)})
+
+    def test_sparse_storage(self):
+        # only the listed degrees are stored; one default covers the rest
+        p = make_profile(40, [(0, 1), (40, 1)])
+        assert p.support == {0: DimBound.exact(1), 40: DimBound.exact(1)}
+        assert p.default == DimBound.exact(0)
+        q = make_partial_profile(12, [(0, 1), (6, 2)], cap=5)
+        assert set(q.support) == {0, 6}
+        assert q.default == DimBound(0, 2)
+
+    def test_equality_ignores_how_degrees_are_listed(self):
+        sparse = BettiProfile(3, {0: DimBound.exact(1)})
+        listed = {s: DimBound.exact(int(s == 0)) for s in range(4)}
+        dense = BettiProfile(3, listed, DimBound(0, None))
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert sparse != BettiProfile(3, {0: DimBound.exact(1)}, DimBound(0, None))
 
     def test_degree_out_of_range_rejected(self):
         with pytest.raises(ProfileError):
@@ -179,3 +197,11 @@ class TestJson:
     def test_rejects_malformed_entries(self):
         with pytest.raises(ProfileError):
             profile_from_json({"n": 2, "known": [[0]], "cap": None})
+
+    @pytest.mark.parametrize(
+        "known", [[[1.7, 2]], [["2", 1]], [[1, True]], [[True, 2]], [[1, 2.0]], [[1, None]]]
+    )
+    def test_rejects_non_integer_entries(self, known):
+        # int() would read these as degree 1 -> 2 and the like
+        with pytest.raises(ProfileError):
+            profile_from_json({"n": 3, "known": known, "cap": None})

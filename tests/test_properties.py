@@ -98,10 +98,11 @@ def test_even_maslov_preserves_alternating_sum(page_ranks):
 @given(partial_profiles(), st.integers(3, 5), st.integers(1, 3))
 def test_padding_with_zero_slots_changes_nothing(profile, maslov, extra):
     nu = (profile.n + 1) // maslov
+    # the padded degrees are listed as exact zeros: unlisted ones would
+    # take the profile's default, which is not zero for a partial profile
+    zeros = {s: DimBound.exact(0) for s in range(profile.n + 1, profile.n + extra + 1)}
     padded = BettiProfile(
-        profile.n + extra,
-        profile.slots + (DimBound.exact(0),) * extra,
-        profile.cap,
+        profile.n + extra, {**profile.support, **zeros}, profile.default, profile.cap
     )
     base = propagate_narrow(profile, maslov, profile.n, nu)
     lifted = propagate_narrow(padded, maslov, profile.n, nu)
@@ -110,6 +111,17 @@ def test_padding_with_zero_slots_changes_nothing(profile, maslov, extra):
     )
     if base.kind == CONTRADICTION:
         assert base.witness == lifted.witness
+
+
+@given(partial_profiles(), st.integers(3, 5))
+def test_listing_every_degree_changes_nothing(profile, maslov):
+    # a positive default lower bound makes the propagator walk every degree
+    listed = BettiProfile(profile.n, dict(enumerate(profile.slots)), DimBound(1, None), profile.cap)
+    assert listed == profile
+    nu = (profile.n + 1) // maslov
+    assert propagate_narrow(listed, maslov, profile.n, nu) == propagate_narrow(
+        profile, maslov, profile.n, nu
+    )
 
 
 @given(partial_profiles())
