@@ -25,7 +25,7 @@ from .criteria import (
     report_to_json,
     wide_check_biran_cornea,
 )
-from .homology import ProfileError, profile_from_json, profile_to_json
+from .homology import ProfileError, as_int, profile_from_json, profile_to_json
 from .specseq import (
     CONTRADICTION,
     FEASIBLE,
@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("narrow-check", help="run the narrowness deciders on a raw profile")
     p.add_argument("--profile", required=True, help="path to a profile JSON file")
     p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
-    p.add_argument("--nu", type=int, default=None,
-                   help="page turns before collapse (default floor((n+1)/maslov))")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive rank-assignment oracle")
     p.add_argument("--cap", type=int, default=None, help="oracle search cap on the total dimension")
@@ -179,17 +177,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_all(args: argparse.Namespace) -> int:
-    if args.bound < 2:
-        print("error: --bound must be >= 2", file=sys.stderr)
+    try:
+        families = enumerate_families(args.bound)
+    except FamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    reports = [classify(f) for f in enumerate_families(args.bound)]
+    reports = [classify(f) for f in families]
     if args.format == "json":
         _emit_json([report_to_json(r) for r in reports])
         return EXIT_OK
-    print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  status")
+    print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification")
     for report in reports:
         f = report.family
-        print(f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status}")
+        trail = " -> ".join(step.rule for step in report.justification)
+        print(f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}")
     unresolved = [r.family for r in reports if r.status == UNRESOLVED]
     if unresolved:
         listed = ", ".join(f"({f.g},{f.m1},{f.m2})" for f in unresolved)
@@ -213,10 +214,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     except MaslovTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    nu = args.nu if args.nu is not None else (profile.n + 1) // args.maslov
-    if nu < 0:
-        print("error: --nu must be >= 0", file=sys.stderr)
-        return EXIT_DOMAIN
+    nu = (profile.n + 1) // args.maslov
     verdict = propagate_narrow(profile, args.maslov, profile.n, nu)
     oracle_verdict = None
     oracle_note = None
@@ -278,13 +276,26 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_FORMAT
     try:
         profile = profile_from_json(data["profile"])
-        maslov = data["maslov"]
-        nu = data["nu"]
+        maslov = as_int(data["maslov"], what="witness field 'maslov'")
+        nu = as_int(data["nu"], what="witness field 'nu'")
         verdicts = [verdict_from_json(data["verdict"])]
         if data.get("oracle") is not None:
             verdicts.append(verdict_from_json(data["oracle"]))
     except (KeyError, TypeError, ProfileError, WitnessError) as exc:
         print(f"error: malformed witness file: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    try:
+        require_maslov(maslov)
+    except MaslovTooSmallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    turns = (profile.n + 1) // maslov
+    if nu != turns:
+        print(
+            f"error: malformed witness file: nu is {nu}, but a profile of top degree "
+            f"{profile.n} at Maslov number {maslov} turns {turns} pages",
+            file=sys.stderr,
+        )
         return EXIT_FORMAT
     try:
         ok = all(replay_witness(v, profile, maslov, nu) for v in verdicts)
@@ -299,10 +310,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.bound < 2:
-        print("error: --bound must be >= 2", file=sys.stderr)
+    try:
+        families = enumerate_families(args.bound)
+    except FamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    records = [gauss_image_data(f) for f in enumerate_families(args.bound)]
+    records = [gauss_image_data(f) for f in families]
     if args.format == "json":
         _emit_json([data_to_json(rec) for rec in records])
         return EXIT_OK

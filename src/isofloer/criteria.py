@@ -82,20 +82,6 @@ def wide_check_biran_cornea(betti_l: BettiProfile, maslov: int) -> bool:
     return not wideness_obstructions(betti_l, maslov)
 
 
-def damian_nondisplaceable(family: IsoparametricFamily) -> NarrownessVerdict:
-    """Run the narrowness propagator on the covering N -> L.
-
-    A Contradiction certifies that the lifted Floer homology of the
-    covering cannot vanish; since it vanishes for displaceable
-    Lagrangians, the Gauss image is Hamiltonian non-displaceable.  The
-    Maslov threshold is checked first, so (6, 1, 1), which has no table
-    on record, raises MaslovTooSmallError rather than MissingTableError.
-    """
-    maslov = minimal_maslov(family)
-    require_maslov(maslov)
-    return propagate_narrow(munzner_betti_N(family), maslov, family.n, collapse_step(family))
-
-
 def volume_lower_bound(n: int) -> float:
     """Half the volume of the round unit n-sphere: pi^((n+1)/2) / Gamma((n+1)/2).
 
@@ -201,7 +187,8 @@ def classify(family: IsoparametricFamily) -> CaseReport:
         )
         return CaseReport(family, UNRESOLVED, tuple(steps), False, None)
 
-    # g in {4, 6}
+    # g in {4, 6}; the threshold comes before the table lookup because
+    # (6, 1, 1) has no table on record
     maslov = minimal_maslov(family)
     try:
         require_maslov(maslov)

@@ -23,15 +23,23 @@ does.  Since lifted Floer homology is a Hamiltonian isotopy invariant
 that vanishes for displaceable Lagrangians, a certified nonzero slot on
 the final page is a non-displaceability proof.
 
+A page with known dimensions is just its tuple of slot dimensions, and
+``step_page`` turns it with one rank vector.  Interval-valued slots live
+only in ``BettiProfile``, which serves as the first page.
+
 Two deciders answer "can the final page vanish":
 
 * ``propagate_narrow`` pushes interval bounds page by page.  Sound on
   partially known profiles, not complete.
 * ``oracle_narrow_feasible`` exhaustively searches differential rank
-  assignments.  Complete, but needs finite slot bounds.
+  assignments over the completions of the profile within its cap.
+  Complete, but needs finite slot bounds.
 
 They share no decision logic, which is the point: the oracle is the
-ground truth the propagator is tested against.
+ground truth the propagator is tested against.  Each verdict is its kind,
+its final page and a witness; a Contradiction's slot and bound are read
+off its witness, and ``replay_witness`` re-derives any witness without
+trusting the run that produced it.
 """
 
 from __future__ import annotations
@@ -85,40 +93,6 @@ def require_maslov(maslov: int) -> None:
 
 
 @dataclass(frozen=True)
-class ReducedPage:
-    """One page of the reduced sequence: interval dims per slot."""
-
-    r: int
-    maslov: int
-    slots: tuple[DimBound, ...]
-
-    @property
-    def shift(self) -> int:
-        """Slot shift of this page's differential: r*N - 1."""
-        return self.r * self.maslov - 1
-
-    def bound(self, s: int) -> DimBound:
-        if 0 <= s < len(self.slots):
-            return self.slots[s]
-        return DimBound.exact(0)
-
-    @property
-    def fully_known(self) -> bool:
-        return all(slot.known for slot in self.slots)
-
-    def dims(self) -> tuple[int, ...]:
-        if not self.fully_known:
-            raise EngineError("page has unknown slots")
-        return tuple(slot.lo for slot in self.slots)
-
-
-def init_page(profile: BettiProfile, maslov: int) -> ReducedPage:
-    """First page: the slots are the homology bounds of the covering."""
-    require_maslov(maslov)
-    return ReducedPage(1, maslov, profile.slots)
-
-
-@dataclass(frozen=True)
 class RankVector:
     """Chosen ranks of the page-r differential out of each slot."""
 
@@ -126,24 +100,25 @@ class RankVector:
     ranks: tuple[int, ...]
 
 
-def step_page(page: ReducedPage, ranks: RankVector) -> ReducedPage:
-    """Turn the page: dim'[s] = dim[s] - a[s] - a[s - shift].
+def step_page(dims: tuple[int, ...], maslov: int, ranks: RankVector) -> tuple[int, ...]:
+    """Turn page ``ranks.r``: dim'[s] = dim[s] - a[s] - a[s - shift], shift = r*N - 1.
 
-    Legality, for every slot s (with dims and ranks zero out of range):
-    a[s] <= dim[s] and a[s] <= dim[s + shift] (a rank is bounded by
-    domain and codomain), and a[s] + a[s - shift] <= dim[s] (the incoming
-    image must fit inside the outgoing kernel, i.e. d o d = 0).  Any
-    rank choice passing these is realizable by honest Z2-linear maps.
+    A page is its tuple of slot dimensions.  Legality, for every slot s
+    (with dims and ranks zero out of range): a[s] <= dim[s] and
+    a[s] <= dim[s + shift] (a rank is bounded by domain and codomain), and
+    a[s] + a[s - shift] <= dim[s] (the incoming image must fit inside the
+    outgoing kernel, i.e. d o d = 0).  Any rank choice passing these is
+    realizable by honest Z2-linear maps.
     """
-    dims = page.dims()
-    if ranks.r != page.r:
-        raise RankViolationError(f"rank vector for page {ranks.r} applied to page {page.r}")
+    require_maslov(maslov)
+    if ranks.r < 1:
+        raise RankViolationError(f"rank vector for page {ranks.r}; pages start at 1")
     width = len(dims)
     if len(ranks.ranks) != width:
         raise RankViolationError(
             f"rank vector has {len(ranks.ranks)} slots, page has {width}"
         )
-    shift = page.shift
+    shift = ranks.r * maslov - 1
     a = ranks.ranks
 
     def a_at(s: int) -> int:
@@ -169,10 +144,7 @@ def step_page(page: ReducedPage, ranks: RankVector) -> ReducedPage:
                 f"slot {s}: incoming rank {a_at(s - shift)} plus outgoing rank {a[s]} "
                 f"exceeds the dimension {dims[s]} (d o d = 0 fails)"
             )
-    new_slots = tuple(
-        DimBound.exact(dims[s] - a[s] - a_at(s - shift)) for s in range(width)
-    )
-    return ReducedPage(page.r + 1, page.maslov, new_slots)
+    return tuple(dims[s] - a[s] - a_at(s - shift) for s in range(width))
 
 
 # --- verdicts and witnesses -------------------------------------------------
@@ -222,11 +194,23 @@ class InfeasibleWitness:
 
 @dataclass(frozen=True)
 class NarrownessVerdict:
+    """A verdict kind, its final page and the witness that carries the rest.
+
+    ``slot`` and ``bound`` are read off a ``ContradictionWitness`` and are
+    None for every other kind, so a headline cannot disagree with its witness.
+    """
+
     kind: str
-    slot: int | None
     page: int | None
-    bound: int | None
     witness: object
+
+    @property
+    def slot(self) -> int | None:
+        return self.witness.slot if isinstance(self.witness, ContradictionWitness) else None
+
+    @property
+    def bound(self) -> int | None:
+        return self.witness.bound if isinstance(self.witness, ContradictionWitness) else None
 
 
 def propagate_narrow(
@@ -281,7 +265,7 @@ def propagate_narrow(
                 for s, slot in enumerate(profile.slots)
             )
         )
-        return NarrownessVerdict(NO_CONTRADICTION, None, nu + 1, None, witness)
+        return NarrownessVerdict(NO_CONTRADICTION, nu + 1, witness)
 
     best = max(positive, key=lambda s: (lows[s][-1], -abs(2 * s - n), -s))
     trail = lows[best]
@@ -304,7 +288,7 @@ def propagate_narrow(
             )
         )
     witness = ContradictionWitness(best, trail[-1], tuple(chain))
-    return NarrownessVerdict(CONTRADICTION, best, nu + 1, trail[-1], witness)
+    return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
 
 
 def oracle_narrow_feasible(
@@ -314,7 +298,8 @@ def oracle_narrow_feasible(
 
     Complete where the propagator is only sound.  Unknown slots are
     enumerated over their intervals when every upper end is finite
-    (otherwise the search space is infinite and the call is refused);
+    (otherwise the search space is infinite and the call is refused),
+    skipping completions whose total exceeds the profile's cap;
     ``search_cap`` refuses inputs whose total dimension may exceed it.
     The search runs depth first, slots ascending, ranks descending from
     their caps, memoizing visited (page, dims) states, so a Feasible
@@ -377,13 +362,15 @@ def oracle_narrow_feasible(
     ranges = (range(slot.lo, slot.hi + 1) for slot in profile.slots)
     completions_tried = 0
     for completion in itertools.product(*ranges):
+        if profile.cap is not None and sum(completion) > profile.cap:
+            continue
         completions_tried += 1
         ranks = search(completion, 1)
         if ranks is not None:
             witness = FeasibleWitness(completion, ranks)
-            return NarrownessVerdict(FEASIBLE, None, nu + 1, None, witness)
+            return NarrownessVerdict(FEASIBLE, nu + 1, witness)
     witness = InfeasibleWitness(completions_tried, states_explored)
-    return NarrownessVerdict(INFEASIBLE, None, nu + 1, None, witness)
+    return NarrownessVerdict(INFEASIBLE, nu + 1, witness)
 
 
 # --- replay -----------------------------------------------------------------
@@ -397,29 +384,30 @@ def replay_witness(
     Contradiction chains are re-walked arithmetically against the profile
     (no call into the propagator); Feasible witnesses are re-run through
     ``step_page`` down to the zero page; the other two kinds are checked
-    by recomputation.  Malformed structure raises; wrong values return
-    False.
+    by recomputation.  Every verdict names the final page nu + 1.
+    Malformed structure raises; wrong values return False.
     """
     witness = verdict.witness
+    final = verdict.page == nu + 1
     try:
         if verdict.kind == CONTRADICTION:
             if not isinstance(witness, ContradictionWitness):
                 raise WitnessError("Contradiction verdict without a chain witness")
-            return _replay_contradiction(witness, profile, maslov, nu)
+            return final and _replay_contradiction(witness, profile, maslov, nu)
         if verdict.kind == NO_CONTRADICTION:
             if not isinstance(witness, FinalPageWitness):
                 raise WitnessError("NoContradiction verdict without a final-page witness")
             fresh = propagate_narrow(profile, maslov, profile.n, nu)
-            return fresh.kind == NO_CONTRADICTION and fresh.witness == witness
+            return final and fresh.kind == NO_CONTRADICTION and fresh.witness == witness
         if verdict.kind == FEASIBLE:
             if not isinstance(witness, FeasibleWitness):
                 raise WitnessError("Feasible verdict without a rank witness")
-            return _replay_feasible(witness, profile, maslov, nu)
+            return final and _replay_feasible(witness, profile, maslov, nu)
         if verdict.kind == INFEASIBLE:
             if not isinstance(witness, InfeasibleWitness):
                 raise WitnessError("Infeasible verdict without search statistics")
             fresh = oracle_narrow_feasible(profile, maslov, nu)
-            return fresh.kind == INFEASIBLE and fresh.witness == witness
+            return final and fresh.kind == INFEASIBLE and fresh.witness == witness
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
     raise WitnessError(f"unknown verdict kind {verdict.kind!r}")
@@ -455,23 +443,25 @@ def _replay_contradiction(
 def _replay_feasible(
     witness: FeasibleWitness, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
-    completion = tuple(witness.completion)
-    if len(completion) != profile.n + 1:
+    dims = tuple(witness.completion)
+    if len(dims) != profile.n + 1:
         return False
-    for value, slot in zip(completion, profile.slots):
+    if profile.cap is not None and sum(dims) > profile.cap:
+        return False
+    for value, slot in zip(dims, profile.slots):
         if value < slot.lo:
             return False
         if slot.hi is not None and value > slot.hi:
             return False
-    if len(witness.ranks) != nu:
+    # one rank vector per page turn, in page order
+    if [ranks.r for ranks in witness.ranks] != list(range(1, nu + 1)):
         return False
-    page = ReducedPage(1, maslov, tuple(DimBound.exact(v) for v in completion))
     try:
         for ranks in witness.ranks:
-            page = step_page(page, ranks)
+            dims = step_page(dims, maslov, ranks)
     except EngineError:
         return False
-    return not any(page.dims())
+    return not any(dims)
 
 
 # --- serialization ----------------------------------------------------------
@@ -576,12 +566,13 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
             )
         else:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
-        return NarrownessVerdict(
-            kind=kind,
-            slot=_as_opt_int(data["slot"]),
-            page=_as_opt_int(data["page"]),
-            bound=_as_opt_int(data["bound"]),
-            witness=witness,
-        )
+        verdict = NarrownessVerdict(kind, _as_opt_int(data["page"]), witness)
+        headline = (_as_opt_int(data["slot"]), _as_opt_int(data["bound"]))
+        if headline != (verdict.slot, verdict.bound):
+            raise WitnessError(
+                f"headline slot and bound {headline} differ from the witness's "
+                f"{(verdict.slot, verdict.bound)}"
+            )
+        return verdict
     except (KeyError, TypeError, ValueError) as exc:
         raise WitnessError(f"malformed verdict object: {exc}") from exc

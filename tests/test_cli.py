@@ -1,12 +1,16 @@
 """CLI tests, run in-process through cli.main."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofloer import cli
-from isofloer.catalog import munzner_betti_N, validate_family
+from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import profile_to_json
 
@@ -68,6 +72,13 @@ class TestClassifyAll:
             ("4", "1", "1", "Unresolved"),
             ("6", "1", "1", "Unresolved"),
         ]
+        assert [" ".join(r[5:]) for r in rows] == [
+            "real-form",
+            "real-form",
+            "gauss-image-homology -> wide-criterion",
+            "maslov-threshold",
+            "maslov-threshold",
+        ]
         assert lines[-1] == "unresolved: (3,1,1), (4,1,1), (6,1,1)"
 
     def test_json_schema(self, capsys):
@@ -84,6 +95,11 @@ class TestClassifyAll:
 
     def test_bound_below_2_exits_1(self, capsys):
         code, _, err = run(capsys, ["classify-all", "--bound", "1"])
+        assert code == 1
+        assert "bound" in err
+
+    def test_catalog_bound_below_2_exits_1(self, capsys):
+        code, _, err = run(capsys, ["catalog", "--bound", "1"])
         assert code == 1
         assert "bound" in err
 
@@ -132,14 +148,26 @@ class TestNarrowCheck:
         assert code == 0
         assert "oracle skipped" in out
 
-    def test_explicit_nu_overrides(self, capsys, tmp_path):
-        path = write_profile(tmp_path, "g4_22.json", validate_family(4, 2, 2))
+    @pytest.mark.parametrize(
+        "profile,maslov",
+        [
+            ({"n": 4, "known": [[0, 1], [3, 1]], "cap": 3}, 3),
+            ({"n": 12, "known": [[0, 1], [3, 0], [6, 2], [9, 0], [12, 1]], "cap": 8}, 4),
+        ],
+    )
+    def test_oracle_stays_within_the_cap(self, capsys, tmp_path, profile, maslov):
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
         code, out, _ = run(
             capsys,
-            ["narrow-check", "--profile", path, "--maslov", "4", "--nu", "0", "--format", "json"],
+            ["narrow-check", "--profile", str(path), "--maslov", str(maslov), "--oracle",
+             "--format", "json"],
         )
         assert code == 0
-        assert json.loads(out)["nu"] == 0
+        assert json.loads(out)["oracle"]["kind"] == "Infeasible"
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)])[0] == 0
 
     def test_low_maslov_exits_1(self, capsys, tmp_path):
         path = write_profile(tmp_path, "g4_22.json", validate_family(4, 2, 2))
@@ -240,6 +268,46 @@ class TestReplay:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_forged_headline_exits_2(self, capsys, tmp_path):
+        witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
+        payload = json.loads(witness.read_text(encoding="utf-8"))
+        payload["verdict"].update(slot=0, bound=99, page=42)
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["replay", str(witness)])
+        assert code == 2
+        assert out == ""
+        assert "headline" in err
+
+    def test_wrong_final_page_exits_1(self, capsys, tmp_path):
+        witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
+        payload = json.loads(witness.read_text(encoding="utf-8"))
+        payload["verdict"]["page"] = 42
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run(capsys, ["replay", str(witness)])
+        assert code == 1
+        assert "MISMATCH" in out
+
+    @pytest.mark.parametrize(
+        "field,value,exit_code,message",
+        [
+            ("nu", -1, 2, "nu"),
+            ("nu", 100000, 2, "nu"),
+            ("maslov", 2, 1, "Maslov"),
+            ("maslov", 4.0, 2, "maslov"),
+            ("nu", "3", 2, "nu"),
+        ],
+    )
+    def test_envelope_fields_are_checked(self, capsys, tmp_path, field, value, exit_code,
+                                         message):
+        witness = self.make_witness(capsys, tmp_path, validate_family(4, 1, 2), 3)
+        payload = json.loads(witness.read_text(encoding="utf-8"))
+        payload[field] = value
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["replay", str(witness)])
+        assert code == exit_code
+        assert out == ""
+        assert message in err
+
     def test_structurally_broken_witness_exits_2(self, capsys, tmp_path):
         witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
         payload = json.loads(witness.read_text(encoding="utf-8"))
@@ -303,3 +371,76 @@ class TestGolden:
         data = out.encode()
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# --- replay fuzzing -----------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=4))
+
+# every witness kind, with the paths of the fields the fuzz may overwrite
+WITNESS_KINDS = {
+    (4, 2, 2): ("Contradiction", "Infeasible"),
+    (4, 1, 2): ("NoContradiction", "Feasible"),
+}
+WITNESS_FILES = {
+    (4, 2, 2): [
+        ("maslov",), ("nu",),
+        ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
+        ("verdict", "witness", "slot"), ("verdict", "witness", "bound"),
+        ("verdict", "witness", "chain", 0), ("verdict", "witness", "chain", 1),
+        ("verdict", "witness", "chain", 1, "lower_after"),
+        ("oracle", "page"), ("oracle", "slot"),
+        ("oracle", "witness", "completions_tried"), ("oracle", "witness", "states_explored"),
+    ],
+    (4, 1, 2): [
+        ("maslov",), ("nu",),
+        ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
+        ("verdict", "witness", "slots", 3),
+        ("oracle", "page"), ("oracle", "slot"), ("oracle", "bound"),
+        ("oracle", "witness", "completion"), ("oracle", "witness", "completion", 3),
+        ("oracle", "witness", "ranks", 0), ("oracle", "witness", "ranks", 1, "page"),
+        ("oracle", "witness", "ranks", 0, "ranks"), ("oracle", "witness", "ranks", 0, "ranks", 1),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def stored_witnesses(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    stored = {}
+    for g, m1, m2 in WITNESS_FILES:
+        family = validate_family(g, m1, m2)
+        profile = folder / "profile.json"
+        profile.write_text(json.dumps(profile_to_json(munzner_betti_N(family))), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["narrow-check", "--profile", str(profile), "--maslov",
+                             str(minimal_maslov(family)), "--oracle", "--format", "json"])
+        assert code == 0
+        envelope = json.loads(out.getvalue())
+        assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == WITNESS_KINDS[g, m1, m2]
+        stored[(g, m1, m2)] = envelope
+    return folder, stored
+
+
+FUZZ_FIELDS = [(family, path) for family, paths in WITNESS_FILES.items() for path in paths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FUZZ_FIELDS), json_values)
+def test_replay_exits_cleanly_on_any_field_value(stored_witnesses, field, value):
+    folder, stored = stored_witnesses
+    family, path = field
+    payload = copy.deepcopy(stored[family])
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    witness = folder / "witness.json"
+    witness.write_text(json.dumps(payload), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["replay", str(witness)])
+    assert code in (0, 1, 2)

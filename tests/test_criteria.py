@@ -18,7 +18,6 @@ from isofloer.criteria import (
     UNRESOLVED,
     WIDE,
     classify,
-    damian_nondisplaceable,
     report_from_json,
     report_to_json,
     volume_lower_bound,
@@ -65,23 +64,22 @@ class TestWideCheck:
             wide_check_biran_cornea(profile, 1)
 
 
+def narrowness_verdict(g, m1, m2):
+    return classify(validate_family(g, m1, m2)).justification[-1].verdict
+
+
 class TestNarrownessCriterion:
     def test_g4_equal_multiplicities(self):
-        v = damian_nondisplaceable(validate_family(4, 2, 2))
+        v = narrowness_verdict(4, 2, 2)
         assert (v.kind, v.slot, v.bound) == (CONTRADICTION, 4, 2)
 
     def test_g6_m2(self):
-        v = damian_nondisplaceable(validate_family(6, 2, 2))
+        v = narrowness_verdict(6, 2, 2)
         assert (v.kind, v.slot, v.bound) == (CONTRADICTION, 6, 2)
 
     def test_g4_12_inconclusive(self):
-        v = damian_nondisplaceable(validate_family(4, 1, 2))
+        v = narrowness_verdict(4, 1, 2)
         assert v.kind == NO_CONTRADICTION
-
-    @pytest.mark.parametrize("g,m", [(4, 1), (6, 1)])
-    def test_maslov_2_families_refused(self, g, m):
-        with pytest.raises(MaslovTooSmallError):
-            damian_nondisplaceable(validate_family(g, m, m))
 
 
 def test_classify_builds_one_table_per_family(monkeypatch):

@@ -16,7 +16,6 @@ from isofloer.specseq import (
     FEASIBLE,
     INFEASIBLE,
     RankVector,
-    init_page,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
@@ -48,33 +47,32 @@ def partial_profiles(draw, max_n=8, max_dim=4):
 
 @st.composite
 def pages_with_ranks(draw, max_n=8, max_dim=4):
-    """A first page plus one legal rank vector for it."""
-    profile = draw(known_profiles(max_n, max_dim))
+    """A page of known dims, its Maslov number and one legal rank vector for it."""
+    dims = draw(known_profiles(max_n, max_dim)).dims()
     maslov = draw(st.integers(3, 6))
-    page = init_page(profile, maslov)
-    dims, shift = page.dims(), page.shift
+    r = draw(st.integers(1, 2))
+    shift = r * maslov - 1
     acc = []
     for s in range(len(dims)):
         cap = dims[s] - (acc[s - shift] if s - shift >= 0 else 0)
         cap = min(cap, dims[s + shift] if s + shift < len(dims) else 0)
         acc.append(draw(st.integers(0, max(cap, 0))))
-    return page, RankVector(1, tuple(acc))
+    return dims, maslov, RankVector(r, tuple(acc))
 
 
 @given(pages_with_ranks())
 def test_page_turn_never_grows_a_slot(page_ranks):
-    page, ranks = page_ranks
-    nxt = step_page(page, ranks)
-    assert all(b <= a for a, b in zip(page.dims(), nxt.dims()))
-    assert nxt.r == page.r + 1
+    dims, maslov, ranks = page_ranks
+    nxt = step_page(dims, maslov, ranks)
+    assert all(b <= a for a, b in zip(dims, nxt))
 
 
 @given(pages_with_ranks())
 def test_page_turn_respects_exactness_bound(page_ranks):
     # dim'[s] >= dim[s] - dim[s-shift] - dim[s+shift] for any legal ranks
-    page, ranks = page_ranks
-    dims, shift = page.dims(), page.shift
-    nxt = step_page(page, ranks).dims()
+    dims, maslov, ranks = page_ranks
+    shift = ranks.r * maslov - 1
+    nxt = step_page(dims, maslov, ranks)
 
     def d(s):
         return dims[s] if 0 <= s < len(dims) else 0
@@ -85,14 +83,14 @@ def test_page_turn_respects_exactness_bound(page_ranks):
 
 @given(pages_with_ranks(max_dim=3))
 def test_even_maslov_preserves_alternating_sum(page_ranks):
-    page, ranks = page_ranks
-    if page.maslov % 2 != 0:
+    dims, maslov, ranks = page_ranks
+    if maslov % 2 != 0:
         return
     # odd slot shift: every cancelled pair spans both parities
     def alt(dims):
         return sum(d if s % 2 == 0 else -d for s, d in enumerate(dims))
 
-    assert alt(step_page(page, ranks).dims()) == alt(page.dims())
+    assert alt(step_page(dims, maslov, ranks)) == alt(dims)
 
 
 @given(partial_profiles(), st.integers(3, 5), st.integers(1, 3))

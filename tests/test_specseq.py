@@ -9,13 +9,14 @@ import itertools
 import pytest
 
 from isofloer.catalog import munzner_betti_N, validate_family
-from isofloer.homology import DimBound, make_partial_profile, make_profile
+from isofloer.homology import ProfileError, make_partial_profile, make_profile
 from isofloer.specseq import (
     CONTRADICTION,
     ChainStep,
     ContradictionWitness,
     EngineError,
     FEASIBLE,
+    FeasibleWitness,
     FinalPageWitness,
     INFEASIBLE,
     MaslovTooSmallError,
@@ -26,7 +27,6 @@ from isofloer.specseq import (
     SearchCapError,
     UnknownSlotsError,
     WitnessError,
-    init_page,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
@@ -40,75 +40,77 @@ G4_22 = munzner_betti_N(validate_family(4, 2, 2))    # dims (1,0,2,0,2,0,2,0,1),
 G6_PARTIAL = munzner_betti_N(validate_family(6, 2, 2))
 
 
+G4_12_DIMS = (1, 1, 1, 2, 1, 1, 1)
+
+
 class TestPages:
-    def test_init_page(self):
-        page = init_page(G4_12, 3)
-        assert page.r == 1
-        assert page.shift == 2
-        assert page.dims() == (1, 1, 1, 2, 1, 1, 1)
+    def test_first_page_is_profile_dims(self):
+        assert G4_12.dims() == G4_12_DIMS
 
     def test_shift_grows_with_page(self):
-        page = init_page(G4_12, 3)
-        stepped = step_page(page, RankVector(1, (0,) * 7))
-        assert stepped.r == 2
-        assert stepped.shift == 5
+        # page 1 shifts by 3*1 - 1 = 2, page 2 by 3*2 - 1 = 5
+        ranks = (1, 0, 0, 0, 0, 0, 0)
+        assert step_page(G4_12_DIMS, 3, RankVector(1, ranks)) == (0, 1, 0, 2, 1, 1, 1)
+        assert step_page(G4_12_DIMS, 3, RankVector(2, ranks)) == (0, 1, 1, 2, 1, 0, 1)
 
     def test_maslov_threshold(self):
         with pytest.raises(MaslovTooSmallError):
-            init_page(G4_12, 2)
+            step_page(G4_12_DIMS, 2, RankVector(1, (0,) * 7))
 
     def test_out_of_range_slots_are_zero(self):
-        page = init_page(G4_12, 3)
-        assert page.bound(-1) == DimBound.exact(0)
-        assert page.bound(7) == DimBound.exact(0)
+        # slot 5 would map to slot 7, past the top degree, so its codomain is 0
+        with pytest.raises(RankViolationError) as err:
+            step_page(G4_12_DIMS, 3, RankVector(1, (0, 0, 0, 0, 0, 1, 0)))
+        assert "codomain dimension 0 at slot 7" in str(err.value)
 
     def test_unknown_slots_block_dims(self):
-        page = init_page(G6_PARTIAL, 4)
-        with pytest.raises(EngineError):
-            page.dims()
+        # a partial profile has no first page of known dimensions
+        with pytest.raises(ProfileError):
+            G6_PARTIAL.dims()
 
 
 class TestStepPage:
     def test_zero_ranks_keep_dims(self):
-        page = init_page(G4_12, 3)
-        assert step_page(page, RankVector(1, (0,) * 7)).dims() == page.dims()
+        assert step_page(G4_12_DIMS, 3, RankVector(1, (0,) * 7)) == G4_12_DIMS
 
     def test_full_cancellation(self):
         # the rank pattern that kills the whole (4,1,2) page in one turn
-        page = init_page(G4_12, 3)
-        nxt = step_page(page, RankVector(1, (1, 1, 0, 1, 1, 0, 0)))
-        assert nxt.dims() == (0,) * 7
+        nxt = step_page(G4_12_DIMS, 3, RankVector(1, (1, 1, 0, 1, 1, 0, 0)))
+        assert nxt == (0,) * 7
 
     def test_rank_needs_matching_page(self):
-        page = init_page(G4_12, 3)
+        # page order is a property of a rank sequence, checked on replay
+        v = oracle_narrow_feasible(G4_12, 3, 2)
+        first, second = v.witness.ranks
+        swapped = FeasibleWitness(
+            v.witness.completion, (RankVector(1, second.ranks), RankVector(2, first.ranks))
+        )
+        assert not replay_witness(NarrownessVerdict(FEASIBLE, 3, swapped), G4_12, 3, 2)
+        relabelled = FeasibleWitness(v.witness.completion, (second, first))
+        assert not replay_witness(NarrownessVerdict(FEASIBLE, 3, relabelled), G4_12, 3, 2)
         with pytest.raises(RankViolationError):
-            step_page(page, RankVector(2, (0,) * 7))
+            step_page(G4_12_DIMS, 3, RankVector(0, (0,) * 7))
 
     def test_rank_needs_matching_width(self):
-        page = init_page(G4_12, 3)
         with pytest.raises(RankViolationError):
-            step_page(page, RankVector(1, (0, 0)))
+            step_page(G4_12_DIMS, 3, RankVector(1, (0, 0)))
 
     def test_negative_rank_rejected(self):
-        page = init_page(G4_12, 3)
         with pytest.raises(RankViolationError):
-            step_page(page, RankVector(1, (-1, 0, 0, 0, 0, 0, 0)))
+            step_page(G4_12_DIMS, 3, RankVector(1, (-1, 0, 0, 0, 0, 0, 0)))
 
     def test_rank_beyond_domain_rejected(self):
-        page = init_page(G4_12, 3)
         with pytest.raises(RankViolationError):
-            step_page(page, RankVector(1, (2, 0, 0, 0, 0, 0, 0)))
+            step_page(G4_12_DIMS, 3, RankVector(1, (2, 0, 0, 0, 0, 0, 0)))
 
     def test_rank_beyond_codomain_rejected(self):
         # (2,2) has zero slots two steps above every nonzero one
-        page = init_page(G4_22, 4)
         with pytest.raises(RankViolationError):
-            step_page(page, RankVector(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
+            step_page(G4_22.dims(), 4, RankVector(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
 
     def test_composition_constraint_rejected(self):
-        page = init_page(make_profile(4, [(s, 1) for s in range(5)]), 3)
         with pytest.raises(RankViolationError) as err:
-            step_page(page, RankVector(1, (1, 0, 1, 0, 0)))
+            step_page((1,) * 5, 3, RankVector(1, (1, 0, 1, 0, 0)))
         assert "d o d" in str(err.value)
 
 
@@ -201,6 +203,20 @@ class TestOracle:
     def test_search_cap_admits_small_inputs(self):
         v = oracle_narrow_feasible(G4_12, 3, 2, search_cap=8)
         assert v.kind == FEASIBLE
+
+    @pytest.mark.parametrize(
+        "n,known,cap,maslov,tried",
+        [
+            # slots 1 and 2 could each be 1, but not both: total 4 > cap 3
+            (4, [(0, 1), (3, 1)], 3, 3, 4),
+            # eight open slots in [0, 4], of which only totals <= 4 are tried
+            (12, [(0, 1), (3, 0), (6, 2), (9, 0), (12, 1)], 8, 4, 495),
+        ],
+    )
+    def test_completions_stay_within_the_cap(self, n, known, cap, maslov, tried):
+        v = oracle_narrow_feasible(make_partial_profile(n, known, cap), maslov, (n + 1) // maslov)
+        assert v.kind == INFEASIBLE
+        assert v.witness.completions_tried == tried
 
     def test_bounded_partial_profile_enumerates_completions(self):
         # one open slot of width 2; the first completion (1,0,1) already dies
@@ -300,8 +316,7 @@ class TestReplay:
     def test_corrupted_bound_fails(self):
         v = propagate_narrow(G4_22, 4, 8, 2)
         bad = NarrownessVerdict(
-            v.kind, v.slot, v.page, 3,
-            ContradictionWitness(v.witness.slot, 3, v.witness.chain),
+            v.kind, v.page, ContradictionWitness(v.witness.slot, 3, v.witness.chain)
         )
         assert not replay_witness(bad, G4_22, 4, 2)
 
@@ -309,35 +324,47 @@ class TestReplay:
         v = propagate_narrow(G4_22, 4, 8, 2)
         chain = (v.witness.chain[0], )
         bad = NarrownessVerdict(
-            v.kind, v.slot, v.page, v.bound,
-            ContradictionWitness(v.witness.slot, v.witness.bound, chain),
+            v.kind, v.page, ContradictionWitness(v.witness.slot, v.witness.bound, chain)
         )
         assert not replay_witness(bad, G4_22, 4, 2)
 
     def test_corrupted_rank_fails(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
         ranks = (RankVector(1, (0, 1, 0, 1, 1, 0, 0)), v.witness.ranks[1])
-        bad = NarrownessVerdict(
-            v.kind, None, v.page, None,
-            type(v.witness)(v.witness.completion, ranks),
-        )
+        bad = NarrownessVerdict(v.kind, v.page, type(v.witness)(v.witness.completion, ranks))
         assert not replay_witness(bad, G4_12, 3, 2)
 
     def test_completion_outside_profile_fails(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
         bad = NarrownessVerdict(
-            v.kind, None, v.page, None,
-            type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.ranks),
+            v.kind, v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.ranks)
         )
         assert not replay_witness(bad, G4_12, 3, 2)
 
+    def test_wrong_final_page_fails(self):
+        for v, profile, maslov in [
+            (propagate_narrow(G4_22, 4, 8, 2), G4_22, 4),
+            (propagate_narrow(G4_12, 3, 6, 2), G4_12, 3),
+            (oracle_narrow_feasible(G4_12, 3, 2), G4_12, 3),
+            (oracle_narrow_feasible(G4_22, 4, 2), G4_22, 4),
+        ]:
+            for page in (None, 1, 2, 4, 42):
+                bad = NarrownessVerdict(v.kind, page, v.witness)
+                assert not replay_witness(bad, profile, maslov, 2), (v.kind, page)
+
+    def test_completion_above_cap_fails(self):
+        # every slot is within its interval, but the total 4 exceeds the cap 3
+        profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
+        witness = FeasibleWitness((1, 1, 1, 1, 0), (RankVector(1, (1, 1, 0, 0, 0)),))
+        assert not replay_witness(NarrownessVerdict(FEASIBLE, 2, witness), profile, 3, 1)
+
     def test_mismatched_witness_type_raises(self):
-        bad = NarrownessVerdict(CONTRADICTION, 4, 3, 2, FinalPageWitness(()))
+        bad = NarrownessVerdict(CONTRADICTION, 3, FinalPageWitness(()))
         with pytest.raises(WitnessError):
             replay_witness(bad, G4_22, 4, 2)
 
     def test_unknown_kind_raises(self):
-        bad = NarrownessVerdict("Maybe", None, None, None, FinalPageWitness(()))
+        bad = NarrownessVerdict("Maybe", None, FinalPageWitness(()))
         with pytest.raises(WitnessError):
             replay_witness(bad, G4_22, 4, 2)
 
@@ -377,6 +404,16 @@ class TestVerdictJson:
         payload["witness"]["slot"] = True
         with pytest.raises(WitnessError):
             verdict_from_json(payload)
+
+    def test_headline_must_match_witness(self):
+        payload = verdict_to_json(propagate_narrow(G4_22, 4, 8, 2))
+        for key, value in [("slot", 0), ("bound", 99), ("slot", None), ("bound", True)]:
+            forged = dict(payload, **{key: value})
+            with pytest.raises(WitnessError):
+                verdict_from_json(forged)
+        quiet = verdict_to_json(propagate_narrow(G4_12, 3, 6, 2))
+        with pytest.raises(WitnessError):
+            verdict_from_json(dict(quiet, slot=3))
 
     def test_non_dict_rejected(self):
         with pytest.raises(WitnessError):
