@@ -44,7 +44,6 @@ trusting the run that produced it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -291,6 +290,33 @@ def propagate_narrow(
     return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
 
 
+def _completions(slots: tuple[DimBound, ...], most: int):
+    """Every choice of one value per slot with total at most ``most``.
+
+    Lexicographic order, as ``itertools.product`` of the slot ranges would
+    give them, but a slot is only raised while the slots after it, reset
+    to their lower ends, keep the total within ``most``; so the cost follows
+    the completions yielded, not the size of the product.
+    """
+    lo = [slot.lo for slot in slots]
+    hi = [slot.hi for slot in slots]
+    current, total = lo[:], sum(lo)
+    if total > most:
+        return
+    while True:
+        yield tuple(current)
+        excess = 0  # how far the slots after i stand above their lower ends
+        for i in range(len(current) - 1, -1, -1):
+            if current[i] < hi[i] and total - excess < most:
+                current[i] += 1
+                current[i + 1:] = lo[i + 1:]
+                total += 1 - excess
+                break
+            excess += current[i] - lo[i]
+        else:
+            return
+
+
 def oracle_narrow_feasible(
     profile: BettiProfile, maslov: int, nu: int, search_cap: int | None = None
 ) -> NarrownessVerdict:
@@ -359,11 +385,8 @@ def oracle_narrow_feasible(
         memo[key] = found
         return found
 
-    ranges = (range(slot.lo, slot.hi + 1) for slot in profile.slots)
     completions_tried = 0
-    for completion in itertools.product(*ranges):
-        if profile.cap is not None and sum(completion) > profile.cap:
-            continue
+    for completion in _completions(profile.slots, total.hi):
         completions_tried += 1
         ranks = search(completion, 1)
         if ranks is not None:

@@ -5,6 +5,11 @@ import copy
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isofloer import cli
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
-from isofloer.homology import profile_to_json
+from isofloer.homology import MAX_TOP_DEGREE, profile_to_json
 
 
 def run(capsys, argv):
@@ -169,6 +174,46 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)])[0] == 0
 
+    def test_oracle_cost_follows_the_completions_within_the_cap(self, capsys, tmp_path):
+        # 3^16 tuples in the product of the slot ranges, 153 of them within the cap
+        path = tmp_path / "wide_open.json"
+        path.write_text(json.dumps({"n": 16, "known": [[8, 3]], "cap": 5}), encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle",
+             "--format", "json"],
+        )
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["kind"] == "Infeasible"
+        assert oracle["witness"] == {
+            "type": "exhausted-search", "completions_tried": 153, "states_explored": 837,
+        }
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+
+    @pytest.mark.parametrize("command", ["narrow-check", "wide-check"])
+    def test_top_degree_above_the_limit_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "too_wide.json"
+        path.write_text(
+            json.dumps({"n": MAX_TOP_DEGREE + 1, "known": [[0, 1]], "cap": None}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, [command, "--profile", str(path), "--maslov", "3"])
+        assert code == 2
+        assert out == ""
+        assert "top degree" in err
+
+    def test_top_degree_at_the_limit_is_read(self, capsys, tmp_path):
+        path = tmp_path / "widest.json"
+        path.write_text(
+            json.dumps({"n": MAX_TOP_DEGREE, "known": [[0, 1]], "cap": None}), encoding="utf-8"
+        )
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3"])
+        assert code == 0
+        assert out.startswith("propagation: ")
+
     def test_low_maslov_exits_1(self, capsys, tmp_path):
         path = write_profile(tmp_path, "g4_22.json", validate_family(4, 2, 2))
         code, _, err = run(capsys, ["narrow-check", "--profile", path, "--maslov", "2"])
@@ -308,6 +353,15 @@ class TestReplay:
         assert out == ""
         assert message in err
 
+    def test_top_degree_above_the_limit_exits_2(self, capsys, tmp_path):
+        witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
+        payload = json.loads(witness.read_text(encoding="utf-8"))
+        payload["profile"]["n"] = MAX_TOP_DEGREE + 1
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, ["replay", str(witness)])
+        assert code == 2
+        assert "top degree" in err
+
     def test_structurally_broken_witness_exits_2(self, capsys, tmp_path):
         witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
         payload = json.loads(witness.read_text(encoding="utf-8"))
@@ -371,6 +425,108 @@ class TestGolden:
         data = out.encode()
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_catalog_json_bytes(self, capsys):
+        code, out, _ = run(capsys, ["catalog", "--bound", "16", "--format", "json"])
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 170_219
+        assert hashlib.sha256(data).hexdigest() == (
+            "60377f9b5a89934a3256c7720aae654b30b76d204870fd4eb1e7574d6f5e08ac"
+        )
+
+    def test_feasible_oracle_json_bytes(self, capsys, tmp_path):
+        # nested rank lists: the profile entries, the final-page slots, the ranks
+        path = write_profile(tmp_path, "g4_12.json", validate_family(4, 1, 2))
+        code, out, _ = run(
+            capsys,
+            ["narrow-check", "--profile", path, "--maslov", "3", "--oracle", "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["oracle"]["kind"] == "Feasible"
+        data = out.encode()
+        assert len(data) == 1_514
+        assert hashlib.sha256(data).hexdigest() == (
+            "5d8ee7f091dca052b17a88331e308328b1ab509148d9c45ff742a3599751f6fe"
+        )
+
+    def test_classify_all_json_through_a_pipe(self):
+        # the JSON is streamed to the real stdout, not a capture buffer
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofloer.cli", "classify-all", "--bound", "16",
+             "--format", "json"],
+            capture_output=True, env=env, check=False,
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout) == 159_171
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "bb9aa9b110298734a118608e096849aa8d14063c8e6ac1ec0de09be1ef59f7a0"
+        )
+
+
+# --- the JSON writer ----------------------------------------------------------
+
+json_strings = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "\"", "\\", "\n\t\r\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀"]),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    json_strings,
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(payload)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    """The writer makes the bytes of json.dumps(indent=2)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps(self, value):
+        assert cli.json_text(value) + "\n" == json.dumps(value, indent=2) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(json_trees, max_size=4), st.dictionaries(json_strings, json_trees, max_size=4))
+    def test_emit_streams_the_same_bytes(self, items, record):
+        expected = json.dumps(items, indent=2) + "\n"
+        assert emitted(items) == expected
+        assert emitted(iter(items)) == expected
+        assert emitted(record) == json.dumps(record, indent=2) + "\n"
+
+    def test_empty_generator_is_an_empty_list(self):
+        assert emitted(x for x in ()) == "[]\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(json_trees)
+    def test_one_element_generator(self, value):
+        assert emitted(x for x in [value]) == json.dumps([value], indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), {1: "int key"}, [b"bytes"]])
+    def test_non_json_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli.json_text(value)
 
 
 # --- replay fuzzing -----------------------------------------------------------
@@ -443,4 +599,37 @@ def test_replay_exits_cleanly_on_any_field_value(stored_witnesses, field, value)
     witness.write_text(json.dumps(payload), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["replay", str(witness)])
+    assert code in (0, 1, 2)
+
+
+# --- profile fuzzing ----------------------------------------------------------
+
+# valid profiles, with the paths of the fields the fuzz may overwrite
+PROFILE_FILES = [
+    ({"n": 8, "known": [[0, 1], [3, 1], [4, 2], [5, 1], [8, 1]], "cap": None}, 4),
+    ({"n": 6, "known": [[0, 1], [3, 2], [6, 1]], "cap": 7}, 3),
+]
+PROFILE_FIELDS = [("n",), ("cap",), ("known",), ("known", 0), ("known", 1, 0), ("known", 2, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(range(len(PROFILE_FILES))),
+    st.sampled_from(PROFILE_FIELDS),
+    json_values,
+    st.sampled_from(["narrow-check", "wide-check"]),
+)
+def test_profile_readers_exit_cleanly_on_any_field_value(tmp_path_factory, index, path, value,
+                                                         command):
+    profile, maslov = PROFILE_FILES[index]
+    payload = copy.deepcopy(profile)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path_factory.getbasetemp() / "fuzzed_profile.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--profile", str(file), "--maslov", str(maslov),
+                         "--format", "json"])
     assert code in (0, 1, 2)
