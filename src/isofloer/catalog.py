@@ -18,7 +18,7 @@ sequence, and the g = 3 Gauss-image homology.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .homology import (
     BettiProfile,
@@ -267,8 +267,9 @@ def data_to_json(data: GaussImageData) -> dict:
 
 
 def data_from_json(data: dict) -> GaussImageData:
+    """Parse a record and refuse it unless it is the catalog's record for its family."""
     try:
-        return GaussImageData(
+        record = GaussImageData(
             family=family_from_json(data["family"]),
             maslov=data["maslov"],
             nu=data["nu"],
@@ -280,3 +281,13 @@ def data_from_json(data: dict) -> GaussImageData:
         )
     except (KeyError, TypeError) as exc:
         raise FamilyError(f"malformed Gauss-image record: {exc}") from exc
+    expected = gauss_image_data(record.family)
+    wrong = [field.name for field in fields(record)
+             if getattr(record, field.name) != getattr(expected, field.name)]
+    if wrong:
+        family = record.family
+        raise FamilyError(
+            f"Gauss-image record for ({family.g}, {family.m1}, {family.m2}) differs "
+            f"from the catalog in {', '.join(wrong)}"
+        )
+    return record

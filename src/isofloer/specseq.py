@@ -67,7 +67,7 @@ class UnknownSlotsError(EngineError):
 
 
 class SearchCapError(EngineError):
-    """Total dimension above the configured search cap."""
+    """A profile too large for the exhaustive search."""
 
 
 class WitnessError(EngineError):
@@ -81,6 +81,11 @@ INFEASIBLE = "Infeasible"
 
 
 LIFTED_MIN_MASLOV = 3
+
+# The oracle's search recurses once per slot (to build a rank vector) and
+# once per page; a wider profile would run into Python's default limit of
+# 1000 frames and end in a RecursionError.
+ORACLE_MAX_SLOTS = 512
 
 
 def require_maslov(maslov: int) -> None:
@@ -326,7 +331,8 @@ def oracle_narrow_feasible(
     enumerated over their intervals when every upper end is finite
     (otherwise the search space is infinite and the call is refused),
     skipping completions whose total exceeds the profile's cap;
-    ``search_cap`` refuses inputs whose total dimension may exceed it.
+    ``search_cap`` refuses inputs whose total dimension may exceed it, and
+    a profile of more than ``ORACLE_MAX_SLOTS`` slots is refused too.
     The search runs depth first, slots ascending, ranks descending from
     their caps, memoizing visited (page, dims) states, so a Feasible
     verdict always carries the lexicographically greediest witness.
@@ -334,6 +340,11 @@ def oracle_narrow_feasible(
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
+    width = profile.n + 1
+    if width > ORACLE_MAX_SLOTS:
+        raise SearchCapError(
+            f"profile has {width} slots, above the oracle's limit of {ORACLE_MAX_SLOTS}"
+        )
     total = total_betti(profile)
     if total.hi is None:
         raise UnknownSlotsError(
@@ -343,7 +354,6 @@ def oracle_narrow_feasible(
         raise SearchCapError(
             f"total dimension may reach {total.hi}, above the search cap {search_cap}"
         )
-    width = profile.n + 1
     states_explored = 0
     memo: dict[tuple[int, tuple[int, ...]], tuple[RankVector, ...] | None] = {}
 

@@ -205,6 +205,14 @@ class TestGaussImageData:
             rec = gauss_image_data(validate_family(g, m1, m2))
             assert data_from_json(data_to_json(rec)) == rec
 
+    @pytest.mark.parametrize("field,value", [("maslov", 3), ("nu", 3), ("orientable", False)])
+    def test_record_must_match_its_family(self, field, value):
+        data = data_to_json(gauss_image_data(validate_family(4, 1, 3)))  # maslov 4, nu 2
+        assert data[field] != value
+        data[field] = value
+        with pytest.raises(FamilyError, match=field):
+            data_from_json(data)
+
     def test_family_json_round_trip(self):
         f = validate_family(4, 3, 5)
         assert family_from_json(family_to_json(f)) == f

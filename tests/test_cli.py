@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 from isofloer import cli
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
-from isofloer.homology import MAX_TOP_DEGREE, profile_to_json
+from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
+from isofloer.specseq import (
+    ORACLE_MAX_SLOTS,
+    oracle_narrow_feasible,
+    propagate_narrow,
+    verdict_to_json,
+)
 
 
 def run(capsys, argv):
@@ -49,11 +55,6 @@ class TestClassify:
         assert report["family"] == {"g": 3, "m1": 2, "m2": 2, "n": 6}
         assert report["intersects_real_form"] is True
         assert report["volume_lower_bound"] == pytest.approx(16.536681, rel=1e-5)
-
-    def test_invalid_family_exits_1(self, capsys):
-        code, _, err = run(capsys, ["classify", "--g", "5", "--m1", "1", "--m2", "1"])
-        assert code == 1
-        assert "error" in err
 
     def test_verbose_prints_witness_chain(self, capsys):
         code, out, _ = run(
@@ -193,6 +194,33 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
+    def test_oracle_at_the_slot_limit(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(
+            json.dumps({"n": ORACLE_MAX_SLOTS - 1, "known": [], "cap": 0}), encoding="utf-8"
+        )
+        code, out, _ = run(
+            capsys,
+            ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle",
+             "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["oracle"]["kind"] == "Feasible"
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+
+    @pytest.mark.parametrize("n", [ORACLE_MAX_SLOTS, 1500])
+    def test_oracle_above_the_slot_limit_is_skipped(self, capsys, tmp_path, n):
+        # without the limit, 1501 slots exhaust Python's recursion limit
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": n, "known": [], "cap": 0}), encoding="utf-8")
+        code, out, _ = run(
+            capsys, ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
+        )
+        assert code == 0
+        assert f"oracle skipped: profile has {n + 1} slots" in out
+
     @pytest.mark.parametrize("command", ["narrow-check", "wide-check"])
     def test_top_degree_above_the_limit_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "too_wide.json"
@@ -219,18 +247,6 @@ class TestNarrowCheck:
         code, _, err = run(capsys, ["narrow-check", "--profile", path, "--maslov", "2"])
         assert code == 1
         assert "Maslov" in err
-
-    def test_missing_file_exits_2(self, capsys):
-        code, _, err = run(capsys, ["narrow-check", "--profile", "/no/such.json", "--maslov", "4"])
-        assert code == 2
-        assert "cannot read" in err
-
-    def test_unparseable_file_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        code, _, err = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "4"])
-        assert code == 2
-        assert "not valid JSON" in err
 
     def test_wrong_schema_exits_2(self, capsys, tmp_path):
         path = tmp_path / "wrong.json"
@@ -407,6 +423,88 @@ class TestDispatch:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "1", "--frob"])[0] == 1
+
+
+# --- the failure policy -------------------------------------------------------
+
+G4_22_PROFILE = profile_to_json(munzner_betti_N(validate_family(4, 2, 2)))  # Maslov 4
+G6_PROFILE = profile_to_json(munzner_betti_N(validate_family(6, 2, 2)))  # unknown degrees
+CAPPED = {"n": 4, "known": [[0, 1], [3, 1]], "cap": 3}
+
+
+def envelope(profile: dict, maslov: int, oracle: dict | None = None) -> dict:
+    """A ``narrow-check --format json`` envelope with a true propagator verdict."""
+    parsed = profile_from_json(profile)
+    nu = (parsed.n + 1) // maslov
+    return {
+        "profile": profile, "maslov": maslov, "n": parsed.n, "nu": nu,
+        "verdict": verdict_to_json(propagate_narrow(parsed, maslov, parsed.n, nu)),
+        "oracle": oracle,
+    }
+
+
+def oracle_json(profile: dict, maslov: int) -> dict:
+    parsed = profile_from_json(profile)
+    return verdict_to_json(oracle_narrow_feasible(parsed, maslov, (parsed.n + 1) // maslov))
+
+
+def forged_headline() -> dict:
+    payload = envelope(G4_22_PROFILE, 4)
+    payload["verdict"].update(slot=0, bound=99)
+    return payload
+
+
+FORGED_WIDE_INFEASIBLE = {
+    "kind": "Infeasible", "slot": None, "page": 1501 // 3 + 1, "bound": None,
+    "witness": {"type": "exhausted-search", "completions_tried": 1, "states_explored": 1},
+}
+
+NARROW = ["narrow-check", "--profile", "input.json", "--maslov"]
+REPLAY = ["replay", "input.json"]
+
+# one row per failure source: argv, the content of input.json (None: no file,
+# bytes: the raw file, else a JSON payload), exit code, a piece of the error line
+FAILURES = [
+    pytest.param(["classify", "--g", "5", "--m1", "1", "--m2", "1"], None, 1,
+                 "principal curvatures", id="bad-family"),
+    pytest.param(["classify-all", "--bound", "1"], None, 1, "bound must be >= 2", id="bound-1"),
+    pytest.param(["classify-all", "--bound", "4", "--verbose"], None, 1,
+                 "unrecognized arguments: --verbose", id="verbose-on-classify-all"),
+    pytest.param(NARROW + ["4"], None, 2, "cannot read", id="unreadable-file"),
+    pytest.param(NARROW + ["4"], b"{not json", 2, "not valid JSON", id="not-json"),
+    pytest.param(NARROW + ["4"], b"\xff\xfe{", 2, "not valid JSON", id="not-utf-8"),
+    pytest.param(NARROW + ["4"], b"[" * 100_000 + b"]" * 100_000, 2, "not valid JSON",
+                 id="nested-too-deep"),
+    pytest.param(NARROW + ["4"], {"n": 3, "known": [[1.7, 2], ["2", True]], "cap": None}, 2,
+                 "must be an integer", id="strict-int-profile"),
+    pytest.param(NARROW + ["2"], G4_22_PROFILE, 1, "Maslov number >= 3",
+                 id="maslov-2-narrow-check"),
+    pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"maslov": 2}, 1, "Maslov number >= 3",
+                 id="maslov-2-replay"),
+    pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], G6_PROFILE, 1,
+                 "unknown", id="unknown-degree-wide-check"),
+    pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"nu": 3}, 2, "nu is 3", id="nu-mismatch"),
+    pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
+    # a true Infeasible verdict for the capped profile, replayed with the cap dropped:
+    # replay reruns the oracle, which refuses the unbounded profile
+    pytest.param(REPLAY, envelope(CAPPED | {"cap": None}, 3, oracle_json(CAPPED, 3)), 1,
+                 "no finite upper bound", id="forged-unbounded-infeasible"),
+    pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
+                 1, "above the oracle's limit", id="wide-oracle"),
+]
+
+
+@pytest.mark.parametrize("argv,content,code,message", FAILURES)
+def test_failure_exit_code_and_error_line(capsys, tmp_path, monkeypatch, argv, content, code,
+                                          message):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        raw = content if isinstance(content, bytes) else json.dumps(content).encode()
+        (tmp_path / "input.json").write_bytes(raw)
+    got, out, err = run(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.count("error: ") == 1
+    assert message in err
 
 
 class TestGolden:

@@ -22,6 +22,7 @@ from isofloer.specseq import (
     MaslovTooSmallError,
     NO_CONTRADICTION,
     NarrownessVerdict,
+    ORACLE_MAX_SLOTS,
     RankVector,
     RankViolationError,
     SearchCapError,
@@ -199,6 +200,12 @@ class TestOracle:
         profile = make_partial_profile(4, [(0, 1)], cap=10)
         with pytest.raises(SearchCapError):
             oracle_narrow_feasible(profile, 3, 1, search_cap=5)
+
+    def test_profile_wider_than_the_slot_limit_refused(self):
+        # all slots zero, so only the width stands in the way
+        profile = make_partial_profile(ORACLE_MAX_SLOTS, [], cap=0)
+        with pytest.raises(SearchCapError, match="slots"):
+            oracle_narrow_feasible(profile, 3, (ORACLE_MAX_SLOTS + 1) // 3)
 
     def test_search_cap_admits_small_inputs(self):
         v = oracle_narrow_feasible(G4_12, 3, 2, search_cap=8)
