@@ -18,14 +18,14 @@ sequence, and the g = 3 Gauss-image homology.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .homology import (
     BettiProfile,
     euler_char,
     make_partial_profile,
     make_profile,
-    profile_from_json,
+    profile_from_json,  # unused here; perfbench/worker.py patches this name
     profile_to_json,
 )
 
@@ -243,16 +243,6 @@ def family_to_json(family: IsoparametricFamily) -> dict:
     return {"g": family.g, "m1": family.m1, "m2": family.m2, "n": family.n}
 
 
-def family_from_json(data: dict) -> IsoparametricFamily:
-    try:
-        family = validate_family(data["g"], data["m1"], data["m2"])
-    except (KeyError, TypeError) as exc:
-        raise FamilyError(f"malformed family object: {exc}") from exc
-    if family.n != data.get("n", family.n):
-        raise FamilyError(f"inconsistent n={data['n']} for ({family.g}, {family.m1}, {family.m2})")
-    return family
-
-
 def data_to_json(data: GaussImageData) -> dict:
     return {
         "family": family_to_json(data.family),
@@ -264,30 +254,3 @@ def data_to_json(data: GaussImageData) -> dict:
         "betti_L": profile_to_json(data.betti_L) if data.betti_L is not None else None,
         "cited": [{"statement": c.statement, "source": c.source} for c in data.cited],
     }
-
-
-def data_from_json(data: dict) -> GaussImageData:
-    """Parse a record and refuse it unless it is the catalog's record for its family."""
-    try:
-        record = GaussImageData(
-            family=family_from_json(data["family"]),
-            maslov=data["maslov"],
-            nu=data["nu"],
-            orientable=data["orientable"],
-            covering_degree=data["covering_degree"],
-            betti_N=profile_from_json(data["betti_N"]) if data["betti_N"] is not None else None,
-            betti_L=profile_from_json(data["betti_L"]) if data["betti_L"] is not None else None,
-            cited=tuple(CitedFact(c["statement"], c["source"]) for c in data["cited"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FamilyError(f"malformed Gauss-image record: {exc}") from exc
-    expected = gauss_image_data(record.family)
-    wrong = [field.name for field in fields(record)
-             if getattr(record, field.name) != getattr(expected, field.name)]
-    if wrong:
-        family = record.family
-        raise FamilyError(
-            f"Gauss-image record for ({family.g}, {family.m1}, {family.m2}) differs "
-            f"from the catalog in {', '.join(wrong)}"
-        )
-    return record

@@ -3,13 +3,15 @@
 Exit codes: 0 when a verdict was produced (Unresolved and NoContradiction
 are verdicts), 1 on domain or usage errors, 2 on malformed input files.
 ``main`` is the one place that turns an exception into an exit code; every
-failure prints one ``error:`` line on stderr.
+failure prints one ``error:`` line on stderr, except an output pipe closed
+by its reader, which exits 1 silently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -83,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help="path to a profile JSON file")
     p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the exhaustive rank-assignment oracle")
-    p.add_argument("--cap", type=int, default=None, help="oracle search cap on the total dimension")
+                   help="also run the exact matching decider")
     add_format(p, verbose=True)
     p.set_defaults(handler=_cmd_narrow_check)
 
@@ -295,7 +296,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     oracle_note = None
     if args.oracle:
         try:
-            oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu, args.cap)
+            oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu)
         except (UnknownSlotsError, SearchCapError) as exc:
             oracle_note = str(exc)
     envelope = {
@@ -389,7 +390,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN if exc.code else EXIT_OK
     # WitnessError subclasses EngineError, so its clause comes first
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left; devnull quiets the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     except (InputError, WitnessError) as exc:
         error, code = exc, EXIT_FORMAT
     except (FamilyError, EngineError, ProfileError) as exc:

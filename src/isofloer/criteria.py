@@ -25,7 +25,6 @@ from .catalog import (
     IsoparametricFamily,
     cited_facts,
     collapse_step,
-    family_from_json,
     family_to_json,
     gauss_image_betti_g3,
     minimal_maslov,
@@ -39,7 +38,7 @@ from .specseq import (
     NarrownessVerdict,
     propagate_narrow,
     require_maslov,
-    verdict_from_json,
+    verdict_from_json,  # unused here; perfbench/worker.py patches this name
     verdict_to_json,
 )
 
@@ -253,16 +252,6 @@ def _step_to_json(step: JustificationStep) -> dict:
     }
 
 
-def _step_from_json(data: dict) -> JustificationStep:
-    return JustificationStep(
-        rule=data["rule"],
-        kind=data["kind"],
-        claim=data["claim"],
-        source=data["source"],
-        verdict=verdict_from_json(data["verdict"]) if data["verdict"] is not None else None,
-    )
-
-
 def report_to_json(report: CaseReport) -> dict:
     return {
         "family": family_to_json(report.family),
@@ -271,19 +260,3 @@ def report_to_json(report: CaseReport) -> dict:
         "intersects_real_form": report.intersects_real_form,
         "volume_lower_bound": report.volume_lower_bound,
     }
-
-
-def report_from_json(data: dict) -> CaseReport:
-    try:
-        status = data["status"]
-        if status not in STATUSES:
-            raise ValueError(f"unknown status {status!r}")
-        return CaseReport(
-            family=family_from_json(data["family"]),
-            status=status,
-            justification=tuple(_step_from_json(s) for s in data["justification"]),
-            intersects_real_form=bool(data["intersects_real_form"]),
-            volume_lower_bound=data["volume_lower_bound"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed case report: {exc}") from exc

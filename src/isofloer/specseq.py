@@ -31,21 +31,26 @@ Two deciders answer "can the final page vanish":
 
 * ``propagate_narrow`` pushes interval bounds page by page.  Sound on
   partially known profiles, not complete.
-* ``oracle_narrow_feasible`` exhaustively searches differential rank
-  assignments over the completions of the profile within its cap.
-  Complete, but needs finite slot bounds.
+* ``oracle_narrow_feasible`` is exact, and polynomial in the total
+  dimension.  The final page vanishes exactly when the first page's
+  classes pair off along the cancellation graph (a class in slot s with
+  one in slot s + rN - 1, 1 <= r <= nu; the pairs are every page's ranks).
+  A maximum matching decides that (Edmonds 1965), or yields a Tutte
+  barrier (Tutte 1952).  Partial profiles are decided per completion.
 
 They share no decision logic, which is the point: the oracle is the
-ground truth the propagator is tested against.  Each verdict is its kind,
-its final page and a witness; a Contradiction's slot and bound are read
-off its witness, and ``replay_witness`` re-derives any witness without
-trusting the run that produced it.
+ground truth the propagator is tested against, and ``brute_feasible`` in
+the tests, a walk over every rank vector, is the oracle's reference.  Each
+verdict is its kind, its final page and a witness; a Contradiction's slot
+and bound are read off its witness, and ``replay_witness`` re-derives any
+witness without trusting the run that produced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import accumulate
 
 from .homology import BettiProfile, DimBound, as_int, total_betti
 
@@ -67,7 +72,7 @@ class UnknownSlotsError(EngineError):
 
 
 class SearchCapError(EngineError):
-    """A profile too large for the exhaustive search."""
+    """A profile beyond the exact decider's limits."""
 
 
 class WitnessError(EngineError):
@@ -82,10 +87,10 @@ INFEASIBLE = "Infeasible"
 
 LIFTED_MIN_MASLOV = 3
 
-# The oracle's search recurses once per slot (to build a rank vector) and
-# once per page; a wider profile would run into Python's default limit of
-# 1000 frames and end in a RecursionError.
-ORACLE_MAX_SLOTS = 512
+# Limits of the exact decider: on a 2-core machine the slowest matching found
+# on MAX_CLASSES classes took about a second, and so do MAX_COMPLETIONS small ones.
+MAX_CLASSES = 1000
+MAX_COMPLETIONS = 10_000
 
 
 def require_maslov(maslov: int) -> None:
@@ -192,8 +197,15 @@ class FeasibleWitness:
 
 @dataclass(frozen=True)
 class InfeasibleWitness:
-    completions_tried: int
-    states_explored: int
+    """One Tutte barrier (a tuple of slots) per completion, in order; the trees
+    grown, ``states_explored``, stay off the wire and out of equality."""
+
+    barriers: tuple[tuple[int, ...], ...]
+    states_explored: int = field(default=0, compare=False)
+
+    @property
+    def completions_tried(self) -> int:
+        return len(self.barriers)
 
 
 @dataclass(frozen=True)
@@ -322,88 +334,156 @@ def _completions(slots: tuple[DimBound, ...], most: int):
             return
 
 
-def oracle_narrow_feasible(
-    profile: BettiProfile, maslov: int, nu: int, search_cap: int | None = None
-) -> NarrownessVerdict:
-    """Exhaustively decide whether some legal rank choice kills the final page.
+def _finite_total(profile: BettiProfile) -> int:
+    hi = total_betti(profile).hi
+    if hi is None:
+        raise UnknownSlotsError(
+            "profile has slots with no finite upper bound; completions cannot be enumerated"
+        )
+    return hi
 
-    Complete where the propagator is only sound.  Unknown slots are
-    enumerated over their intervals when every upper end is finite
-    (otherwise the search space is infinite and the call is refused),
-    skipping completions whose total exceeds the profile's cap;
-    ``search_cap`` refuses inputs whose total dimension may exceed it, and
-    a profile of more than ``ORACLE_MAX_SLOTS`` slots is refused too.
-    The search runs depth first, slots ascending, ranks descending from
-    their caps, memoizing visited (page, dims) states, so a Feasible
-    verdict always carries the lexicographically greediest witness.
+
+def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> NarrownessVerdict:
+    """Decide exactly whether some legal rank choice kills the final page.
+
+    Each completion of the profile within its cap (slot bounds must be
+    finite) is decided by a maximum matching; the first that pairs off is
+    the Feasible witness, else Infeasible holds one Tutte barrier per
+    completion.  Beyond ``MAX_CLASSES`` or ``MAX_COMPLETIONS``: SearchCapError.
     """
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    width = profile.n + 1
-    if width > ORACLE_MAX_SLOTS:
+    total = _finite_total(profile)
+    if total > MAX_CLASSES:
         raise SearchCapError(
-            f"profile has {width} slots, above the oracle's limit of {ORACLE_MAX_SLOTS}"
+            f"total dimension may reach {total}, above the matching's limit of {MAX_CLASSES}"
         )
-    total = total_betti(profile)
-    if total.hi is None:
-        raise UnknownSlotsError(
-            "profile has slots with no finite upper bound; completions cannot be enumerated"
-        )
-    if search_cap is not None and total.hi > search_cap:
-        raise SearchCapError(
-            f"total dimension may reach {total.hi}, above the search cap {search_cap}"
-        )
-    states_explored = 0
-    memo: dict[tuple[int, tuple[int, ...]], tuple[RankVector, ...] | None] = {}
-
-    def legal_rank_vectors(dims: tuple[int, ...], shift: int):
-        acc: list[int] = []
-
-        def rec(s: int):
-            if s == width:
-                yield tuple(acc)
-                return
-            cap = dims[s] - (acc[s - shift] if s - shift >= 0 else 0)
-            cap = min(cap, dims[s + shift] if s + shift < width else 0)
-            for a in range(cap, -1, -1):
-                acc.append(a)
-                yield from rec(s + 1)
-                acc.pop()
-
-        yield from rec(0)
-
-    def search(dims: tuple[int, ...], r: int) -> tuple[RankVector, ...] | None:
-        nonlocal states_explored
-        if r > nu:
-            return () if not any(dims) else None
-        key = (r, dims)
-        if key in memo:
-            return memo[key]
-        states_explored += 1
-        shift = r * maslov - 1
-        found = None
-        for a in legal_rank_vectors(dims, shift):
-            nxt = tuple(
-                dims[s] - a[s] - (a[s - shift] if s - shift >= 0 else 0)
-                for s in range(width)
+    barriers, trees = [], 0
+    for completion in _completions(profile.slots, total):
+        if len(barriers) == MAX_COMPLETIONS:
+            raise SearchCapError(
+                f"more than {MAX_COMPLETIONS} completions of the profile are within its cap"
             )
-            tail = search(nxt, r + 1)
-            if tail is not None:
-                found = (RankVector(r, a),) + tail
-                break
-        memo[key] = found
-        return found
+        ranks, barrier, grown = _match(completion, maslov, nu)
+        trees += grown
+        if barrier is None:
+            return NarrownessVerdict(FEASIBLE, nu + 1, FeasibleWitness(completion, ranks))
+        barriers.append(barrier)
+    return NarrownessVerdict(INFEASIBLE, nu + 1, InfeasibleWitness(tuple(barriers), trees))
 
-    completions_tried = 0
-    for completion in _completions(profile.slots, total.hi):
-        completions_tried += 1
-        ranks = search(completion, 1)
-        if ranks is not None:
-            witness = FeasibleWitness(completion, ranks)
-            return NarrownessVerdict(FEASIBLE, nu + 1, witness)
-    witness = InfeasibleWitness(completions_tried, states_explored)
-    return NarrownessVerdict(INFEASIBLE, nu + 1, witness)
+
+def _partners(dims: tuple[int, ...], maslov: int, nu: int) -> list[list[int]]:
+    """The cancellation graph: nonzero slots s and s + rN - 1 are partners, 1 <= r <= nu."""
+    width, shifts = len(dims), [r * maslov - 1 for r in range(1, nu + 1)]
+    return [[t for k in shifts for t in (s - k, s + k) if 0 <= t < width and dims[t]]
+            if dims[s] else [] for s in range(width)]
+
+
+def _match(dims: tuple[int, ...], maslov: int, nu: int):
+    """Pair off the classes of a page: one vertex per class, adjacent to the
+    classes of the partner slots.  A greedy pass over slot pairs (slots, then
+    pages, ascending) seeds the matching; Edmonds' search then grows one
+    alternating tree per unmatched class (for even N no blossom forms).
+    Returns ``(ranks, None, trees)``, the page-r rank at s counting the pairs
+    (s, s + rN - 1), or ``(None, barrier, trees)``: the slots of a stuck
+    tree's inner vertices, which are whole slots as copies share partners.
+    """
+    partners = _partners(dims, maslov, nu)
+    start = list(accumulate(dims, initial=0))  # slot s holds classes start[s] .. start[s+1] - 1
+    slot_of = [s for s, dim in enumerate(dims) for _ in range(dim)]
+    mate = [-1] * start[-1]
+    free = start[:-1]  # the greedy pass pairs each slot's classes in order
+    for s, near in enumerate(partners):
+        for t in near:
+            while t > s and free[s] < start[s + 1] and free[t] < start[t + 1]:
+                mate[free[s]], mate[free[t]] = free[t], free[s]
+                free[s], free[t] = free[s] + 1, free[t] + 1
+    trees = 0
+    for root, partner in enumerate(mate):
+        if partner == -1:
+            trees += 1
+            inner = _grow(root, mate, slot_of, start, partners)
+            if inner is not None:
+                return None, tuple(sorted({slot_of[u] for u in inner})), trees
+    ranks = [[0] * len(dims) for _ in range(nu)]
+    for u, v in enumerate(mate):
+        if u < v:  # classes are numbered by slot, so u's slot is the lower one
+            ranks[(slot_of[v] - slot_of[u] + 1) // maslov - 1][slot_of[u]] += 1
+    return tuple(RankVector(r, tuple(a)) for r, a in enumerate(ranks, start=1)), None, trees
+
+
+def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | None:
+    """Edmonds' search from ``root``: augment ``mate`` and return None, or
+    return the inner vertices of the tree that cannot grow."""
+    size = len(mate)
+    base = list(range(size))  # the base of the blossom holding each vertex
+    members = [[u] for u in range(size)]  # the vertices of each base's blossom
+    parent, outer, queue = [-1] * size, [False] * size, [root]
+    outer[root] = True
+
+    def common_base(a: int, b: int) -> int:
+        seen = {base[a]}
+        while mate[base[a]] != -1:
+            a = parent[mate[base[a]]]
+            seen.add(base[a])
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    for v in queue:  # the queue grows while it is walked
+        for t in partners[slot_of[v]]:
+            for w in range(start[t], start[t + 1]):
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if outer[w]:  # an odd cycle: contract it into a blossom
+                    b, bases = common_base(v, w), set()
+                    for x, child in ((v, w), (w, v)):  # relink both sides of the cycle
+                        while base[x] != b:
+                            bases.update((base[x], base[mate[x]]))
+                            parent[x], child = child, mate[x]
+                            x = parent[child]
+                    for x in bases - {b}:
+                        for u in members[x]:
+                            base[u] = b
+                            if not outer[u]:
+                                outer[u] = True
+                                queue.append(u)
+                        members[b] += members[x]
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if mate[w] == -1:  # augment along the tree path back to the root
+                        while w != -1:
+                            p = parent[w]
+                            mate[w], mate[p], w = p, w, mate[p]
+                        return None
+                    outer[mate[w]] = True
+                    queue.append(mate[w])
+    return [u for u in range(size) if parent[u] != -1 and not outer[u]]
+
+
+def is_tutte_barrier(dims: tuple[int, ...], maslov: int, nu: int, barrier) -> bool:
+    """True iff the slots ``barrier``, distinct and ascending, prove ``dims`` cannot pair off.
+
+    Without the barrier, a slot with no partner left is ``dims[s]`` odd parts
+    and a larger connected group is one odd part when its total is odd; more
+    odd parts than classes in the barrier leave a class unpaired (Tutte 1952).
+    """
+    removed = set(barrier)
+    if list(barrier) != sorted(removed) or any(not 0 <= s < len(dims) for s in removed):
+        return False
+    partners, seen, odd = _partners(dims, maslov, nu), set(removed), 0
+    for s, dim in enumerate(dims):
+        if dim and s not in seen:
+            seen.add(s)
+            group, stack = [], [s]
+            while stack:
+                group.append(stack.pop())
+                fresh = [t for t in partners[group[-1]] if t not in seen]
+                seen.update(fresh)
+                stack += fresh
+            odd += dim if len(group) == 1 else sum(dims[u] for u in group) % 2
+    return odd > sum(dims[s] for s in removed)
 
 
 # --- replay -----------------------------------------------------------------
@@ -416,8 +496,10 @@ def replay_witness(
 
     Contradiction chains are re-walked arithmetically against the profile
     (no call into the propagator); Feasible witnesses are re-run through
-    ``step_page`` down to the zero page; the other two kinds are checked
-    by recomputation.  Every verdict names the final page nu + 1.
+    ``step_page`` down to the zero page; Infeasible barriers are checked
+    with ``is_tutte_barrier``, one per completion, without calling the
+    decider; NoContradiction is checked by recomputation.  Every verdict
+    names the final page nu + 1.
     Malformed structure raises; wrong values return False.
     """
     witness = verdict.witness
@@ -438,9 +520,8 @@ def replay_witness(
             return final and _replay_feasible(witness, profile, maslov, nu)
         if verdict.kind == INFEASIBLE:
             if not isinstance(witness, InfeasibleWitness):
-                raise WitnessError("Infeasible verdict without search statistics")
-            fresh = oracle_narrow_feasible(profile, maslov, nu)
-            return final and fresh.kind == INFEASIBLE and fresh.witness == witness
+                raise WitnessError("Infeasible verdict without Tutte barriers")
+            return final and _replay_infeasible(witness, profile, maslov, nu)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
     raise WitnessError(f"unknown verdict kind {verdict.kind!r}")
@@ -449,43 +530,40 @@ def replay_witness(
 def _replay_contradiction(
     witness: ContradictionWitness, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
-    slot, bound = witness.slot, witness.bound
-    if bound <= 0 or len(witness.chain) != nu:
-        return False
-    lower = profile.bound(slot).lo
-    for r, step in enumerate(witness.chain, start=1):
+    # rebuild the chain arithmetically; upper bounds are page-invariant, so
+    # the profile is the authority for every neighbour
+    slot, lower, chain = witness.slot, profile.bound(witness.slot).lo, []
+    for r in range(1, nu + 1):
         shift = r * maslov - 1
-        if step.page != r or step.shift != shift:
+        left, right = profile.bound(slot - shift).hi, profile.bound(slot + shift).hi
+        if left is None or right is None:
             return False
-        if step.left != slot - shift or step.right != slot + shift:
-            return False
-        left, right = profile.bound(step.left), profile.bound(step.right)
-        # upper bounds are page-invariant, so the profile is the authority
-        if left.hi is None or right.hi is None:
-            return False
-        if step.left_hi != left.hi or step.right_hi != right.hi:
-            return False
-        if step.lower_before != lower:
-            return False
-        lower = max(0, lower - left.hi - right.hi)
-        if step.lower_after != lower:
-            return False
-    return lower == bound
+        after = max(0, lower - left - right)
+        chain.append(ChainStep(r, shift, slot - shift, left, slot + shift, right, lower, after))
+        lower = after
+    return 0 < witness.bound == lower and witness.chain == tuple(chain)
+
+
+def _replay_infeasible(
+    witness: InfeasibleWitness, profile: BettiProfile, maslov: int, nu: int
+) -> bool:
+    barriers = witness.barriers
+    if len(barriers) > MAX_COMPLETIONS:
+        return False  # the decider refuses such a profile
+    # barriers first, so that zip stops without drawing an extra completion
+    completions = _completions(profile.slots, _finite_total(profile))
+    checks = [is_tutte_barrier(c, maslov, nu, b) for b, c in zip(barriers, completions)]
+    return len(checks) == len(barriers) and all(checks) and next(completions, None) is None
 
 
 def _replay_feasible(
     witness: FeasibleWitness, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
     dims = tuple(witness.completion)
-    if len(dims) != profile.n + 1:
+    if len(dims) != profile.n + 1 or (profile.cap is not None and sum(dims) > profile.cap):
         return False
-    if profile.cap is not None and sum(dims) > profile.cap:
+    if any(v < s.lo or (s.hi is not None and v > s.hi) for v, s in zip(dims, profile.slots)):
         return False
-    for value, slot in zip(dims, profile.slots):
-        if value < slot.lo:
-            return False
-        if slot.hi is not None and value > slot.hi:
-            return False
     # one rank vector per page turn, in page order
     if [ranks.r for ranks in witness.ranks] != list(range(1, nu + 1)):
         return False
@@ -508,19 +586,7 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
             "type": "contradiction-chain",
             "slot": witness.slot,
             "bound": witness.bound,
-            "chain": [
-                {
-                    "page": c.page,
-                    "shift": c.shift,
-                    "left": c.left,
-                    "left_hi": c.left_hi,
-                    "right": c.right,
-                    "right_hi": c.right_hi,
-                    "lower_before": c.lower_before,
-                    "lower_after": c.lower_after,
-                }
-                for c in witness.chain
-            ],
+            "chain": [dict(vars(c)) for c in witness.chain],  # the fields in order
         }
     elif isinstance(witness, FinalPageWitness):
         payload = {
@@ -535,9 +601,8 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
         }
     elif isinstance(witness, InfeasibleWitness):
         payload = {
-            "type": "exhausted-search",
-            "completions_tried": witness.completions_tried,
-            "states_explored": witness.states_explored,
+            "type": "tutte-barriers",
+            "barriers": [list(barrier) for barrier in witness.barriers],
         }
     else:
         raise WitnessError(f"unserializable witnessType {type(witness).__name__}")
@@ -566,16 +631,7 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         wtype = payload["type"]
         if kind == CONTRADICTION and wtype == "contradiction-chain":
             chain = tuple(
-                ChainStep(
-                    page=_as_int(c["page"]),
-                    shift=_as_int(c["shift"]),
-                    left=_as_int(c["left"]),
-                    left_hi=_as_int(c["left_hi"]),
-                    right=_as_int(c["right"]),
-                    right_hi=_as_int(c["right_hi"]),
-                    lower_before=_as_int(c["lower_before"]),
-                    lower_after=_as_int(c["lower_after"]),
-                )
+                ChainStep(*(_as_int(c[f.name]) for f in fields(ChainStep)))
                 for c in payload["chain"]
             )
             witness: object = ContradictionWitness(
@@ -593,9 +649,9 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
                     for rv in payload["ranks"]
                 ),
             )
-        elif kind == INFEASIBLE and wtype == "exhausted-search":
+        elif kind == INFEASIBLE and wtype == "tutte-barriers":
             witness = InfeasibleWitness(
-                _as_int(payload["completions_tried"]), _as_int(payload["states_explored"])
+                tuple(tuple(_as_int(s) for s in barrier) for barrier in payload["barriers"])
             )
         else:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")

@@ -7,8 +7,10 @@ shows in the test suite and not in a traced benchmark run.
 """
 
 import pathlib
+from collections import Counter
 
 from isofloer import cli, criteria, specseq
+from isofloer.catalog import munzner_betti_N, validate_family
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,3 +29,16 @@ def test_traced_run_finds_every_attribute_it_patches(monkeypatch):
         recorder.restore()
     assert (cli.propagate_narrow, criteria.verdict_from_json, specseq.propagate_narrow) == originals
     assert isinstance(specseq.InfeasibleWitness, type)
+
+
+def test_infeasible_witness_carries_the_traced_counters(monkeypatch):
+    # the traced dense run adds these two counters up for every Infeasible verdict
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    verdict = specseq.oracle_narrow_feasible(munzner_betti_N(validate_family(4, 2, 2)), 4, 2)
+    assert verdict.kind == specseq.INFEASIBLE
+    counts = Counter()
+    worker._oracle_stats(counts, (), verdict)
+    assert counts["specseq.oracle.completions_tried"] == 1
+    assert counts["specseq.oracle.states_explored"] >= 1

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from isofloer import cli
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
+from isofloer import specseq
 from isofloer.specseq import (
-    ORACLE_MAX_SLOTS,
     oracle_narrow_feasible,
     propagate_narrow,
     verdict_to_json,
@@ -187,18 +188,19 @@ class TestNarrowCheck:
         assert code == 0
         oracle = json.loads(out)["oracle"]
         assert oracle["kind"] == "Infeasible"
-        assert oracle["witness"] == {
-            "type": "exhausted-search", "completions_tried": 153, "states_explored": 837,
-        }
+        assert oracle["witness"]["type"] == "tutte-barriers"
+        barriers = oracle["witness"]["barriers"]
+        assert len(barriers) == 153
+        assert barriers[:3] == [[], [16], [16]]
         witness = tmp_path / "witness.json"
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
-    def test_oracle_at_the_slot_limit(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n", [511, 512, 1500])
+    def test_wide_zero_cap_profile_is_decided(self, capsys, tmp_path, n):
+        # the decider has no limit on the number of slots
         path = tmp_path / "zero.json"
-        path.write_text(
-            json.dumps({"n": ORACLE_MAX_SLOTS - 1, "known": [], "cap": 0}), encoding="utf-8"
-        )
+        path.write_text(json.dumps({"n": n, "known": [], "cap": 0}), encoding="utf-8")
         code, out, _ = run(
             capsys,
             ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle",
@@ -210,16 +212,17 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
-    @pytest.mark.parametrize("n", [ORACLE_MAX_SLOTS, 1500])
-    def test_oracle_above_the_slot_limit_is_skipped(self, capsys, tmp_path, n):
-        # without the limit, 1501 slots exhaust Python's recursion limit
-        path = tmp_path / "zero.json"
-        path.write_text(json.dumps({"n": n, "known": [], "cap": 0}), encoding="utf-8")
+    def test_oracle_limits_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"n": 2, "known": [[0, 1_000_000], [1, 0], [2, 1_000_000]], "cap": None}),
+            encoding="utf-8",
+        )
         code, out, _ = run(
             capsys, ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
         )
         assert code == 0
-        assert f"oracle skipped: profile has {n + 1} slots" in out
+        assert "oracle skipped: total dimension may reach 2000000" in out
 
     @pytest.mark.parametrize("command", ["narrow-check", "wide-check"])
     def test_top_degree_above_the_limit_exits_2(self, capsys, tmp_path, command):
@@ -318,6 +321,40 @@ class TestReplay:
         code, out, _ = run(capsys, ["replay", str(witness), "--format", "json"])
         assert code == 0
         assert json.loads(out) == {"replayed": True, "verdicts": 2}
+
+    @pytest.mark.parametrize("barriers", [[[]], [[0, 2]]], ids=["slot-dropped", "slot-added"])
+    def test_edited_barrier_exits_1(self, capsys, tmp_path, barriers):
+        profile = {"n": 2, "known": [[0, 3], [1, 0], [2, 1]], "cap": None}
+        payload = envelope(profile, 3, oracle_json(profile, 3))
+        assert payload["oracle"]["witness"] == {"type": "tutte-barriers", "barriers": [[2]]}
+        payload["oracle"]["witness"]["barriers"] = barriers
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
+
+    def test_fifteen_slot_infeasible_replays_without_the_decider(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        dims = (1, 2, 2, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 2, 1)  # odd total
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"n": 14, "known": list(enumerate(dims)), "cap": None}),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
+                                    "--oracle", "--format", "json"])
+        decided_s = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["oracle"]["kind"] == "Infeasible"
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("replay ran the decider")
+
+        monkeypatch.setattr(specseq, "oracle_narrow_feasible", refuse)
+        monkeypatch.setattr(cli, "oracle_narrow_feasible", refuse)
+        start = time.perf_counter()
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+        assert (decided_s, time.perf_counter() - start) < (1.0, 1.0)
 
     def test_tampered_witness_exits_1(self, capsys, tmp_path):
         witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
@@ -454,6 +491,7 @@ def forged_headline() -> dict:
     return payload
 
 
+# a counts-only `exhausted-search` witness, which is not a form replay reads
 FORGED_WIDE_INFEASIBLE = {
     "kind": "Infeasible", "slot": None, "page": 1501 // 3 + 1, "bound": None,
     "witness": {"type": "exhausted-search", "completions_tried": 1, "states_explored": 1},
@@ -486,11 +524,11 @@ FAILURES = [
     pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"nu": 3}, 2, "nu is 3", id="nu-mismatch"),
     pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
     # a true Infeasible verdict for the capped profile, replayed with the cap dropped:
-    # replay reruns the oracle, which refuses the unbounded profile
+    # replay cannot enumerate the completions its barriers belong to
     pytest.param(REPLAY, envelope(CAPPED | {"cap": None}, 3, oracle_json(CAPPED, 3)), 1,
                  "no finite upper bound", id="forged-unbounded-infeasible"),
     pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
-                 1, "above the oracle's limit", id="wide-oracle"),
+                 2, "does not match witness type 'exhausted-search'", id="wide-oracle"),
 ]
 
 
@@ -564,6 +602,31 @@ class TestGolden:
         )
 
 
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        # larger than a pipe's buffer, so a write meets the closed end
+        (["classify-all", "--bound", "64", "--format", "json"], 16),
+        (["classify-all", "--bound", "64"], 16),
+        # small enough to sit in the stdout buffer until the final flush
+        (["classify", "--g", "4", "--m1", "2", "--m2", "2"], 0),
+    ],
+    ids=["json", "text", "buffered"],
+)
+def test_closed_output_pipe_exits_1_quietly(argv, read):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)  # and stdout to a pipe is block-buffered
+    proc = subprocess.Popen([sys.executable, "-m", "isofloer.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 # --- the JSON writer ----------------------------------------------------------
 
 json_strings = st.one_of(
@@ -634,22 +697,20 @@ json_scalars = st.one_of(
 )
 json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=4))
 
-# every witness kind, with the paths of the fields the fuzz may overwrite
-WITNESS_KINDS = {
-    (4, 2, 2): ("Contradiction", "Infeasible"),
-    (4, 1, 2): ("NoContradiction", "Feasible"),
-}
+# every witness kind: the profile, its Maslov number, the verdict kinds and
+# the paths of the fields the fuzz may overwrite
 WITNESS_FILES = {
-    (4, 2, 2): [
+    "g4-22": (G4_22_PROFILE, 4, ("Contradiction", "Infeasible"), [
         ("maslov",), ("nu",),
         ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
         ("verdict", "witness", "slot"), ("verdict", "witness", "bound"),
         ("verdict", "witness", "chain", 0), ("verdict", "witness", "chain", 1),
         ("verdict", "witness", "chain", 1, "lower_after"),
         ("oracle", "page"), ("oracle", "slot"),
-        ("oracle", "witness", "completions_tried"), ("oracle", "witness", "states_explored"),
-    ],
-    (4, 1, 2): [
+        ("oracle", "witness", "barriers"), ("oracle", "witness", "barriers", 0),
+    ]),
+    "g4-12": (profile_to_json(munzner_betti_N(validate_family(4, 1, 2))), 3,
+              ("NoContradiction", "Feasible"), [
         ("maslov",), ("nu",),
         ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
         ("verdict", "witness", "slots", 3),
@@ -657,7 +718,15 @@ WITNESS_FILES = {
         ("oracle", "witness", "completion"), ("oracle", "witness", "completion", 3),
         ("oracle", "witness", "ranks", 0), ("oracle", "witness", "ranks", 1, "page"),
         ("oracle", "witness", "ranks", 0, "ranks"), ("oracle", "witness", "ranks", 0, "ranks", 1),
-    ],
+    ]),
+    # 21 completions within the cap, each with its barrier
+    "barriers": ({"n": 6, "known": [[0, 3], [6, 1]], "cap": 6}, 3,
+                 ("NoContradiction", "Infeasible"), [
+        ("profile", "cap"), ("profile", "known", 1, 1), ("oracle", "page"),
+        ("oracle", "witness", "type"), ("oracle", "witness", "barriers"),
+        ("oracle", "witness", "barriers", 1), ("oracle", "witness", "barriers", 1, 0),
+        ("oracle", "witness", "barriers", 20),
+    ]),
 }
 
 
@@ -665,30 +734,30 @@ WITNESS_FILES = {
 def stored_witnesses(tmp_path_factory):
     folder = tmp_path_factory.mktemp("fuzz")
     stored = {}
-    for g, m1, m2 in WITNESS_FILES:
-        family = validate_family(g, m1, m2)
-        profile = folder / "profile.json"
-        profile.write_text(json.dumps(profile_to_json(munzner_betti_N(family))), encoding="utf-8")
+    for name, (profile, maslov, kinds, _) in WITNESS_FILES.items():
+        path = folder / "profile.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(["narrow-check", "--profile", str(profile), "--maslov",
-                             str(minimal_maslov(family)), "--oracle", "--format", "json"])
+            code = cli.main(["narrow-check", "--profile", str(path), "--maslov", str(maslov),
+                             "--oracle", "--format", "json"])
         assert code == 0
         envelope = json.loads(out.getvalue())
-        assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == WITNESS_KINDS[g, m1, m2]
-        stored[(g, m1, m2)] = envelope
+        assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == kinds
+        stored[name] = envelope
+    assert len(stored["barriers"]["oracle"]["witness"]["barriers"]) == 21
     return folder, stored
 
 
-FUZZ_FIELDS = [(family, path) for family, paths in WITNESS_FILES.items() for path in paths]
+FUZZ_FIELDS = [(name, path) for name, (*_, paths) in WITNESS_FILES.items() for path in paths]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(FUZZ_FIELDS), json_values)
 def test_replay_exits_cleanly_on_any_field_value(stored_witnesses, field, value):
     folder, stored = stored_witnesses
-    family, path = field
-    payload = copy.deepcopy(stored[family])
+    name, path = field
+    payload = copy.deepcopy(stored[name])
     target = payload
     for key in path[:-1]:
         target = target[key]

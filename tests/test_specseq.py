@@ -5,9 +5,12 @@ page can die, and (2,2) whose middle slots cannot.
 """
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isofloer import specseq
 from isofloer.catalog import munzner_betti_N, validate_family
 from isofloer.homology import ProfileError, make_partial_profile, make_profile
 from isofloer.specseq import (
@@ -19,15 +22,18 @@ from isofloer.specseq import (
     FeasibleWitness,
     FinalPageWitness,
     INFEASIBLE,
+    InfeasibleWitness,
+    MAX_CLASSES,
+    MAX_COMPLETIONS,
     MaslovTooSmallError,
     NO_CONTRADICTION,
     NarrownessVerdict,
-    ORACLE_MAX_SLOTS,
     RankVector,
     RankViolationError,
     SearchCapError,
     UnknownSlotsError,
     WitnessError,
+    is_tutte_barrier,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
@@ -184,8 +190,26 @@ class TestOracle:
     def test_g4_22_infeasible(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
         assert v.kind == INFEASIBLE
+        # slot 0 has no partner at all, so the empty barrier leaves it unpaired
+        assert v.witness.barriers == ((),)
         assert v.witness.completions_tried == 1
         assert v.witness.states_explored >= 1
+
+    def test_hall_set_barrier(self):
+        # two classes in slot 0 but one partner in slot 2
+        v = oracle_narrow_feasible(make_profile(2, [(0, 2), (2, 1)]), 3, 1)
+        assert v.witness.barriers == ((2,),)
+        assert is_tutte_barrier((2, 0, 1), 3, 1, (2,))
+
+    def test_fifteen_slot_parity_case(self):
+        # an odd total, so some class is always left unpaired
+        dims = (1, 2, 2, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 2, 1)
+        profile = make_profile(14, list(enumerate(dims)))
+        start = time.perf_counter()
+        v = oracle_narrow_feasible(profile, 3, 5)
+        assert v.kind == INFEASIBLE
+        assert replay_witness(v, profile, 3, 5)
+        assert time.perf_counter() - start < 1.0
 
     def test_zero_profile_is_trivially_feasible(self):
         v = oracle_narrow_feasible(make_profile(2, []), 3, 0)
@@ -197,19 +221,37 @@ class TestOracle:
             oracle_narrow_feasible(G6_PARTIAL, 4, 3)
 
     def test_search_cap_refusal(self):
-        profile = make_partial_profile(4, [(0, 1)], cap=10)
-        with pytest.raises(SearchCapError):
-            oracle_narrow_feasible(profile, 3, 1, search_cap=5)
+        # two million classes: refused before any matching is built
+        profile = make_profile(2, [(0, 1_000_000), (2, 1_000_000)])
+        start = time.perf_counter()
+        with pytest.raises(SearchCapError, match="total dimension"):
+            oracle_narrow_feasible(profile, 3, 1)
+        with pytest.raises(SearchCapError, match="total dimension"):
+            oracle_narrow_feasible(make_partial_profile(4, [(0, 1)], cap=MAX_CLASSES + 1), 3, 1)
+        assert time.perf_counter() - start < 0.5
 
-    def test_profile_wider_than_the_slot_limit_refused(self):
-        # all slots zero, so only the width stands in the way
-        profile = make_partial_profile(ORACLE_MAX_SLOTS, [], cap=0)
-        with pytest.raises(SearchCapError, match="slots"):
-            oracle_narrow_feasible(profile, 3, (ORACLE_MAX_SLOTS + 1) // 3)
+    def test_wide_zero_cap_profile_is_decided(self):
+        profile = make_partial_profile(1500, [], cap=0)
+        v = oracle_narrow_feasible(profile, 3, 1501 // 3)
+        assert v.kind == FEASIBLE
+        assert replay_witness(v, profile, 3, 1501 // 3)
 
     def test_search_cap_admits_small_inputs(self):
-        v = oracle_narrow_feasible(G4_12, 3, 2, search_cap=8)
+        # exactly MAX_CLASSES classes, all in one pair of partner slots
+        half = MAX_CLASSES // 2
+        v = oracle_narrow_feasible(make_profile(2, [(0, half), (2, half)]), 3, 1)
         assert v.kind == FEASIBLE
+        assert v.witness.ranks == (RankVector(1, (half, 0, 0)),)
+
+    def test_completion_limit_refusal(self):
+        # slot 0 has one class and every partner slot of it is pinned to 0, so
+        # each of the millions of completions within the cap is infeasible
+        partners = [2, 5, 8, 11, 14, 17, 20]
+        profile = make_partial_profile(20, [(0, 1)] + [(t, 0) for t in partners], cap=20)
+        start = time.perf_counter()
+        with pytest.raises(SearchCapError, match=f"more than {MAX_COMPLETIONS} completions"):
+            oracle_narrow_feasible(profile, 3, 7)
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize(
         "n,known,cap,maslov,tried",
@@ -273,6 +315,41 @@ def brute_feasible(dims, maslov, nu):
     return walk(tuple(dims), 1)
 
 
+@st.composite
+def small_pages(draw, max_n=6, max_dim=3):
+    """Dims, a Maslov number and a page count small enough for brute force."""
+    n = draw(st.integers(0, max_n))
+    dims = tuple(draw(st.lists(st.integers(0, max_dim), min_size=n + 1, max_size=n + 1)))
+    maslov = draw(st.integers(3, 6))
+    return dims, maslov, draw(st.integers(0, (n + 1) // maslov))
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_pages())
+def test_decider_matches_brute_force(page):
+    dims, maslov, nu = page
+    profile = make_profile(len(dims) - 1, list(enumerate(dims)))
+    v = oracle_narrow_feasible(profile, maslov, nu)
+    assert (v.kind == FEASIBLE) == brute_feasible(dims, maslov, nu)
+    assert replay_witness(v, profile, maslov, nu)
+    if v.kind == INFEASIBLE:
+        assert is_tutte_barrier(dims, maslov, nu, v.witness.barriers[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_pages())
+def test_some_slot_barrier_exists_iff_brute_force_fails(page):
+    # so the slot-level check loses nothing: it is exact on its own
+    dims, maslov, nu = page
+    slots = range(len(dims))
+    certified = any(
+        is_tutte_barrier(dims, maslov, nu, subset)
+        for size in range(len(dims) + 1)
+        for subset in itertools.combinations(slots, size)
+    )
+    assert certified != brute_feasible(dims, maslov, nu)
+
+
 class TestOracleCrossCheck:
     SMALL_CASES = [
         ((1, 1, 1, 2, 1, 1, 1), 3, 2),
@@ -283,6 +360,9 @@ class TestOracleCrossCheck:
         ((1, 2, 2, 1), 4, 1),
         ((0, 1, 1, 0, 1, 1), 3, 2),
         ((1, 0, 0, 0, 1), 5, 1),
+        # the matching contracts a blossom on these two
+        ((1, 2, 1, 2, 1, 2, 1), 3, 2),
+        ((1, 3, 3, 3, 3, 1, 1), 3, 2),
     ]
 
     @pytest.mark.parametrize("dims,maslov,nu", SMALL_CASES)
@@ -319,6 +399,46 @@ class TestReplay:
     def test_infeasible_replays(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
         assert replay_witness(v, G4_22, 4, 2)
+
+    def test_infeasible_replay_never_runs_the_decider(self, monkeypatch):
+        v = oracle_narrow_feasible(G4_22, 4, 2)
+
+        def refuse(*args):
+            raise AssertionError("replay ran the decider")
+
+        monkeypatch.setattr(specseq, "oracle_narrow_feasible", refuse)
+        monkeypatch.setattr(specseq, "_match", refuse)
+        assert replay_witness(v, G4_22, 4, 2)
+
+    @pytest.mark.parametrize(
+        "barrier,ok",
+        [
+            ((2,), True),
+            ((), False),  # slot 0's three classes meet slot 2's one: even total
+            ((0, 2), False),  # nothing is left to be odd
+            ((1, 2), True),  # an empty slot changes nothing
+            ((2, 2), False),
+            ((3,), False),
+        ],
+    )
+    def test_barrier_edits(self, barrier, ok):
+        profile = make_profile(2, [(0, 3), (2, 1)])
+        v = oracle_narrow_feasible(profile, 3, 1)
+        assert v.witness.barriers == ((2,),)
+        edited = NarrownessVerdict(INFEASIBLE, 2, InfeasibleWitness((barrier,)))
+        assert replay_witness(edited, profile, 3, 1) is ok
+
+    def test_barrier_count_must_match_the_completions(self):
+        profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
+        v = oracle_narrow_feasible(profile, 3, 1)
+        assert v.witness.completions_tried == 4
+        for barriers in (v.witness.barriers[:-1], v.witness.barriers + ((),), ()):
+            edited = NarrownessVerdict(INFEASIBLE, 2, InfeasibleWitness(barriers))
+            assert not replay_witness(edited, profile, 3, 1)
+
+    def test_states_explored_stays_out_of_equality(self):
+        v = oracle_narrow_feasible(G4_22, 4, 2)
+        assert v.witness == InfeasibleWitness(v.witness.barriers, v.witness.states_explored + 1)
 
     def test_corrupted_bound_fails(self):
         v = propagate_narrow(G4_22, 4, 8, 2)
@@ -397,7 +517,7 @@ class TestVerdictJson:
             "contradiction-chain",
             "final-page",
             "rank-assignment",
-            "exhausted-search",
+            "tutte-barriers",
         ]
 
     def test_kind_witness_mismatch_rejected(self):
