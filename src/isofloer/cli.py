@@ -232,7 +232,8 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
         print(f"  sweep-volume lower bound: {report.volume_lower_bound:.6f}")
 
 
-def _verdict_text_lines(verdict) -> list[str]:
+def _verdict_text_lines(verdict, maslov: int | None = None) -> list[str]:
+    """The summary, then the chain or each cancellation (which needs ``maslov``)."""
     lines = [_verdict_summary(verdict)]
     payload = verdict_to_json(verdict)["witness"]
     if payload["type"] == "contradiction-chain":
@@ -241,9 +242,11 @@ def _verdict_text_lines(verdict) -> list[str]:
                 f"page {c['page']}: slot bound {c['lower_before']} -> {c['lower_after']} "
                 f"(neighbours {c['left']} hi={c['left_hi']}, {c['right']} hi={c['right_hi']})"
             )
-    elif payload["type"] == "rank-assignment":
-        for rv in payload["ranks"]:
-            lines.append(f"page {rv['page']}: ranks {rv['ranks']}")
+    elif payload["type"] == "cancellation-pairs":
+        for s, r, count in payload["pairs"]:
+            classes = "1 class of slot" if count == 1 else f"{count} classes of slot"
+            verb = "cancels" if count == 1 else "cancel"
+            lines.append(f"page {r}: {classes} {s} {verb} slot {s + r * maslov - 1}")
     return lines
 
 
@@ -317,7 +320,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
         if oracle_verdict is not None:
             print(f"oracle: {_verdict_summary(oracle_verdict)}")
             if args.verbose:
-                for line in _verdict_text_lines(oracle_verdict)[1:]:
+                for line in _verdict_text_lines(oracle_verdict, args.maslov)[1:]:
                     print(f"  {line}")
         elif oracle_note is not None:
             print(f"oracle skipped: {oracle_note}")

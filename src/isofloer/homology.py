@@ -69,6 +69,11 @@ class DimBound:
 
 ZERO = DimBound.exact(0)
 
+# Widest profile, from a file or a family's table: 8x the widest family at
+# classify-all --bound 256.  Verdict witnesses and the JSON form list every
+# degree, so a few bytes of input could otherwise ask for gigabytes of output.
+MAX_TOP_DEGREE = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class BettiProfile:
@@ -88,8 +93,8 @@ class BettiProfile:
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ProfileError(f"top degree must be >= 0, got {self.n}")
+        if not 0 <= self.n <= MAX_TOP_DEGREE:
+            raise ProfileError(f"top degree must be in [0, {MAX_TOP_DEGREE}], got {self.n}")
         for degree in self.support:
             if not 0 <= degree <= self.n:
                 raise ProfileError(f"degree {degree} outside [0, {self.n}]")
@@ -194,17 +199,8 @@ def profile_to_json(profile: BettiProfile) -> dict:
     return {"n": profile.n, "known": known, "cap": profile.cap}
 
 
-# Widest profile a file may describe: 8x the widest family at classify-all
-# --bound 256.  Verdict witnesses and the JSON form list every degree, so a
-# few bytes of input could otherwise ask for gigabytes of output.
-MAX_TOP_DEGREE = 4096
-
-
 def profile_from_json(data: dict) -> BettiProfile:
-    """Parse strictly: every integer field must be a JSON integer, not a bool.
-
-    The top degree may be at most ``MAX_TOP_DEGREE``.
-    """
+    """Parse strictly: every integer field must be a JSON integer, not a bool."""
     if not isinstance(data, dict):
         raise ProfileError("profile object must be a JSON object")
     try:
@@ -214,8 +210,6 @@ def profile_from_json(data: dict) -> BettiProfile:
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: missing {exc}") from exc
     as_int(n, what="profile field 'n'")
-    if n > MAX_TOP_DEGREE:
-        raise ProfileError(f"top degree {n} is above the limit {MAX_TOP_DEGREE}")
     if cap is not None:
         as_int(cap, what="profile field 'cap'")
     try:

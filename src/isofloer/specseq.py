@@ -34,9 +34,15 @@ Two deciders answer "can the final page vanish":
 * ``oracle_narrow_feasible`` is exact, and polynomial in the total
   dimension.  The final page vanishes exactly when the first page's
   classes pair off along the cancellation graph (a class in slot s with
-  one in slot s + rN - 1, 1 <= r <= nu; the pairs are every page's ranks).
-  A maximum matching decides that (Edmonds 1965), or yields a Tutte
-  barrier (Tutte 1952).  Partial profiles are decided per completion.
+  one in slot s + rN - 1, 1 <= r <= nu).  A maximum matching decides that
+  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  Partial
+  profiles are decided per completion.
+
+A Feasible witness is that matching, counted by slot and page.  If each
+class has one partner, the ranks a_r[s] = count(s, r) are legal on every
+page and end on the zero page: on page r slot s still holds every class
+paired on page r or later, at least a_r[s] + a_r[s - shift].  So replay
+only counts, slot by slot, that every class is used exactly once.
 
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
@@ -48,6 +54,7 @@ witness without trusting the run that produced it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate
@@ -191,8 +198,12 @@ class FinalPageWitness:
 
 @dataclass(frozen=True)
 class FeasibleWitness:
+    """A completion and ``(s, r, count)`` pairs, strictly ascending: ``count``
+    classes of slot s cancel as many of slot s + rN - 1 on page r.  Valid iff
+    1 <= r <= nu, both slots exist, and each slot's counts sum to its dimension."""
+
     completion: tuple[int, ...]
-    ranks: tuple[RankVector, ...]
+    pairs: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -284,27 +295,24 @@ def propagate_narrow(
         return NarrownessVerdict(NO_CONTRADICTION, nu + 1, witness)
 
     best = max(positive, key=lambda s: (lows[s][-1], -abs(2 * s - n), -s))
-    trail = lows[best]
-    chain = []
+    witness = ContradictionWitness(best, lows[best][-1], _chain(profile, best, maslov, nu))
+    return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
+
+
+def _chain(profile: BettiProfile, slot: int, maslov: int,
+           nu: int) -> tuple[ChainStep, ...] | None:
+    """The exact-sequence bound at ``slot`` page by page, read off the profile's
+    page-invariant upper bounds; None once a neighbour is unbounded."""
+    lower, chain = profile.bound(slot).lo, []
     for r in range(1, nu + 1):
         shift = r * maslov - 1
-        left_hi, right_hi = bound(best - shift).hi, bound(best + shift).hi
-        # a surviving positive bound never met an unbounded neighbour
-        assert left_hi is not None and right_hi is not None
-        chain.append(
-            ChainStep(
-                page=r,
-                shift=shift,
-                left=best - shift,
-                left_hi=left_hi,
-                right=best + shift,
-                right_hi=right_hi,
-                lower_before=trail[r - 1],
-                lower_after=trail[r],
-            )
-        )
-    witness = ContradictionWitness(best, trail[-1], tuple(chain))
-    return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
+        left, right = profile.bound(slot - shift).hi, profile.bound(slot + shift).hi
+        if left is None or right is None:
+            return None
+        after = max(0, lower - left - right)
+        chain.append(ChainStep(r, shift, slot - shift, left, slot + shift, right, lower, after))
+        lower = after
+    return tuple(chain)
 
 
 def _completions(slots: tuple[DimBound, ...], most: int):
@@ -365,10 +373,10 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
             raise SearchCapError(
                 f"more than {MAX_COMPLETIONS} completions of the profile are within its cap"
             )
-        ranks, barrier, grown = _match(completion, maslov, nu)
+        pairs, barrier, grown = _match(completion, maslov, nu)
         trees += grown
         if barrier is None:
-            return NarrownessVerdict(FEASIBLE, nu + 1, FeasibleWitness(completion, ranks))
+            return NarrownessVerdict(FEASIBLE, nu + 1, FeasibleWitness(completion, pairs))
         barriers.append(barrier)
     return NarrownessVerdict(INFEASIBLE, nu + 1, InfeasibleWitness(tuple(barriers), trees))
 
@@ -385,9 +393,9 @@ def _match(dims: tuple[int, ...], maslov: int, nu: int):
     classes of the partner slots.  A greedy pass over slot pairs (slots, then
     pages, ascending) seeds the matching; Edmonds' search then grows one
     alternating tree per unmatched class (for even N no blossom forms).
-    Returns ``(ranks, None, trees)``, the page-r rank at s counting the pairs
-    (s, s + rN - 1), or ``(None, barrier, trees)``: the slots of a stuck
-    tree's inner vertices, which are whole slots as copies share partners.
+    Returns ``(pairs, None, trees)``, the matching counted by (slot, page),
+    or ``(None, barrier, trees)``: the slots of a stuck tree's inner
+    vertices, which are whole slots as copies share partners.
     """
     partners = _partners(dims, maslov, nu)
     start = list(accumulate(dims, initial=0))  # slot s holds classes start[s] .. start[s+1] - 1
@@ -406,11 +414,10 @@ def _match(dims: tuple[int, ...], maslov: int, nu: int):
             inner = _grow(root, mate, slot_of, start, partners)
             if inner is not None:
                 return None, tuple(sorted({slot_of[u] for u in inner})), trees
-    ranks = [[0] * len(dims) for _ in range(nu)]
-    for u, v in enumerate(mate):
-        if u < v:  # classes are numbered by slot, so u's slot is the lower one
-            ranks[(slot_of[v] - slot_of[u] + 1) // maslov - 1][slot_of[u]] += 1
-    return tuple(RankVector(r, tuple(a)) for r, a in enumerate(ranks, start=1)), None, trees
+    # classes are numbered by slot, so u < v puts u in the lower slot
+    pairs = Counter((slot_of[u], (slot_of[v] - slot_of[u] + 1) // maslov)
+                    for u, v in enumerate(mate) if u < v)
+    return tuple((s, r, count) for (s, r), count in sorted(pairs.items())), None, trees
 
 
 def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | None:
@@ -495,8 +502,8 @@ def replay_witness(
     """Re-derive a verdict's witness from scratch; True iff it checks out.
 
     Contradiction chains are re-walked arithmetically against the profile
-    (no call into the propagator); Feasible witnesses are re-run through
-    ``step_page`` down to the zero page; Infeasible barriers are checked
+    (no call into the propagator); Feasible pairs are counted against their
+    completion, slot by slot; Infeasible barriers are checked
     with ``is_tutte_barrier``, one per completion, without calling the
     decider; NoContradiction is checked by recomputation.  Every verdict
     names the final page nu + 1.
@@ -516,7 +523,7 @@ def replay_witness(
             return final and fresh.kind == NO_CONTRADICTION and fresh.witness == witness
         if verdict.kind == FEASIBLE:
             if not isinstance(witness, FeasibleWitness):
-                raise WitnessError("Feasible verdict without a rank witness")
+                raise WitnessError("Feasible verdict without cancellation pairs")
             return final and _replay_feasible(witness, profile, maslov, nu)
         if verdict.kind == INFEASIBLE:
             if not isinstance(witness, InfeasibleWitness):
@@ -530,18 +537,11 @@ def replay_witness(
 def _replay_contradiction(
     witness: ContradictionWitness, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
-    # rebuild the chain arithmetically; upper bounds are page-invariant, so
-    # the profile is the authority for every neighbour
-    slot, lower, chain = witness.slot, profile.bound(witness.slot).lo, []
-    for r in range(1, nu + 1):
-        shift = r * maslov - 1
-        left, right = profile.bound(slot - shift).hi, profile.bound(slot + shift).hi
-        if left is None or right is None:
-            return False
-        after = max(0, lower - left - right)
-        chain.append(ChainStep(r, shift, slot - shift, left, slot + shift, right, lower, after))
-        lower = after
-    return 0 < witness.bound == lower and witness.chain == tuple(chain)
+    chain = _chain(profile, witness.slot, maslov, nu)
+    if chain is None:
+        return False
+    lower = chain[-1].lower_after if chain else profile.bound(witness.slot).lo
+    return 0 < witness.bound == lower and witness.chain == chain
 
 
 def _replay_infeasible(
@@ -564,15 +564,17 @@ def _replay_feasible(
         return False
     if any(v < s.lo or (s.hi is not None and v > s.hi) for v, s in zip(dims, profile.slots)):
         return False
-    # one rank vector per page turn, in page order
-    if [ranks.r for ranks in witness.ranks] != list(range(1, nu + 1)):
-        return False
-    try:
-        for ranks in witness.ranks:
-            dims = step_page(dims, maslov, ranks)
-    except EngineError:
-        return False
-    return not any(dims)
+    # every class is paired exactly once iff ``unpaired`` ends at zero; pairs
+    # must ascend strictly in (s, r), and above (0, 0) rules out s < 0
+    unpaired, last = list(dims), (0, 0)
+    for s, r, count in witness.pairs:
+        t = s + r * maslov - 1
+        if not (last < (s, r) and 1 <= r <= nu and count >= 1 and t <= profile.n):
+            return False
+        unpaired[s] -= count
+        unpaired[t] -= count
+        last = (s, r)
+    return not any(unpaired)
 
 
 # --- serialization ----------------------------------------------------------
@@ -595,9 +597,9 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
         }
     elif isinstance(witness, FeasibleWitness):
         payload = {
-            "type": "rank-assignment",
+            "type": "cancellation-pairs",
             "completion": list(witness.completion),
-            "ranks": [{"page": rv.r, "ranks": list(rv.ranks)} for rv in witness.ranks],
+            "pairs": [list(pair) for pair in witness.pairs],
         }
     elif isinstance(witness, InfeasibleWitness):
         payload = {
@@ -641,13 +643,10 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
             witness = FinalPageWitness(
                 tuple(DimBound(_as_int(lo), _as_opt_int(hi)) for lo, hi in payload["slots"])
             )
-        elif kind == FEASIBLE and wtype == "rank-assignment":
+        elif kind == FEASIBLE and wtype == "cancellation-pairs":
             witness = FeasibleWitness(
                 tuple(_as_int(v) for v in payload["completion"]),
-                tuple(
-                    RankVector(_as_int(rv["page"]), tuple(_as_int(a) for a in rv["ranks"]))
-                    for rv in payload["ranks"]
-                ),
+                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in payload["pairs"]),
             )
         elif kind == INFEASIBLE and wtype == "tutte-barriers":
             witness = InfeasibleWitness(

@@ -66,6 +66,18 @@ class TestClassify:
         assert "page 1:" in out
 
 
+    def test_family_wider_than_the_profile_limit_exits_1(self, capsys):
+        # g = 4 tables list every degree up to n = 2(m1 + m2)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "1000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: top degree must be in [0, {MAX_TOP_DEGREE}], got 2000002\n"
+        code, out, _ = run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "2047"])
+        assert code == 0
+        assert out.startswith(f"g=4 m1=1 m2=2047 n={MAX_TOP_DEGREE}: ")
+
+
 class TestClassifyAll:
     def test_bound_2_table(self, capsys):
         code, out, _ = run(capsys, ["classify-all", "--bound", "2"])
@@ -196,9 +208,10 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
-    @pytest.mark.parametrize("n", [511, 512, 1500])
+    @pytest.mark.parametrize("n", [511, 512, 1500, MAX_TOP_DEGREE])
     def test_wide_zero_cap_profile_is_decided(self, capsys, tmp_path, n):
-        # the decider has no limit on the number of slots
+        # the decider has no limit on the number of slots, and its witness
+        # lists the completion and no pairs
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": n, "known": [], "cap": 0}), encoding="utf-8")
         code, out, _ = run(
@@ -207,10 +220,25 @@ class TestNarrowCheck:
              "--format", "json"],
         )
         assert code == 0
-        assert json.loads(out)["oracle"]["kind"] == "Feasible"
+        assert len(out) < 1_000_000
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["kind"], oracle["witness"]["pairs"]) == ("Feasible", [])
         witness = tmp_path / "witness.json"
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+
+    def test_verbose_oracle_lists_the_cancellations(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"n": 5, "known": [[0, 2], [2, 2], [3, 1], [5, 1]],
+                                    "cap": 6}), encoding="utf-8")
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
+                                    "--oracle", "--verbose"])
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "oracle: Feasible: a legal rank assignment reaches the zero page",
+            "  page 1: 2 classes of slot 0 cancel slot 2",
+            "  page 1: 1 class of slot 3 cancels slot 5",
+        ]
 
     def test_oracle_limits_are_skipped(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -328,6 +356,30 @@ class TestReplay:
         payload = envelope(profile, 3, oracle_json(profile, 3))
         assert payload["oracle"]["witness"] == {"type": "tutte-barriers", "barriers": [[2]]}
         payload["oracle"]["witness"]["barriers"] = barriers
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[0, 1, 3], [3, 1, 1]],
+            [[0, 1, 1], [3, 1, 1]],
+            [[0, 0, 2], [3, 1, 1]],
+            [[0, 1, 2], [3, 3, 1]],
+            [[0, 1, 2], [4, 1, 1]],
+            [[0, 1, 1], [0, 1, 1], [3, 1, 1]],
+            [[3, 1, 1], [0, 1, 2]],
+            [[0, 1, 2]],
+        ],
+        ids=["count-plus-1", "count-minus-1", "page-0", "page-nu-plus-1", "partner-past-n",
+             "duplicated", "unsorted", "pair-dropped"],
+    )
+    def test_edited_pairs_exit_1(self, capsys, tmp_path, pairs):
+        profile = {"n": 5, "known": [[0, 2], [2, 2], [3, 1], [5, 1]], "cap": 6}
+        payload = envelope(profile, 3, oracle_json(profile, 3))
+        assert payload["oracle"]["witness"]["pairs"] == [[0, 1, 2], [3, 1, 1]]
+        payload["oracle"]["witness"]["pairs"] = pairs
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps(payload), encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
@@ -497,6 +549,15 @@ FORGED_WIDE_INFEASIBLE = {
     "witness": {"type": "exhausted-search", "completions_tried": 1, "states_explored": 1},
 }
 
+# the g = 4, (1, 2) matching in the retired one-rank-vector-per-page form
+G4_12_PROFILE = profile_to_json(munzner_betti_N(validate_family(4, 1, 2)))  # Maslov 3
+RANK_ASSIGNMENT = {
+    "kind": "Feasible", "slot": None, "page": 3, "bound": None,
+    "witness": {"type": "rank-assignment", "completion": [1, 1, 1, 2, 1, 1, 1],
+                "ranks": [{"page": 1, "ranks": [1, 1, 0, 1, 1, 0, 0]},
+                          {"page": 2, "ranks": [0, 0, 0, 0, 0, 0, 0]}]},
+}
+
 NARROW = ["narrow-check", "--profile", "input.json", "--maslov"]
 REPLAY = ["replay", "input.json"]
 
@@ -529,6 +590,8 @@ FAILURES = [
                  "no finite upper bound", id="forged-unbounded-infeasible"),
     pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
                  2, "does not match witness type 'exhausted-search'", id="wide-oracle"),
+    pytest.param(REPLAY, envelope(G4_12_PROFILE, 3, RANK_ASSIGNMENT), 2,
+                 "does not match witness type 'rank-assignment'", id="rank-assignment"),
 ]
 
 
@@ -572,7 +635,7 @@ class TestGolden:
         )
 
     def test_feasible_oracle_json_bytes(self, capsys, tmp_path):
-        # nested rank lists: the profile entries, the final-page slots, the ranks
+        # nested lists: the profile entries, the final-page slots, the pairs
         path = write_profile(tmp_path, "g4_12.json", validate_family(4, 1, 2))
         code, out, _ = run(
             capsys,
@@ -581,9 +644,9 @@ class TestGolden:
         assert code == 0
         assert json.loads(out)["oracle"]["kind"] == "Feasible"
         data = out.encode()
-        assert len(data) == 1_514
+        assert len(data) == 1_395
         assert hashlib.sha256(data).hexdigest() == (
-            "5d8ee7f091dca052b17a88331e308328b1ab509148d9c45ff742a3599751f6fe"
+            "b15e16fb98f6ffb49c4a89e2b0b969a173e80a19744663003fd7dc3fb946f9d8"
         )
 
     def test_classify_all_json_through_a_pipe(self):
@@ -709,15 +772,15 @@ WITNESS_FILES = {
         ("oracle", "page"), ("oracle", "slot"),
         ("oracle", "witness", "barriers"), ("oracle", "witness", "barriers", 0),
     ]),
-    "g4-12": (profile_to_json(munzner_betti_N(validate_family(4, 1, 2))), 3,
-              ("NoContradiction", "Feasible"), [
+    "g4-12": (G4_12_PROFILE, 3, ("NoContradiction", "Feasible"), [
         ("maslov",), ("nu",),
         ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
         ("verdict", "witness", "slots", 3),
         ("oracle", "page"), ("oracle", "slot"), ("oracle", "bound"),
         ("oracle", "witness", "completion"), ("oracle", "witness", "completion", 3),
-        ("oracle", "witness", "ranks", 0), ("oracle", "witness", "ranks", 1, "page"),
-        ("oracle", "witness", "ranks", 0, "ranks"), ("oracle", "witness", "ranks", 0, "ranks", 1),
+        ("oracle", "witness", "pairs"), ("oracle", "witness", "pairs", 0),
+        ("oracle", "witness", "pairs", 1, 0), ("oracle", "witness", "pairs", 2, 1),
+        ("oracle", "witness", "pairs", 3, 2),
     ]),
     # 21 completions within the cap, each with its barrier
     "barriers": ({"n": 6, "known": [[0, 3], [6, 1]], "cap": 6}, 3,

@@ -5,6 +5,7 @@ import pytest
 from isofloer.homology import (
     BettiProfile,
     DimBound,
+    MAX_TOP_DEGREE,
     ProfileError,
     check_poincare,
     euler_char,
@@ -78,6 +79,15 @@ class TestConstruction:
             make_profile(2, [(3, 1)])
         with pytest.raises(ProfileError):
             make_profile(2, [(-1, 1)])
+
+    def test_top_degree_limit(self):
+        # one home for the limit: every constructor, not only the file reader
+        assert make_profile(MAX_TOP_DEGREE, []).n == MAX_TOP_DEGREE
+        for build in (make_profile, make_partial_profile):
+            with pytest.raises(ProfileError, match="top degree"):
+                build(MAX_TOP_DEGREE + 1, [])
+        with pytest.raises(ProfileError, match="top degree"):
+            BettiProfile(-1, {})
 
     def test_duplicate_degree_rejected(self):
         with pytest.raises(ProfileError):

@@ -8,7 +8,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isofloer import specseq
 from isofloer.catalog import munzner_betti_N, validate_family
@@ -86,14 +86,10 @@ class TestStepPage:
         assert nxt == (0,) * 7
 
     def test_rank_needs_matching_page(self):
-        # page order is a property of a rank sequence, checked on replay
+        # a pair cancels on one page: moved to page 2, its partners lie 5 slots up
         v = oracle_narrow_feasible(G4_12, 3, 2)
-        first, second = v.witness.ranks
-        swapped = FeasibleWitness(
-            v.witness.completion, (RankVector(1, second.ranks), RankVector(2, first.ranks))
-        )
-        assert not replay_witness(NarrownessVerdict(FEASIBLE, 3, swapped), G4_12, 3, 2)
-        relabelled = FeasibleWitness(v.witness.completion, (second, first))
+        moved = tuple((s, 2, count) for s, _, count in v.witness.pairs)
+        relabelled = FeasibleWitness(v.witness.completion, moved)
         assert not replay_witness(NarrownessVerdict(FEASIBLE, 3, relabelled), G4_12, 3, 2)
         with pytest.raises(RankViolationError):
             step_page(G4_12_DIMS, 3, RankVector(0, (0,) * 7))
@@ -182,10 +178,7 @@ class TestOracle:
         v = oracle_narrow_feasible(G4_12, 3, 2)
         assert v.kind == FEASIBLE
         assert v.witness.completion == (1, 1, 1, 2, 1, 1, 1)
-        assert v.witness.ranks == (
-            RankVector(1, (1, 1, 0, 1, 1, 0, 0)),
-            RankVector(2, (0,) * 7),
-        )
+        assert v.witness.pairs == ((0, 1, 1), (1, 1, 1), (3, 1, 1), (4, 1, 1))
 
     def test_g4_22_infeasible(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
@@ -214,7 +207,7 @@ class TestOracle:
     def test_zero_profile_is_trivially_feasible(self):
         v = oracle_narrow_feasible(make_profile(2, []), 3, 0)
         assert v.kind == FEASIBLE
-        assert v.witness.ranks == ()
+        assert v.witness.pairs == ()
 
     def test_unbounded_slots_refused(self):
         with pytest.raises(UnknownSlotsError):
@@ -241,7 +234,7 @@ class TestOracle:
         half = MAX_CLASSES // 2
         v = oracle_narrow_feasible(make_profile(2, [(0, half), (2, half)]), 3, 1)
         assert v.kind == FEASIBLE
-        assert v.witness.ranks == (RankVector(1, (half, 0, 0)),)
+        assert v.witness.pairs == ((0, 1, half),)
 
     def test_completion_limit_refusal(self):
         # slot 0 has one class and every partner slot of it is pinned to 0, so
@@ -326,6 +319,7 @@ def small_pages(draw, max_n=6, max_dim=3):
 
 @settings(deadline=None, max_examples=300)
 @given(small_pages())
+@example(((0, 2, 1, 2, 2, 1, 2), 3, 2))  # augmenting leaves slot 1's page-2 pair first
 def test_decider_matches_brute_force(page):
     dims, maslov, nu = page
     profile = make_profile(len(dims) - 1, list(enumerate(dims)))
@@ -334,6 +328,19 @@ def test_decider_matches_brute_force(page):
     assert replay_witness(v, profile, maslov, nu)
     if v.kind == INFEASIBLE:
         assert is_tutte_barrier(dims, maslov, nu, v.witness.barriers[0])
+    else:  # the page model is the reference the pairs are held to
+        page = dims
+        for ranks in rank_vectors(v.witness.pairs, len(dims), nu):
+            page = step_page(page, maslov, ranks)
+        assert not any(page)
+
+
+def rank_vectors(pairs, width, nu):
+    """The pairs summed by (slot, page): one rank vector per page turn."""
+    ranks = [[0] * width for _ in range(nu)]
+    for s, r, count in pairs:
+        ranks[r - 1][s] += count
+    return [RankVector(r, tuple(a)) for r, a in enumerate(ranks, start=1)]
 
 
 @settings(deadline=None, max_examples=150)
@@ -396,6 +403,57 @@ class TestReplay:
         v = oracle_narrow_feasible(G4_12, 3, 2)
         assert replay_witness(v, G4_12, 3, 2)
 
+    def test_feasible_replay_never_steps_pages(self, monkeypatch):
+        v = oracle_narrow_feasible(G4_12, 3, 2)
+
+        def refuse(*args):
+            raise AssertionError("replay stepped a page")
+
+        monkeypatch.setattr(specseq, "step_page", refuse)
+        assert replay_witness(v, G4_12, 3, 2)
+
+    @pytest.mark.parametrize(
+        "pairs,ok",
+        [
+            (((0, 1, 2), (5, 1, 1)), True),
+            # each of these balances every slot's count, and one rule refuses it
+            (((0, 1, 1), (0, 1, 1), (5, 1, 1)), False),  # (0, 1) listed twice
+            (((5, 1, 1), (0, 1, 2)), False),  # not ascending
+            (((0, 1, 2), (0, 2, 0), (5, 1, 1)), False),  # count 0
+            # around the cycle 0-2-7-5: -1 on page 2 makes room for a third count
+            (((0, 1, 3), (0, 2, -1), (2, 2, -1), (5, 1, 2)), False),
+            # and these leave a slot unbalanced
+            (((0, 1, 3), (5, 1, 1)), False),
+            (((0, 1, 2),), False),
+        ],
+    )
+    def test_pair_edits(self, pairs, ok):
+        profile = make_profile(7, [(0, 2), (2, 2), (5, 1), (7, 1)])
+        assert oracle_narrow_feasible(profile, 3, 2).witness.pairs == ((0, 1, 2), (5, 1, 1))
+        edited = NarrownessVerdict(FEASIBLE, 3, FeasibleWitness(profile.dims(), pairs))
+        assert replay_witness(edited, profile, 3, 2) is ok
+
+    @pytest.mark.parametrize(
+        "dims,pair",
+        [
+            ((1, 0, 0, 0, 0, 1), (0, 2, 1)),  # partners on page 2, which nu = 1 does not turn
+            ((1, 1, 0), (1, 0, 1)),  # a "page 0" pair would join the neighbours 0 and 1
+            ((1, 0, 0, 1, 0), (-2, 1, 1)),  # slot -2 would index slot 3 from the end
+        ],
+    )
+    def test_pair_off_the_graph_fails(self, dims, pair):
+        profile = make_profile(len(dims) - 1, list(enumerate(dims)))
+        assert oracle_narrow_feasible(profile, 3, 1).kind == INFEASIBLE
+        witness = FeasibleWitness(dims, (pair,))
+        assert not replay_witness(NarrownessVerdict(FEASIBLE, 2, witness), profile, 3, 1)
+
+    def test_chain_through_an_unbounded_neighbour_fails(self):
+        # slot 0's page-1 neighbour 2 is unbounded, so no bound survives there
+        profile = make_partial_profile(4, [(0, 1)])
+        chain = (ChainStep(1, 2, -2, 0, 2, 0, 1, 1),)
+        forged = NarrownessVerdict(CONTRADICTION, 2, ContradictionWitness(0, 1, chain))
+        assert not replay_witness(forged, profile, 3, 1)
+
     def test_infeasible_replays(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
         assert replay_witness(v, G4_22, 4, 2)
@@ -456,15 +514,16 @@ class TestReplay:
         assert not replay_witness(bad, G4_22, 4, 2)
 
     def test_corrupted_rank_fails(self):
+        # slot 0's pair moved to slot 2: slot 0 is left unpaired, slot 4 paired twice
         v = oracle_narrow_feasible(G4_12, 3, 2)
-        ranks = (RankVector(1, (0, 1, 0, 1, 1, 0, 0)), v.witness.ranks[1])
-        bad = NarrownessVerdict(v.kind, v.page, type(v.witness)(v.witness.completion, ranks))
+        pairs = ((1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1))
+        bad = NarrownessVerdict(v.kind, v.page, type(v.witness)(v.witness.completion, pairs))
         assert not replay_witness(bad, G4_12, 3, 2)
 
     def test_completion_outside_profile_fails(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
         bad = NarrownessVerdict(
-            v.kind, v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.ranks)
+            v.kind, v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.pairs)
         )
         assert not replay_witness(bad, G4_12, 3, 2)
 
@@ -482,7 +541,7 @@ class TestReplay:
     def test_completion_above_cap_fails(self):
         # every slot is within its interval, but the total 4 exceeds the cap 3
         profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
-        witness = FeasibleWitness((1, 1, 1, 1, 0), (RankVector(1, (1, 1, 0, 0, 0)),))
+        witness = FeasibleWitness((1, 1, 1, 1, 0), ((0, 1, 1), (1, 1, 1)))
         assert not replay_witness(NarrownessVerdict(FEASIBLE, 2, witness), profile, 3, 1)
 
     def test_mismatched_witness_type_raises(self):
@@ -516,7 +575,7 @@ class TestVerdictJson:
             "contradiction-chain",
             "contradiction-chain",
             "final-page",
-            "rank-assignment",
+            "cancellation-pairs",
             "tutte-barriers",
         ]
 
