@@ -183,42 +183,6 @@ def cited_facts(family: IsoparametricFamily) -> tuple[CitedFact, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class GaussImageData:
-    """Everything the analysis knows about one family's Gauss image.
-
-    ``betti_N`` is None exactly when no table is on record (g=6, m=1);
-    ``betti_L`` is populated only where the package derives it (g=3).
-    """
-
-    family: IsoparametricFamily
-    maslov: int
-    nu: int
-    orientable: bool
-    covering_degree: int
-    betti_N: BettiProfile | None
-    betti_L: BettiProfile | None
-    cited: tuple[CitedFact, ...]
-
-
-def gauss_image_data(family: IsoparametricFamily) -> GaussImageData:
-    try:
-        betti_n: BettiProfile | None = munzner_betti_N(family)
-    except MissingTableError:
-        betti_n = None
-    betti_l = gauss_image_betti_g3(family).profile if family.g == 3 else None
-    return GaussImageData(
-        family=family,
-        maslov=minimal_maslov(family),
-        nu=collapse_step(family),
-        orientable=orientable(family),
-        covering_degree=family.g,
-        betti_N=betti_n,
-        betti_L=betti_l,
-        cited=cited_facts(family),
-    )
-
-
 def enumerate_families(bound: int) -> list[IsoparametricFamily]:
     """All valid families with m1 + m2 <= bound, sorted by (g, m1, m2)."""
     if bound < 2:
@@ -243,14 +207,25 @@ def family_to_json(family: IsoparametricFamily) -> dict:
     return {"g": family.g, "m1": family.m1, "m2": family.m2, "n": family.n}
 
 
-def data_to_json(data: GaussImageData) -> dict:
+def data_to_json(family: IsoparametricFamily) -> dict:
+    """Everything the analysis knows about one family's Gauss image.
+
+    ``covering_degree`` is g, the degree of the deck covering N -> L;
+    ``betti_N`` is None exactly when no table is on record (g=6, m=1);
+    ``betti_L`` is populated only where the package derives it (g=3).
+    """
+    try:
+        betti_n = profile_to_json(munzner_betti_N(family))
+    except MissingTableError:
+        betti_n = None
     return {
-        "family": family_to_json(data.family),
-        "maslov": data.maslov,
-        "nu": data.nu,
-        "orientable": data.orientable,
-        "covering_degree": data.covering_degree,
-        "betti_N": profile_to_json(data.betti_N) if data.betti_N is not None else None,
-        "betti_L": profile_to_json(data.betti_L) if data.betti_L is not None else None,
-        "cited": [{"statement": c.statement, "source": c.source} for c in data.cited],
+        "family": family_to_json(family),
+        "maslov": minimal_maslov(family),
+        "nu": collapse_step(family),
+        "orientable": orientable(family),
+        "covering_degree": family.g,
+        "betti_N": betti_n,
+        "betti_L": (profile_to_json(gauss_image_betti_g3(family).profile)
+                    if family.g == 3 else None),
+        "cited": [{"statement": c.statement, "source": c.source} for c in cited_facts(family)],
     }

@@ -17,9 +17,11 @@ from json.encoder import encode_basestring_ascii
 
 from .catalog import (
     FamilyError,
+    collapse_step,
     data_to_json,
     enumerate_families,
-    gauss_image_data,
+    minimal_maslov,
+    orientable,
     validate_family,
 )
 from .criteria import (
@@ -235,15 +237,14 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
 def _verdict_text_lines(verdict, maslov: int | None = None) -> list[str]:
     """The summary, then the chain or each cancellation (which needs ``maslov``)."""
     lines = [_verdict_summary(verdict)]
-    payload = verdict_to_json(verdict)["witness"]
-    if payload["type"] == "contradiction-chain":
-        for c in payload["chain"]:
+    if verdict.kind == CONTRADICTION:
+        for c in verdict.witness.chain:
             lines.append(
-                f"page {c['page']}: slot bound {c['lower_before']} -> {c['lower_after']} "
-                f"(neighbours {c['left']} hi={c['left_hi']}, {c['right']} hi={c['right_hi']})"
+                f"page {c.page}: slot bound {c.lower_before} -> {c.lower_after} "
+                f"(neighbours {c.left} hi={c.left_hi}, {c.right} hi={c.right_hi})"
             )
-    elif payload["type"] == "cancellation-pairs":
-        for s, r, count in payload["pairs"]:
+    elif verdict.kind == FEASIBLE:
+        for s, r, count in verdict.witness.pairs:
             classes = "1 class of slot" if count == 1 else f"{count} classes of slot"
             verb = "cancels" if count == 1 else "cancel"
             lines.append(f"page {r}: {classes} {s} {verb} slot {s + r * maslov - 1}")
@@ -275,18 +276,15 @@ def _cmd_classify_all(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(report_to_json(classify(f)) for f in families)
         return EXIT_OK
-    reports = [classify(f) for f in families]
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification")
-    for report in reports:
-        f = report.family
+    unresolved = []
+    for f in families:
+        report = classify(f)
         trail = " -> ".join(step.rule for step in report.justification)
         print(f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}")
-    unresolved = [r.family for r in reports if r.status == UNRESOLVED]
-    if unresolved:
-        listed = ", ".join(f"({f.g},{f.m1},{f.m2})" for f in unresolved)
-        print(f"unresolved: {listed}")
-    else:
-        print("unresolved: none")
+        if report.status == UNRESOLVED:
+            unresolved.append(f"({f.g},{f.m1},{f.m2})")
+    print(f"unresolved: {', '.join(unresolved) or 'none'}")
     return EXIT_OK
 
 
@@ -302,28 +300,27 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
             oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu)
         except (UnknownSlotsError, SearchCapError) as exc:
             oracle_note = str(exc)
-    envelope = {
-        "profile": profile_to_json(profile),
-        "maslov": args.maslov,
-        "n": profile.n,
-        "nu": nu,
-        "verdict": verdict_to_json(verdict),
-        "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
-    }
     if args.format == "json":
-        _emit_json(envelope)
-    else:
-        print(f"propagation: {_verdict_summary(verdict)}")
-        if args.verbose or verdict.kind == CONTRADICTION:
-            for line in _verdict_text_lines(verdict)[1:]:
+        _emit_json({
+            "profile": profile_to_json(profile),
+            "maslov": args.maslov,
+            "n": profile.n,
+            "nu": nu,
+            "verdict": verdict_to_json(verdict),
+            "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
+        })
+        return EXIT_OK
+    print(f"propagation: {_verdict_summary(verdict)}")
+    if args.verbose or verdict.kind == CONTRADICTION:
+        for line in _verdict_text_lines(verdict)[1:]:
+            print(f"  {line}")
+    if oracle_verdict is not None:
+        print(f"oracle: {_verdict_summary(oracle_verdict)}")
+        if args.verbose:
+            for line in _verdict_text_lines(oracle_verdict, args.maslov)[1:]:
                 print(f"  {line}")
-        if oracle_verdict is not None:
-            print(f"oracle: {_verdict_summary(oracle_verdict)}")
-            if args.verbose:
-                for line in _verdict_text_lines(oracle_verdict, args.maslov)[1:]:
-                    print(f"  {line}")
-        elif oracle_note is not None:
-            print(f"oracle skipped: {oracle_note}")
+    elif oracle_note is not None:
+        print(f"oracle skipped: {oracle_note}")
     return EXIT_OK
 
 
@@ -342,16 +339,20 @@ def _witness_from_json(data: dict):
     """The fields of a ``narrow-check --format json`` envelope that replay reads."""
     profile = profile_from_json(data["profile"])
     maslov = as_int(data["maslov"], what="witness field 'maslov'")
+    n = as_int(data["n"], what="witness field 'n'")
     nu = as_int(data["nu"], what="witness field 'nu'")
     verdicts = [verdict_from_json(data["verdict"])]
     if data.get("oracle") is not None:
         verdicts.append(verdict_from_json(data["oracle"]))
-    return profile, maslov, nu, verdicts
+    return profile, maslov, n, nu, verdicts
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    profile, maslov, nu, verdicts = _read(args.witness_file, _witness_from_json, "witness")
+    profile, maslov, n, nu, verdicts = _read(args.witness_file, _witness_from_json, "witness")
     require_maslov(maslov)
+    if n != profile.n:
+        raise InputError(f"malformed witness file: n is {n}, "
+                         f"but the profile's top degree is {profile.n}")
     turns = (profile.n + 1) // maslov
     if nu != turns:
         raise InputError(
@@ -369,15 +370,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     families = enumerate_families(args.bound)
     if args.format == "json":
-        _emit_json(data_to_json(gauss_image_data(f)) for f in families)
+        _emit_json(data_to_json(f) for f in families)
         return EXIT_OK
-    records = [gauss_image_data(f) for f in families]
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")
-    for rec in records:
-        f = rec.family
+    for f in families:
         print(
-            f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4} {rec.maslov:>7} {rec.nu:>3} "
-            f"{'yes' if rec.orientable else 'no':>7}"
+            f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4} {minimal_maslov(f):>7} {collapse_step(f):>3} "
+            f"{'yes' if orientable(f) else 'no':>7}"
         )
     return EXIT_OK
 

@@ -267,35 +267,34 @@ def propagate_narrow(
     bound = profile.bound  # upper bounds are constant across pages
 
     # A slot starting at lower bound 0 stays at 0, so only the positive ones
-    # are walked; lows[s] is slot s's lower bound on pages 1..nu+1.
+    # are walked; lows[s] is slot s's lower bound on the final page.
     if profile.default.lo > 0:
         live = range(profile.n + 1)
     else:
         live = [s for s, slot in profile.support.items() if slot.lo > 0]
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
-    lows: dict[int, list[int]] = {}
+    lows: dict[int, int] = {}
     for s in live:
         lo = bound(s).lo
-        trail = [lo]
         for shift in shifts:
-            if lo:
-                left_hi, right_hi = bound(s - shift).hi, bound(s + shift).hi
-                lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
-            trail.append(lo)
-        lows[s] = trail
+            if not lo:
+                break
+            left_hi, right_hi = bound(s - shift).hi, bound(s + shift).hi
+            lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
+        lows[s] = lo
 
-    positive = [s for s, trail in lows.items() if trail[-1] > 0]
+    positive = [s for s, lo in lows.items() if lo > 0]
     if not positive:
         witness = FinalPageWitness(
             tuple(
-                DimBound(lows[s][-1], slot.hi) if s in lows else slot
+                DimBound(lows[s], slot.hi) if s in lows else slot
                 for s, slot in enumerate(profile.slots)
             )
         )
         return NarrownessVerdict(NO_CONTRADICTION, nu + 1, witness)
 
-    best = max(positive, key=lambda s: (lows[s][-1], -abs(2 * s - n), -s))
-    witness = ContradictionWitness(best, lows[best][-1], _chain(profile, best, maslov, nu))
+    best = max(positive, key=lambda s: (lows[s], -abs(2 * s - n), -s))
+    witness = ContradictionWitness(best, lows[best], _chain(profile, best, maslov, nu))
     return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
 
 

@@ -445,6 +445,8 @@ class TestReplay:
             ("maslov", 2, 1, "Maslov"),
             ("maslov", 4.0, 2, "maslov"),
             ("nu", "3", 2, "nu"),
+            ("n", 999, 2, "n is 999, but the profile's top degree is 6"),
+            ("n", "12", 2, "witness field 'n' must be an integer"),
         ],
     )
     def test_envelope_fields_are_checked(self, capsys, tmp_path, field, value, exit_code,
@@ -609,7 +611,7 @@ def test_failure_exit_code_and_error_line(capsys, tmp_path, monkeypatch, argv, c
 
 
 class TestGolden:
-    """classify-all JSON is byte-identical to the output recorded at the seed."""
+    """Output pinned by size and SHA-256, recorded before the code that prints it changed."""
 
     @pytest.mark.parametrize(
         "bound,size,digest",
@@ -633,6 +635,23 @@ class TestGolden:
         assert hashlib.sha256(data).hexdigest() == (
             "60377f9b5a89934a3256c7720aae654b30b76d204870fd4eb1e7574d6f5e08ac"
         )
+
+    @pytest.mark.parametrize(
+        "command,size,digest",
+        [
+            ("classify-all", 135_241,
+             "bb73afe973a81b941d826a409f4b233c96fc0cb9c1acea711cbe7fbe613796f7"),
+            ("catalog", 81_393,
+             "b0a434ce9dc9cb09b90eb7b67beb27f9f577d63022f6333e528b742ce36ab1de"),
+        ],
+    )
+    def test_text_table_bytes(self, capsys, command, size, digest):
+        # the text tables stream row by row; these are the bytes they printed buffered
+        code, out, _ = run(capsys, [command, "--bound", "64"])
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_feasible_oracle_json_bytes(self, capsys, tmp_path):
         # nested lists: the profile entries, the final-page slots, the pairs
@@ -688,6 +707,35 @@ def test_closed_output_pipe_exits_1_quietly(argv, read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+# a child forked from this test process would count the test process's pages
+# as its own, so a small launcher forks it and reports its peak RSS
+MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS of one CLI process run to exit, read with ``os.wait4``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", MEASURE, sys.executable, "-m", "isofloer.cli",
+                           *argv], capture_output=True, env=env, check=True, text=True)
+    code, kilobytes = map(int, proc.stdout.split())
+    assert code == 0
+    return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kilobytes")
+@pytest.mark.parametrize("command", ["catalog", "classify-all"])
+def test_text_table_streams_in_constant_memory(command):
+    # holding every row of the bound-256 table costs 40 to 50 MB above one classify
+    reference = peak_rss_mb(["classify", "--g", "1", "--m1", "1", "--m2", "1"])
+    assert peak_rss_mb([command, "--bound", "256"]) - reference < 15
 
 
 # --- the JSON writer ----------------------------------------------------------
