@@ -53,11 +53,15 @@ class IsoparametricFamily:
     g: int
     m1: int
     m2: int
-    n: int
+
+    @property
+    def n(self) -> int:
+        """Dimension g(m1 + m2)/2 of N, whole because odd g forces m1 = m2."""
+        return self.g * (self.m1 + self.m2) // 2
 
 
 def validate_family(g: int, m1: int, m2: int) -> IsoparametricFamily:
-    """Check (g, m1, m2) against the classification and compute n.
+    """Check (g, m1, m2) against the classification.
 
     Multiplicities are normalized to m1 <= m2; the two principal-curvature
     multiplicities are an unordered pair, so nothing is lost.
@@ -73,10 +77,7 @@ def validate_family(g: int, m1: int, m2: int) -> IsoparametricFamily:
         raise FamilyError(f"g=3 multiplicity must be in {G3_MULTIPLICITIES}, got {m1}")
     if g == 6 and (m1 != m2 or m1 not in G6_MULTIPLICITIES):
         raise FamilyError(f"g=6 multiplicities must be equal and in {G6_MULTIPLICITIES}, got ({m1}, {m2})")
-    twice_n = g * (m1 + m2)
-    if twice_n % 2 != 0:
-        raise FamilyError(f"g*(m1+m2)/2 is not an integer for ({g}, {m1}, {m2})")
-    return IsoparametricFamily(g, m1, m2, twice_n // 2)
+    return IsoparametricFamily(g, m1, m2)
 
 
 def minimal_maslov(family: IsoparametricFamily) -> int:
@@ -122,15 +123,7 @@ def munzner_betti_N(family: IsoparametricFamily) -> BettiProfile:
     return make_profile(n, sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class GaussImageHomology:
-    """Z2 profile of the Gauss image, with provenance of the middle slots."""
-
-    profile: BettiProfile
-    cited: bool
-
-
-def gauss_image_betti_g3(family: IsoparametricFamily) -> GaussImageHomology:
+def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:
     """Z2 homology of the g = 3 Gauss image L = N / Z3.
 
     For even m this is computed here: the transfer of the degree-3
@@ -145,14 +138,13 @@ def gauss_image_betti_g3(family: IsoparametricFamily) -> GaussImageHomology:
         raise FamilyError(f"Gauss-image homology is computed here only for g=3, got g={family.g}")
     m, n = family.m1, family.n
     if m == 1:
-        return GaussImageHomology(make_profile(3, [(0, 1), (3, 1)]), cited=True)
+        return make_profile(3, [(0, 1), (3, 1)])
     chi_n = euler_char(munzner_betti_N(family))
     if chi_n % 3 != 0:
         raise FamilyError(f"Euler characteristic {chi_n} of N is not divisible by the deck order 3")
     chi_l = chi_n // 3
     middle = (chi_l - 2) // 2  # chi(L) = 2 + 2l when m is even
-    profile = make_profile(n, [(0, 1), (m, middle), (2 * m, middle), (n, 1)])
-    return GaussImageHomology(profile, cited=False)
+    return make_profile(n, [(0, 1), (m, middle), (2 * m, middle), (n, 1)])
 
 
 @dataclass(frozen=True)
@@ -178,13 +170,13 @@ def cited_facts(family: IsoparametricFamily) -> tuple[CitedFact, ...]:
     """External inputs the classifier may lean on for this family."""
     if family.g in (1, 2):
         return (REAL_FORM_WIDE,)
-    if family.g == 3:
+    if (family.g, family.m1) == (3, 1):
         return (G3_INTEGRAL_H1,)
     return ()
 
 
 def enumerate_families(bound: int) -> list[IsoparametricFamily]:
-    """All valid families with m1 + m2 <= bound, sorted by (g, m1, m2)."""
+    """All valid families with m1 + m2 <= bound, in (g, m1, m2) order."""
     if bound < 2:
         raise FamilyError(f"bound must be >= 2 to admit any family, got {bound}")
     families: list[IsoparametricFamily] = []
@@ -199,7 +191,6 @@ def enumerate_families(bound: int) -> list[IsoparametricFamily]:
             for m1 in range(1, bound):
                 for m2 in range(m1, bound - m1 + 1):
                     families.append(validate_family(g, m1, m2))
-    families.sort(key=lambda f: (f.g, f.m1, f.m2))
     return families
 
 
@@ -225,7 +216,7 @@ def data_to_json(family: IsoparametricFamily) -> dict:
         "orientable": orientable(family),
         "covering_degree": family.g,
         "betti_N": betti_n,
-        "betti_L": (profile_to_json(gauss_image_betti_g3(family).profile)
+        "betti_L": (profile_to_json(gauss_image_betti_g3(family))
                     if family.g == 3 else None),
         "cited": [{"statement": c.statement, "source": c.source} for c in cited_facts(family)],
     }

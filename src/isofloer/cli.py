@@ -27,7 +27,6 @@ from .catalog import (
 from .criteria import (
     CaseReport,
     UNRESOLVED,
-    WIDE,
     classify,
     report_to_json,
     wide_check_biran_cornea,
@@ -228,8 +227,8 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
         if verbose and step.verdict is not None:
             for line in _verdict_text_lines(step.verdict):
                 print(f"      {line}")
-    if report.status == WIDE:
-        print(f"  intersects the real form: {'yes' if report.intersects_real_form else 'no'}")
+    if report.intersects_real_form:
+        print("  intersects the real form: yes")
     if report.volume_lower_bound is not None:
         print(f"  sweep-volume lower bound: {report.volume_lower_bound:.6f}")
 

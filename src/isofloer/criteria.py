@@ -4,8 +4,8 @@ The classifier runs a fixed cascade over a validated family and always
 lands on one of three statuses:
 
 * ``Wide``: Floer homology is H(L; Z2) (x) Lambda, so L is
-  non-displaceable with the strongest conclusions (real-form
-  intersection, volume bound).
+  non-displaceable and intersects the real form; only the computed
+  g = 3 cases also carry a sweep-volume bound.
 * ``NonDisplaceable``: the lifted Floer homology of the covering
   N -> L cannot vanish, certified by a replayable spectral-sequence
   contradiction.
@@ -114,8 +114,12 @@ class CaseReport:
     family: IsoparametricFamily
     status: str
     justification: tuple[JustificationStep, ...]
-    intersects_real_form: bool
     volume_lower_bound: float | None
+
+    @property
+    def intersects_real_form(self) -> bool:
+        """A wide Gauss image keeps meeting the real form under Hamiltonian motion."""
+        return self.status == WIDE
 
 
 def _profile_brief(profile: BettiProfile) -> str:
@@ -128,9 +132,9 @@ def _profile_brief(profile: BettiProfile) -> str:
 def classify(family: IsoparametricFamily) -> CaseReport:
     """Decision cascade; every valid family lands on exactly one status.
 
-    Order matters: cited real-form wideness for g in {1, 2}; the computed
-    sphere profile plus the wideness criterion for g = 3; the lifted
-    narrowness contradiction for g in {4, 6} when the Maslov number
+    Order matters: cited real-form wideness for g in {1, 2}; the sphere
+    profile (cited for m = 1) plus the wideness criterion for g = 3; the
+    lifted narrowness contradiction for g in {4, 6} when the Maslov number
     admits the lifted theory; below that threshold nothing applies.
     """
     steps: list[JustificationStep] = []
@@ -140,17 +144,14 @@ def classify(family: IsoparametricFamily) -> CaseReport:
         steps.append(
             JustificationStep("real-form", "cited", fact.statement, fact.source)
         )
-        return CaseReport(family, WIDE, tuple(steps), True, None)
+        return CaseReport(family, WIDE, tuple(steps), None)
 
     if family.g == 3:
         maslov = minimal_maslov(family)
-        homology = gauss_image_betti_g3(family)
-        if homology.cited:
-            fact = cited_facts(family)[0]
-            steps.append(
-                JustificationStep("gauss-image-homology", "cited", fact.statement, fact.source)
-            )
-        else:
+        profile = gauss_image_betti_g3(family)
+        steps += [JustificationStep("gauss-image-homology", "cited", f.statement, f.source)
+                  for f in cited_facts(family)]
+        if not steps:  # nothing cited: the profile is computed
             steps.append(
                 JustificationStep(
                     "gauss-image-homology",
@@ -161,7 +162,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                     "covering-space transfer and Euler characteristic",
                 )
             )
-        bad = wideness_obstructions(homology.profile, maslov)
+        bad = wideness_obstructions(profile, maslov)
         if not bad:
             steps.append(
                 JustificationStep(
@@ -172,9 +173,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                     "Biran-Cornea wideness criterion",
                 )
             )
-            return CaseReport(
-                family, WIDE, tuple(steps), True, volume_lower_bound(family.n)
-            )
+            return CaseReport(family, WIDE, tuple(steps), volume_lower_bound(family.n))
         steps.append(
             JustificationStep(
                 "wide-criterion",
@@ -184,7 +183,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                 "Biran-Cornea wideness criterion",
             )
         )
-        return CaseReport(family, UNRESOLVED, tuple(steps), False, None)
+        return CaseReport(family, UNRESOLVED, tuple(steps), None)
 
     # g in {4, 6}; the threshold comes before the table lookup because
     # (6, 1, 1) has no table on record
@@ -201,7 +200,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                 "minimal Maslov number 2n/g of the Gauss image",
             )
         )
-        return CaseReport(family, UNRESOLVED, tuple(steps), False, None)
+        return CaseReport(family, UNRESOLVED, tuple(steps), None)
 
     table = munzner_betti_N(family)
     steps.append(
@@ -225,7 +224,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
                 verdict,
             )
         )
-        return CaseReport(family, NON_DISPLACEABLE, tuple(steps), False, None)
+        return CaseReport(family, NON_DISPLACEABLE, tuple(steps), None)
     steps.append(
         JustificationStep(
             "no-contradiction",
@@ -236,7 +235,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
             verdict,
         )
     )
-    return CaseReport(family, UNRESOLVED, tuple(steps), False, None)
+    return CaseReport(family, UNRESOLVED, tuple(steps), None)
 
 
 # --- serialization ----------------------------------------------------------

@@ -47,9 +47,9 @@ only counts, slot by slot, that every class is used exactly once.
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
 the tests, a walk over every rank vector, is the oracle's reference.  Each
-verdict is its kind, its final page and a witness; a Contradiction's slot
-and bound are read off its witness, and ``replay_witness`` re-derives any
-witness without trusting the run that produced it.
+verdict is its final page and a witness; its kind, and a Contradiction's
+slot and bound, are read off the witness, and ``replay_witness``
+re-derives any witness without trusting the run that produced it.
 """
 
 from __future__ import annotations
@@ -186,6 +186,7 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class ContradictionWitness:
+    kind = CONTRADICTION
     slot: int
     bound: int
     chain: tuple[ChainStep, ...]
@@ -193,6 +194,7 @@ class ContradictionWitness:
 
 @dataclass(frozen=True)
 class FinalPageWitness:
+    kind = NO_CONTRADICTION
     slots: tuple[DimBound, ...]
 
 
@@ -202,6 +204,7 @@ class FeasibleWitness:
     classes of slot s cancel as many of slot s + rN - 1 on page r.  Valid iff
     1 <= r <= nu, both slots exist, and each slot's counts sum to its dimension."""
 
+    kind = FEASIBLE
     completion: tuple[int, ...]
     pairs: tuple[tuple[int, int, int], ...]
 
@@ -211,6 +214,7 @@ class InfeasibleWitness:
     """One Tutte barrier (a tuple of slots) per completion, in order; the trees
     grown, ``states_explored``, stay off the wire and out of equality."""
 
+    kind = INFEASIBLE
     barriers: tuple[tuple[int, ...], ...]
     states_explored: int = field(default=0, compare=False)
 
@@ -221,15 +225,19 @@ class InfeasibleWitness:
 
 @dataclass(frozen=True)
 class NarrownessVerdict:
-    """A verdict kind, its final page and the witness that carries the rest.
+    """A final page and the witness that carries the rest.
 
-    ``slot`` and ``bound`` are read off a ``ContradictionWitness`` and are
-    None for every other kind, so a headline cannot disagree with its witness.
+    ``kind`` is the witness class's kind; ``slot`` and ``bound`` are read
+    off a ``ContradictionWitness`` and are None for every other kind, so a
+    headline cannot disagree with its witness.
     """
 
-    kind: str
     page: int | None
     witness: object
+
+    @property
+    def kind(self) -> str:
+        return self.witness.kind
 
     @property
     def slot(self) -> int | None:
@@ -291,11 +299,11 @@ def propagate_narrow(
                 for s, slot in enumerate(profile.slots)
             )
         )
-        return NarrownessVerdict(NO_CONTRADICTION, nu + 1, witness)
+        return NarrownessVerdict(nu + 1, witness)
 
     best = max(positive, key=lambda s: (lows[s], -abs(2 * s - n), -s))
     witness = ContradictionWitness(best, lows[best], _chain(profile, best, maslov, nu))
-    return NarrownessVerdict(CONTRADICTION, nu + 1, witness)
+    return NarrownessVerdict(nu + 1, witness)
 
 
 def _chain(profile: BettiProfile, slot: int, maslov: int,
@@ -375,9 +383,9 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
         pairs, barrier, grown = _match(completion, maslov, nu)
         trees += grown
         if barrier is None:
-            return NarrownessVerdict(FEASIBLE, nu + 1, FeasibleWitness(completion, pairs))
+            return NarrownessVerdict(nu + 1, FeasibleWitness(completion, pairs))
         barriers.append(barrier)
-    return NarrownessVerdict(INFEASIBLE, nu + 1, InfeasibleWitness(tuple(barriers), trees))
+    return NarrownessVerdict(nu + 1, InfeasibleWitness(tuple(barriers), trees))
 
 
 def _partners(dims: tuple[int, ...], maslov: int, nu: int) -> list[list[int]]:
@@ -511,26 +519,17 @@ def replay_witness(
     witness = verdict.witness
     final = verdict.page == nu + 1
     try:
-        if verdict.kind == CONTRADICTION:
-            if not isinstance(witness, ContradictionWitness):
-                raise WitnessError("Contradiction verdict without a chain witness")
+        if isinstance(witness, ContradictionWitness):
             return final and _replay_contradiction(witness, profile, maslov, nu)
-        if verdict.kind == NO_CONTRADICTION:
-            if not isinstance(witness, FinalPageWitness):
-                raise WitnessError("NoContradiction verdict without a final-page witness")
-            fresh = propagate_narrow(profile, maslov, profile.n, nu)
-            return final and fresh.kind == NO_CONTRADICTION and fresh.witness == witness
-        if verdict.kind == FEASIBLE:
-            if not isinstance(witness, FeasibleWitness):
-                raise WitnessError("Feasible verdict without cancellation pairs")
+        if isinstance(witness, FinalPageWitness):
+            return final and propagate_narrow(profile, maslov, profile.n, nu).witness == witness
+        if isinstance(witness, FeasibleWitness):
             return final and _replay_feasible(witness, profile, maslov, nu)
-        if verdict.kind == INFEASIBLE:
-            if not isinstance(witness, InfeasibleWitness):
-                raise WitnessError("Infeasible verdict without Tutte barriers")
+        if isinstance(witness, InfeasibleWitness):
             return final and _replay_infeasible(witness, profile, maslov, nu)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
-    raise WitnessError(f"unknown verdict kind {verdict.kind!r}")
+    raise WitnessError(f"not a witness: {type(witness).__name__}")
 
 
 def _replay_contradiction(
@@ -549,10 +548,12 @@ def _replay_infeasible(
     barriers = witness.barriers
     if len(barriers) > MAX_COMPLETIONS:
         return False  # the decider refuses such a profile
-    # barriers first, so that zip stops without drawing an extra completion
     completions = _completions(profile.slots, _finite_total(profile))
-    checks = [is_tutte_barrier(c, maslov, nu, b) for b, c in zip(barriers, completions)]
-    return len(checks) == len(barriers) and all(checks) and next(completions, None) is None
+    for barrier in barriers:  # stop at the first missing completion or failing barrier
+        completion = next(completions, None)
+        if completion is None or not is_tutte_barrier(completion, maslov, nu, barrier):
+            return False
+    return next(completions, None) is None
 
 
 def _replay_feasible(
@@ -630,30 +631,31 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         kind = data["kind"]
         payload = data["witness"]
         wtype = payload["type"]
-        if kind == CONTRADICTION and wtype == "contradiction-chain":
+        witness: object = None
+        if wtype == "contradiction-chain":
             chain = tuple(
                 ChainStep(*(_as_int(c[f.name]) for f in fields(ChainStep)))
                 for c in payload["chain"]
             )
-            witness: object = ContradictionWitness(
+            witness = ContradictionWitness(
                 _as_int(payload["slot"]), _as_int(payload["bound"]), chain
             )
-        elif kind == NO_CONTRADICTION and wtype == "final-page":
+        elif wtype == "final-page":
             witness = FinalPageWitness(
                 tuple(DimBound(_as_int(lo), _as_opt_int(hi)) for lo, hi in payload["slots"])
             )
-        elif kind == FEASIBLE and wtype == "cancellation-pairs":
+        elif wtype == "cancellation-pairs":
             witness = FeasibleWitness(
                 tuple(_as_int(v) for v in payload["completion"]),
                 tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in payload["pairs"]),
             )
-        elif kind == INFEASIBLE and wtype == "tutte-barriers":
+        elif wtype == "tutte-barriers":
             witness = InfeasibleWitness(
                 tuple(tuple(_as_int(s) for s in barrier) for barrier in payload["barriers"])
             )
-        else:
+        if witness is None or kind != witness.kind:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
-        verdict = NarrownessVerdict(kind, _as_opt_int(data["page"]), witness)
+        verdict = NarrownessVerdict(_as_opt_int(data["page"]), witness)
         headline = (_as_opt_int(data["slot"]), _as_opt_int(data["bound"]))
         if headline != (verdict.slot, verdict.bound):
             raise WitnessError(

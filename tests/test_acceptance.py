@@ -119,11 +119,11 @@ def test_a4_g3_wideness_split(capsys):
     with gate("4/9 g=3 wideness: even m passes, m=1 fails"):
         for m in (2, 4, 8):
             family = validate_family(3, m, m)
-            profile = gauss_image_betti_g3(family).profile
+            profile = gauss_image_betti_g3(family)
             assert profile.dims()[0] == profile.dims()[family.n] == 1
             assert wide_check_biran_cornea(profile, minimal_maslov(family)), m
         family = validate_family(3, 1, 1)
-        profile = gauss_image_betti_g3(family).profile
+        profile = gauss_image_betti_g3(family)
         assert not wide_check_biran_cornea(profile, minimal_maslov(family))
 
 

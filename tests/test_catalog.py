@@ -136,15 +136,15 @@ class TestCoveringTables:
 
 class TestGaussImageHomology:
     def test_m1_is_cited_sphere(self):
-        h = gauss_image_betti_g3(validate_family(3, 1, 1))
-        assert h.cited
-        assert h.profile.dims() == (1, 0, 0, 1)
+        family = validate_family(3, 1, 1)
+        assert cited_facts(family)
+        assert gauss_image_betti_g3(family).dims() == (1, 0, 0, 1)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_even_m_computed_sphere(self, m):
-        h = gauss_image_betti_g3(validate_family(3, m, m))
-        assert not h.cited
-        dims = h.profile.dims()
+        family = validate_family(3, m, m)
+        assert not cited_facts(family)
+        dims = gauss_image_betti_g3(family).dims()
         assert dims[0] == dims[3 * m] == 1
         assert sum(dims) == 2
 
@@ -155,6 +155,7 @@ class TestGaussImageHomology:
     def test_cited_facts_by_family(self):
         assert len(cited_facts(validate_family(2, 1, 3))) == 1
         assert len(cited_facts(validate_family(3, 1, 1))) == 1
+        assert cited_facts(validate_family(3, 2, 2)) == ()
         assert cited_facts(validate_family(4, 2, 2)) == ()
 
 
@@ -207,7 +208,7 @@ class TestGaussImageData:
             data = json.loads(json.dumps(rec))
             assert data == rec
             betti_n = None if (g, m1) == (6, 1) else munzner_betti_N(family)
-            betti_l = gauss_image_betti_g3(family).profile if g == 3 else None
+            betti_l = gauss_image_betti_g3(family) if g == 3 else None
             for key, profile in (("betti_N", betti_n), ("betti_L", betti_l)):
                 assert (data[key] and profile_from_json(data[key])) == profile
 

@@ -360,6 +360,22 @@ class TestReplay:
         witness.write_text(json.dumps(payload), encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
 
+    def test_forged_barriers_fail_at_the_first(self, capsys, tmp_path):
+        # the first completion, all zeros, admits no barrier; replay must not
+        # check the other 9,999 before it says so
+        profile = {"n": 4096, "known": [], "cap": 1000}
+        payload = envelope(profile, 3)
+        assert payload["verdict"]["kind"] == "NoContradiction"
+        payload["oracle"] = {
+            "kind": "Infeasible", "slot": None, "page": payload["nu"] + 1, "bound": None,
+            "witness": {"type": "tutte-barriers", "barriers": [[]] * specseq.MAX_COMPLETIONS},
+        }
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        start = time.perf_counter()
+        assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize(
         "pairs",
         [
@@ -631,9 +647,10 @@ class TestGolden:
         code, out, _ = run(capsys, ["catalog", "--bound", "16", "--format", "json"])
         assert code == 0
         data = out.encode()
-        assert len(data) == 170_219
+        # recorded after the g = 3 records with even m stopped citing H_1(L; Z) = Z/3
+        assert len(data) == 169_532
         assert hashlib.sha256(data).hexdigest() == (
-            "60377f9b5a89934a3256c7720aae654b30b76d204870fd4eb1e7574d6f5e08ac"
+            "db632e3ec0f2ae3d81af0e26425f3357faf019e8ae6e49f5627517b4b737ff04"
         )
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from isofloer import criteria
 from isofloer.catalog import (
+    data_to_json,
     enumerate_families,
     gauss_image_betti_g3,
     munzner_betti_N,
@@ -37,11 +38,11 @@ class TestWideCheck:
     def test_g3_even_m_spheres_pass(self):
         for m in (2, 4, 8):
             family = validate_family(3, m, m)
-            profile = gauss_image_betti_g3(family).profile
+            profile = gauss_image_betti_g3(family)
             assert wide_check_biran_cornea(profile, 2 * m)
 
     def test_g3_m1_fails(self):
-        profile = gauss_image_betti_g3(validate_family(3, 1, 1)).profile
+        profile = gauss_image_betti_g3(validate_family(3, 1, 1))
         # degree 3 = n carries homology and is congruent to -1 mod 2
         assert not wide_check_biran_cornea(profile, 2)
 
@@ -188,6 +189,15 @@ class TestClassifier:
         for f in enumerate_families(10):
             report = classify(f)
             assert report.intersects_real_form == (report.status == WIDE)
+
+    def test_cited_steps_match_the_catalog(self):
+        # what the catalog cites for a family is what its report leans on
+        for f in enumerate_families(16):
+            cited = {fact["source"] for fact in data_to_json(f)["cited"]}
+            used = {step.source for step in classify(f).justification if step.kind == "cited"}
+            assert cited <= used, f
+            if f.g <= 3:
+                assert cited == used, f
 
     def test_volume_only_on_g3_wide(self):
         for f in enumerate_families(10):

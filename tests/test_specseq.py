@@ -20,7 +20,6 @@ from isofloer.specseq import (
     EngineError,
     FEASIBLE,
     FeasibleWitness,
-    FinalPageWitness,
     INFEASIBLE,
     InfeasibleWitness,
     MAX_CLASSES,
@@ -90,7 +89,7 @@ class TestStepPage:
         v = oracle_narrow_feasible(G4_12, 3, 2)
         moved = tuple((s, 2, count) for s, _, count in v.witness.pairs)
         relabelled = FeasibleWitness(v.witness.completion, moved)
-        assert not replay_witness(NarrownessVerdict(FEASIBLE, 3, relabelled), G4_12, 3, 2)
+        assert not replay_witness(NarrownessVerdict(3, relabelled), G4_12, 3, 2)
         with pytest.raises(RankViolationError):
             step_page(G4_12_DIMS, 3, RankVector(0, (0,) * 7))
 
@@ -430,7 +429,7 @@ class TestReplay:
     def test_pair_edits(self, pairs, ok):
         profile = make_profile(7, [(0, 2), (2, 2), (5, 1), (7, 1)])
         assert oracle_narrow_feasible(profile, 3, 2).witness.pairs == ((0, 1, 2), (5, 1, 1))
-        edited = NarrownessVerdict(FEASIBLE, 3, FeasibleWitness(profile.dims(), pairs))
+        edited = NarrownessVerdict(3, FeasibleWitness(profile.dims(), pairs))
         assert replay_witness(edited, profile, 3, 2) is ok
 
     @pytest.mark.parametrize(
@@ -445,13 +444,13 @@ class TestReplay:
         profile = make_profile(len(dims) - 1, list(enumerate(dims)))
         assert oracle_narrow_feasible(profile, 3, 1).kind == INFEASIBLE
         witness = FeasibleWitness(dims, (pair,))
-        assert not replay_witness(NarrownessVerdict(FEASIBLE, 2, witness), profile, 3, 1)
+        assert not replay_witness(NarrownessVerdict(2, witness), profile, 3, 1)
 
     def test_chain_through_an_unbounded_neighbour_fails(self):
         # slot 0's page-1 neighbour 2 is unbounded, so no bound survives there
         profile = make_partial_profile(4, [(0, 1)])
         chain = (ChainStep(1, 2, -2, 0, 2, 0, 1, 1),)
-        forged = NarrownessVerdict(CONTRADICTION, 2, ContradictionWitness(0, 1, chain))
+        forged = NarrownessVerdict(2, ContradictionWitness(0, 1, chain))
         assert not replay_witness(forged, profile, 3, 1)
 
     def test_infeasible_replays(self):
@@ -483,7 +482,7 @@ class TestReplay:
         profile = make_profile(2, [(0, 3), (2, 1)])
         v = oracle_narrow_feasible(profile, 3, 1)
         assert v.witness.barriers == ((2,),)
-        edited = NarrownessVerdict(INFEASIBLE, 2, InfeasibleWitness((barrier,)))
+        edited = NarrownessVerdict(2, InfeasibleWitness((barrier,)))
         assert replay_witness(edited, profile, 3, 1) is ok
 
     def test_barrier_count_must_match_the_completions(self):
@@ -491,7 +490,7 @@ class TestReplay:
         v = oracle_narrow_feasible(profile, 3, 1)
         assert v.witness.completions_tried == 4
         for barriers in (v.witness.barriers[:-1], v.witness.barriers + ((),), ()):
-            edited = NarrownessVerdict(INFEASIBLE, 2, InfeasibleWitness(barriers))
+            edited = NarrownessVerdict(2, InfeasibleWitness(barriers))
             assert not replay_witness(edited, profile, 3, 1)
 
     def test_states_explored_stays_out_of_equality(self):
@@ -501,7 +500,7 @@ class TestReplay:
     def test_corrupted_bound_fails(self):
         v = propagate_narrow(G4_22, 4, 8, 2)
         bad = NarrownessVerdict(
-            v.kind, v.page, ContradictionWitness(v.witness.slot, 3, v.witness.chain)
+            v.page, ContradictionWitness(v.witness.slot, 3, v.witness.chain)
         )
         assert not replay_witness(bad, G4_22, 4, 2)
 
@@ -509,7 +508,7 @@ class TestReplay:
         v = propagate_narrow(G4_22, 4, 8, 2)
         chain = (v.witness.chain[0], )
         bad = NarrownessVerdict(
-            v.kind, v.page, ContradictionWitness(v.witness.slot, v.witness.bound, chain)
+            v.page, ContradictionWitness(v.witness.slot, v.witness.bound, chain)
         )
         assert not replay_witness(bad, G4_22, 4, 2)
 
@@ -517,13 +516,13 @@ class TestReplay:
         # slot 0's pair moved to slot 2: slot 0 is left unpaired, slot 4 paired twice
         v = oracle_narrow_feasible(G4_12, 3, 2)
         pairs = ((1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1))
-        bad = NarrownessVerdict(v.kind, v.page, type(v.witness)(v.witness.completion, pairs))
+        bad = NarrownessVerdict(v.page, type(v.witness)(v.witness.completion, pairs))
         assert not replay_witness(bad, G4_12, 3, 2)
 
     def test_completion_outside_profile_fails(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
         bad = NarrownessVerdict(
-            v.kind, v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.pairs)
+            v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.pairs)
         )
         assert not replay_witness(bad, G4_12, 3, 2)
 
@@ -535,24 +534,20 @@ class TestReplay:
             (oracle_narrow_feasible(G4_22, 4, 2), G4_22, 4),
         ]:
             for page in (None, 1, 2, 4, 42):
-                bad = NarrownessVerdict(v.kind, page, v.witness)
+                bad = NarrownessVerdict(page, v.witness)
                 assert not replay_witness(bad, profile, maslov, 2), (v.kind, page)
 
     def test_completion_above_cap_fails(self):
         # every slot is within its interval, but the total 4 exceeds the cap 3
         profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
         witness = FeasibleWitness((1, 1, 1, 1, 0), ((0, 1, 1), (1, 1, 1)))
-        assert not replay_witness(NarrownessVerdict(FEASIBLE, 2, witness), profile, 3, 1)
+        assert not replay_witness(NarrownessVerdict(2, witness), profile, 3, 1)
 
-    def test_mismatched_witness_type_raises(self):
-        bad = NarrownessVerdict(CONTRADICTION, 3, FinalPageWitness(()))
+    def test_non_witness_raises(self):
+        # the kind is read off the witness class, so anything else is refused
+        bad = NarrownessVerdict(3, G4_12_DIMS)
         with pytest.raises(WitnessError):
-            replay_witness(bad, G4_22, 4, 2)
-
-    def test_unknown_kind_raises(self):
-        bad = NarrownessVerdict("Maybe", None, FinalPageWitness(()))
-        with pytest.raises(WitnessError):
-            replay_witness(bad, G4_22, 4, 2)
+            replay_witness(bad, G4_12, 3, 2)
 
 
 class TestVerdictJson:
