@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .homology import (
     BettiProfile,
-    euler_char,
     make_partial_profile,
     make_profile,
     profile_from_json,  # unused here; perfbench/worker.py patches this name
@@ -106,21 +105,23 @@ def munzner_betti_N(family: IsoparametricFamily) -> BettiProfile:
     record beyond the automatic H_0 = H_12 = Z2, so the profile is
     partial; for g = 6, m = 1 no table is on record at all.
     """
-    g, m1, m2, n = family.g, family.m1, family.m2, family.n
-    if g == 6:
-        if m1 != 2:
+    if family.g == 6:
+        if family.m1 != 2:
             raise MissingTableError("no Z2 homology table is on record for g=6, m=1")
-        return make_partial_profile(n, [(0, 1), (3, 0), (6, 2), (9, 0), (12, 1)])
+        return make_partial_profile(family.n, [(0, 1), (3, 0), (6, 2), (9, 0), (12, 1)])
+    return make_profile(family.n, sorted(Counter(_munzner_degrees(family)).items()))
+
+
+def _munzner_degrees(family: IsoparametricFamily) -> list[int]:
+    """The 2g degrees of H_*(N; Z2) for g <= 4, one Z2 each, coinciding ones repeated."""
+    g, m1, m2, n = family.g, family.m1, family.m2, family.n
     if g == 1:
-        degrees = [0, n]
-    elif g == 2:
-        degrees = [0, m1, m2, n]
-    elif g == 3:
-        degrees = [0, m1, m1, 2 * m1, 2 * m1, n]
-    else:  # g == 4
-        degrees = [0, m1, m2, m1 + m2, m1 + m2, 2 * m1 + m2, m1 + 2 * m2, n]
-    counts = Counter(degrees)
-    return make_profile(n, sorted(counts.items()))
+        return [0, n]
+    if g == 2:
+        return [0, m1, m2, n]
+    if g == 3:
+        return [0, m1, m1, 2 * m1, 2 * m1, n]
+    return [0, m1, m2, m1 + m2, m1 + m2, 2 * m1 + m2, m1 + 2 * m2, n]  # g == 4
 
 
 def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:
@@ -139,7 +140,7 @@ def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:
     m, n = family.m1, family.n
     if m == 1:
         return make_profile(3, [(0, 1), (3, 1)])
-    chi_n = euler_char(munzner_betti_N(family))
+    chi_n = sum((-1) ** degree for degree in _munzner_degrees(family))
     if chi_n % 3 != 0:
         raise FamilyError(f"Euler characteristic {chi_n} of N is not divisible by the deck order 3")
     chi_l = chi_n // 3

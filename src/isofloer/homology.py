@@ -84,7 +84,8 @@ class BettiProfile:
     views, so one profile written with two different supports is one
     value.  ``cap``, when present, bounds the *total* Betti number; it is
     what the unknown slots' upper ends were derived from and it tightens
-    ``total_betti`` beyond the slotwise sum.
+    ``total_betti`` beyond the slotwise sum.  A cap below the slots' lower
+    ends total leaves no completion and is refused.
     """
 
     n: int
@@ -98,6 +99,11 @@ class BettiProfile:
         for degree in self.support:
             if not 0 <= degree <= self.n:
                 raise ProfileError(f"degree {degree} outside [0, {self.n}]")
+        if self.cap is not None:
+            unlisted = self.n + 1 - len(self.support)
+            used = sum(slot.lo for slot in self.support.values()) + unlisted * self.default.lo
+            if used > self.cap:
+                raise ProfileError(f"known dimensions total {used}, exceeding cap {self.cap}")
 
     def bound(self, degree: int) -> DimBound:
         """Bound at any integer degree; exactly zero outside [0, n]."""
@@ -161,9 +167,8 @@ def make_partial_profile(
     """
     entries = _exact_entries(known)
     used = sum(slot.lo for slot in entries.values())
-    if cap is not None and used > cap:
-        raise ProfileError(f"known dimensions total {used}, exceeding cap {cap}")
-    return BettiProfile(n, entries, DimBound(0, None if cap is None else cap - used), cap)
+    room = None if cap is None else max(cap - used, 0)  # BettiProfile refuses used > cap
+    return BettiProfile(n, entries, DimBound(0, room), cap)
 
 
 def euler_char(profile: BettiProfile) -> int:

@@ -35,8 +35,9 @@ Two deciders answer "can the final page vanish":
   dimension.  The final page vanishes exactly when the first page's
   classes pair off along the cancellation graph (a class in slot s with
   one in slot s + rN - 1, 1 <= r <= nu).  A maximum matching decides that
-  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  Partial
-  profiles are decided per completion.
+  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  A capped
+  partial profile adds one pool slot for its open classes, so one
+  matching decides it too.
 
 A Feasible witness is that matching, counted by slot and page.  If each
 class has one partner, the ranks a_r[s] = count(s, r) are legal on every
@@ -75,7 +76,7 @@ class RankViolationError(EngineError):
 
 
 class UnknownSlotsError(EngineError):
-    """The oracle needs finite bounds on every slot."""
+    """The oracle needs a cap, and every unknown slot over [0, cap - known total]."""
 
 
 class SearchCapError(EngineError):
@@ -94,10 +95,9 @@ INFEASIBLE = "Infeasible"
 
 LIFTED_MIN_MASLOV = 3
 
-# Limits of the exact decider: on a 2-core machine the slowest matching found
-# on MAX_CLASSES classes took about a second, and so do MAX_COMPLETIONS small ones.
+# Limit of the exact decider: on a 2-core machine the slowest matching found
+# on MAX_CLASSES classes took about a second.
 MAX_CLASSES = 1000
-MAX_COMPLETIONS = 10_000
 
 
 def require_maslov(maslov: int) -> None:
@@ -211,8 +211,9 @@ class FeasibleWitness:
 
 @dataclass(frozen=True)
 class InfeasibleWitness:
-    """One Tutte barrier (a tuple of slots) per completion, in order; the trees
-    grown, ``states_explored``, stay off the wire and out of equality."""
+    """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
+    pool); the trees grown, ``states_explored``, stay off the wire and out of
+    equality."""
 
     kind = INFEASIBLE
     barriers: tuple[tuple[int, ...], ...]
@@ -322,89 +323,77 @@ def _chain(profile: BettiProfile, slot: int, maslov: int,
     return tuple(chain)
 
 
-def _completions(slots: tuple[DimBound, ...], most: int):
-    """Every choice of one value per slot with total at most ``most``.
-
-    Lexicographic order, as ``itertools.product`` of the slot ranges would
-    give them, but a slot is only raised while the slots after it, reset
-    to their lower ends, keep the total within ``most``; so the cost follows
-    the completions yielded, not the size of the product.
-    """
-    lo = [slot.lo for slot in slots]
-    hi = [slot.hi for slot in slots]
-    current, total = lo[:], sum(lo)
-    if total > most:
-        return
-    while True:
-        yield tuple(current)
-        excess = 0  # how far the slots after i stand above their lower ends
-        for i in range(len(current) - 1, -1, -1):
-            if current[i] < hi[i] and total - excess < most:
-                current[i] += 1
-                current[i + 1:] = lo[i + 1:]
-                total += 1 - excess
-                break
-            excess += current[i] - lo[i]
-        else:
-            return
-
-
-def _finite_total(profile: BettiProfile) -> int:
-    hi = total_betti(profile).hi
-    if hi is None:
-        raise UnknownSlotsError(
-            "profile has slots with no finite upper bound; completions cannot be enumerated"
-        )
-    return hi
-
-
 def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> NarrownessVerdict:
     """Decide exactly whether some legal rank choice kills the final page.
 
-    Each completion of the profile within its cap (slot bounds must be
-    finite) is decided by a maximum matching; the first that pairs off is
-    the Feasible witness, else Infeasible holds one Tutte barrier per
-    completion.  Beyond ``MAX_CLASSES`` or ``MAX_COMPLETIONS``: SearchCapError.
+    One maximum matching on ``_graph`` decides it, whether the profile is
+    fully known or capped: a perfect matching is the Feasible witness, a
+    stuck alternating tree the Infeasible one, a single Tutte barrier.
+    Beyond ``MAX_CLASSES`` on the total dimension: SearchCapError.
     """
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    total = _finite_total(profile)
+    graph = _graph(profile, maslov, nu)
+    total = total_betti(profile).hi  # finite: _graph refuses an open slot with no cap
     if total > MAX_CLASSES:
         raise SearchCapError(
             f"total dimension may reach {total}, above the matching's limit of {MAX_CLASSES}"
         )
-    barriers, trees = [], 0
-    for completion in _completions(profile.slots, total):
-        if len(barriers) == MAX_COMPLETIONS:
-            raise SearchCapError(
-                f"more than {MAX_COMPLETIONS} completions of the profile are within its cap"
+    return NarrownessVerdict(nu + 1, _match(*graph, maslov))
+
+
+def _graph(profile: BettiProfile, maslov: int, nu: int):
+    """The cancellation graph of a profile, as ``(dims, partners, exits)``.
+
+    Exact slots keep their dimension and open slots get 0; nonzero slots s
+    and s + rN - 1, 1 <= r <= nu, are partners.  Open slots must range over
+    [0, room] at least, room = cap - used, and share that budget.  Two open
+    classes that cancel each other can be dropped, so only open classes
+    paired with exact ones matter, and slot n + 1, the pool, stands for
+    them: the largest count <= room with the parity of used, so that its
+    leftover classes pair among themselves.  The pool is its own partner
+    and, after the exact ones, a partner of every exact slot s with an open
+    partner, the first of which is ``exits[s]``.
+    """
+    slots, width = profile.slots, profile.n + 1
+    opened = [not slot.known for slot in slots]
+    dims = [0 if free else slot.lo for slot, free in zip(slots, opened)]
+    exits, pool = {}, 0
+    if any(opened):
+        if profile.cap is None:
+            raise UnknownSlotsError("profile has slots with no finite upper bound")
+        used = sum(dims)
+        room = profile.cap - used
+        if any(slot.lo or (slot.hi is not None and slot.hi < room)
+               for slot, free in zip(slots, opened) if free):
+            raise UnknownSlotsError(
+                f"the oracle needs every unknown slot to range over [0, {room}] at least"
             )
-        pairs, barrier, grown = _match(completion, maslov, nu)
-        trees += grown
-        if barrier is None:
-            return NarrownessVerdict(nu + 1, FeasibleWitness(completion, pairs))
-        barriers.append(barrier)
-    return NarrownessVerdict(nu + 1, InfeasibleWitness(tuple(barriers), trees))
+        pool = max(0, room - (room + used) % 2)
+    shifts = [r * maslov - 1 for r in range(1, nu + 1)]
+    partners = [[t for k in shifts for t in (s - k, s + k) if 0 <= t < width and dims[t]]
+                if dims[s] else [] for s in range(width)]
+    for s in range(width) if pool else ():
+        t = next((t for k in shifts for t in (s - k, s + k)
+                  if 0 <= t < width and opened[t]), None) if dims[s] else None
+        if t is not None:
+            exits[s] = t
+            partners[s].append(width)
+    partners.append([width, *exits])
+    return dims + [pool], partners, exits
 
 
-def _partners(dims: tuple[int, ...], maslov: int, nu: int) -> list[list[int]]:
-    """The cancellation graph: nonzero slots s and s + rN - 1 are partners, 1 <= r <= nu."""
-    width, shifts = len(dims), [r * maslov - 1 for r in range(1, nu + 1)]
-    return [[t for k in shifts for t in (s - k, s + k) if 0 <= t < width and dims[t]]
-            if dims[s] else [] for s in range(width)]
-
-
-def _match(dims: tuple[int, ...], maslov: int, nu: int):
-    """Pair off the classes of a page: one vertex per class, adjacent to the
+def _match(dims: list[int], partners, exits: dict[int, int], maslov: int):
+    """Pair off the classes of ``_graph``: one vertex per class, adjacent to the
     classes of the partner slots.  A greedy pass over slot pairs (slots, then
     pages, ascending) seeds the matching; Edmonds' search then grows one
-    alternating tree per unmatched class (for even N no blossom forms).
-    Returns ``(pairs, None, trees)``, the matching counted by (slot, page),
-    or ``(None, barrier, trees)``: the slots of a stuck tree's inner
-    vertices, which are whole slots as copies share partners.
+    alternating tree per unmatched class (without a pool and for even N no
+    blossom forms).  Returns the FeasibleWitness read off the matching, a
+    class matched to the pool counting one class of its slot's exit, or an
+    InfeasibleWitness: the slots of a stuck tree's inner vertices, which are
+    whole slots as copies share partners.
     """
-    partners = _partners(dims, maslov, nu)
     start = list(accumulate(dims, initial=0))  # slot s holds classes start[s] .. start[s+1] - 1
     slot_of = [s for s, dim in enumerate(dims) for _ in range(dim)]
     mate = [-1] * start[-1]
@@ -414,17 +403,28 @@ def _match(dims: tuple[int, ...], maslov: int, nu: int):
             while t > s and free[s] < start[s + 1] and free[t] < start[t + 1]:
                 mate[free[s]], mate[free[t]] = free[t], free[s]
                 free[s], free[t] = free[s] + 1, free[t] + 1
+    while free[-1] + 1 < start[-1]:  # the pool, last, is its own partner
+        mate[free[-1]], mate[free[-1] + 1] = free[-1] + 1, free[-1]
+        free[-1] += 2
     trees = 0
     for root, partner in enumerate(mate):
         if partner == -1:
             trees += 1
             inner = _grow(root, mate, slot_of, start, partners)
             if inner is not None:
-                return None, tuple(sorted({slot_of[u] for u in inner})), trees
-    # classes are numbered by slot, so u < v puts u in the lower slot
-    pairs = Counter((slot_of[u], (slot_of[v] - slot_of[u] + 1) // maslov)
-                    for u, v in enumerate(mate) if u < v)
-    return tuple((s, r, count) for (s, r), count in sorted(pairs.items())), None, trees
+                return InfeasibleWitness((tuple(sorted({slot_of[u] for u in inner})),), trees)
+    completion, pairs, pool = dims[:-1], Counter(), len(dims) - 1
+    # classes are numbered by slot, so u < v puts u in the lower slot, and
+    # the pool's own pairs are dropped
+    for u, v in enumerate(mate):
+        if u < v and slot_of[u] != pool:
+            s, t = slot_of[u], slot_of[v]
+            if t == pool:
+                t = exits[s]
+                completion[t] += 1
+            pairs[min(s, t), (abs(t - s) + 1) // maslov] += 1
+    return FeasibleWitness(tuple(completion), tuple(
+        (s, r, count) for (s, r), count in sorted(pairs.items())))
 
 
 def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | None:
@@ -476,17 +476,21 @@ def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | N
     return [u for u in range(size) if parent[u] != -1 and not outer[u]]
 
 
-def is_tutte_barrier(dims: tuple[int, ...], maslov: int, nu: int, barrier) -> bool:
-    """True iff the slots ``barrier``, distinct and ascending, prove ``dims`` cannot pair off.
+def is_tutte_barrier(profile: BettiProfile, maslov: int, nu: int, barrier) -> bool:
+    """True iff the slots ``barrier``, distinct and ascending, of ``_graph(profile, ...)``
+    prove that no completion of the profile can pair off.
 
-    Without the barrier, a slot with no partner left is ``dims[s]`` odd parts
-    and a larger connected group is one odd part when its total is odd; more
-    odd parts than classes in the barrier leave a class unpaired (Tutte 1952).
+    Without the barrier, a slot with no partner left is ``dims[s]`` odd parts,
+    or one when its total is odd if it is its own partner (the pool, a
+    clique), and a larger connected group is one odd part when its total is
+    odd; more odd parts than classes in the barrier leave a class unpaired
+    (Tutte 1952).
     """
+    dims, partners, _ = _graph(profile, maslov, nu)
     removed = set(barrier)
     if list(barrier) != sorted(removed) or any(not 0 <= s < len(dims) for s in removed):
         return False
-    partners, seen, odd = _partners(dims, maslov, nu), set(removed), 0
+    seen, odd = set(removed), 0
     for s, dim in enumerate(dims):
         if dim and s not in seen:
             seen.add(s)
@@ -496,7 +500,8 @@ def is_tutte_barrier(dims: tuple[int, ...], maslov: int, nu: int, barrier) -> bo
                 fresh = [t for t in partners[group[-1]] if t not in seen]
                 seen.update(fresh)
                 stack += fresh
-            odd += dim if len(group) == 1 else sum(dims[u] for u in group) % 2
+            lone = len(group) == 1 and s not in partners[s]
+            odd += dim if lone else sum(dims[u] for u in group) % 2
     return odd > sum(dims[s] for s in removed)
 
 
@@ -510,10 +515,9 @@ def replay_witness(
 
     Contradiction chains are re-walked arithmetically against the profile
     (no call into the propagator); Feasible pairs are counted against their
-    completion, slot by slot; Infeasible barriers are checked
-    with ``is_tutte_barrier``, one per completion, without calling the
-    decider; NoContradiction is checked by recomputation.  Every verdict
-    names the final page nu + 1.
+    completion, slot by slot; an Infeasible witness's one barrier is checked
+    with ``is_tutte_barrier``, without calling the decider; NoContradiction
+    is checked by recomputation.  Every verdict names the final page nu + 1.
     Malformed structure raises; wrong values return False.
     """
     witness = verdict.witness
@@ -526,7 +530,8 @@ def replay_witness(
         if isinstance(witness, FeasibleWitness):
             return final and _replay_feasible(witness, profile, maslov, nu)
         if isinstance(witness, InfeasibleWitness):
-            return final and _replay_infeasible(witness, profile, maslov, nu)
+            return (final and len(witness.barriers) == 1
+                    and is_tutte_barrier(profile, maslov, nu, witness.barriers[0]))
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
     raise WitnessError(f"not a witness: {type(witness).__name__}")
@@ -540,20 +545,6 @@ def _replay_contradiction(
         return False
     lower = chain[-1].lower_after if chain else profile.bound(witness.slot).lo
     return 0 < witness.bound == lower and witness.chain == chain
-
-
-def _replay_infeasible(
-    witness: InfeasibleWitness, profile: BettiProfile, maslov: int, nu: int
-) -> bool:
-    barriers = witness.barriers
-    if len(barriers) > MAX_COMPLETIONS:
-        return False  # the decider refuses such a profile
-    completions = _completions(profile.slots, _finite_total(profile))
-    for barrier in barriers:  # stop at the first missing completion or failing barrier
-        completion = next(completions, None)
-        if completion is None or not is_tutte_barrier(completion, maslov, nu, barrier):
-            return False
-    return next(completions, None) is None
 
 
 def _replay_feasible(

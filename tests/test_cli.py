@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isofloer import cli
+from isofloer import catalog, cli
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
@@ -31,6 +31,15 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def wide_capped_recipe(extra: int, cap: int) -> dict:
+    """n = 4096 with one class in slot 0, its partners 2, 5, ..., 4094 at Maslov 3
+    pinned to 0, and ``extra`` classes of dim 1 in the first unlisted degrees."""
+    known = [[0, 1]] + [[t, 0] for t in range(2, 4095, 3)]
+    listed = {degree for degree, _ in known}
+    known += [[d, 1] for d in range(4097) if d not in listed][:extra]
+    return {"n": 4096, "known": known, "cap": cap}
 
 
 def write_profile(tmp_path, name, family):
@@ -188,8 +197,10 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)])[0] == 0
 
-    def test_oracle_cost_follows_the_completions_within_the_cap(self, capsys, tmp_path):
-        # 3^16 tuples in the product of the slot ranges, 153 of them within the cap
+    def test_wide_open_capped_profile_takes_one_barrier(self, capsys, tmp_path):
+        # 3^16 tuples in the product of the slot ranges, 153 of them within the
+        # cap, and one matching: slot 8's 3 classes need 3 open ones, the pool
+        # (slot 17) holds the 2 that the cap leaves
         path = tmp_path / "wide_open.json"
         path.write_text(json.dumps({"n": 16, "known": [[8, 3]], "cap": 5}), encoding="utf-8")
         code, out, _ = run(
@@ -201,12 +212,32 @@ class TestNarrowCheck:
         oracle = json.loads(out)["oracle"]
         assert oracle["kind"] == "Infeasible"
         assert oracle["witness"]["type"] == "tutte-barriers"
-        barriers = oracle["witness"]["barriers"]
-        assert len(barriers) == 153
-        assert barriers[:3] == [[], [16], [16]]
+        assert oracle["witness"]["barriers"] == [[17]]
         witness = tmp_path / "witness.json"
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+
+    @pytest.mark.parametrize("extra,cap", [(0, 3), (900, 904)],
+                             ids=["one-class", "900-more-classes"])
+    def test_oracle_time_is_bounded_on_a_wide_capped_profile(self, capsys, tmp_path, extra,
+                                                               cap):
+        # slot 0's one class has no exact partner and no open one, so no
+        # completion pairs off; enumerating the completions within the cap
+        # took half a minute on the first profile, hours on the second
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps(wide_capped_recipe(extra, cap)), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle",
+             "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["oracle"]["kind"] == "Infeasible"
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("n", [511, 512, 1500, MAX_TOP_DEGREE])
     def test_wide_zero_cap_profile_is_decided(self, capsys, tmp_path, n):
@@ -361,14 +392,14 @@ class TestReplay:
         assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
 
     def test_forged_barriers_fail_at_the_first(self, capsys, tmp_path):
-        # the first completion, all zeros, admits no barrier; replay must not
-        # check the other 9,999 before it says so
+        # an Infeasible witness holds one barrier; replay must not check
+        # 10,000 of them before it says so
         profile = {"n": 4096, "known": [], "cap": 1000}
         payload = envelope(profile, 3)
         assert payload["verdict"]["kind"] == "NoContradiction"
         payload["oracle"] = {
             "kind": "Infeasible", "slot": None, "page": payload["nu"] + 1, "bound": None,
-            "witness": {"type": "tutte-barriers", "barriers": [[]] * specseq.MAX_COMPLETIONS},
+            "witness": {"type": "tutte-barriers", "barriers": [[]] * 10_000},
         }
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps(payload), encoding="utf-8")
@@ -515,6 +546,15 @@ class TestCatalog:
         assert by_family[(4, 1, 1)]["betti_N"]["known"] == [[0, 1], [1, 2], [2, 2], [3, 2], [4, 1]]
         assert by_family[(3, 1, 1)]["betti_L"]["known"] == [[0, 1], [1, 0], [2, 0], [3, 1]]
 
+    def test_json_builds_one_table_per_family(self, capsys, monkeypatch):
+        # the g = 3 records read chi(N) off Muenzner's degrees, not a second table
+        calls = []
+        build = catalog.munzner_betti_N
+        monkeypatch.setattr(catalog, "munzner_betti_N", lambda f: calls.append(f) or build(f))
+        code, out, _ = run(capsys, ["catalog", "--bound", "16", "--format", "json"])
+        assert code == 0
+        assert len(calls) == len(json.loads(out)) == 142
+
 
 class TestDispatch:
     def test_help_exits_0(self, capsys):
@@ -603,7 +643,7 @@ FAILURES = [
     pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"nu": 3}, 2, "nu is 3", id="nu-mismatch"),
     pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
     # a true Infeasible verdict for the capped profile, replayed with the cap dropped:
-    # replay cannot enumerate the completions its barriers belong to
+    # replay cannot size the pool its barrier belongs to
     pytest.param(REPLAY, envelope(CAPPED | {"cap": None}, 3, oracle_json(CAPPED, 3)), 1,
                  "no finite upper bound", id="forged-unbounded-infeasible"),
     pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
@@ -847,13 +887,12 @@ WITNESS_FILES = {
         ("oracle", "witness", "pairs", 1, 0), ("oracle", "witness", "pairs", 2, 1),
         ("oracle", "witness", "pairs", 3, 2),
     ]),
-    # 21 completions within the cap, each with its barrier
+    # 21 completions within the cap and one barrier, the pool slot 7
     "barriers": ({"n": 6, "known": [[0, 3], [6, 1]], "cap": 6}, 3,
                  ("NoContradiction", "Infeasible"), [
         ("profile", "cap"), ("profile", "known", 1, 1), ("oracle", "page"),
         ("oracle", "witness", "type"), ("oracle", "witness", "barriers"),
-        ("oracle", "witness", "barriers", 1), ("oracle", "witness", "barriers", 1, 0),
-        ("oracle", "witness", "barriers", 20),
+        ("oracle", "witness", "barriers", 0), ("oracle", "witness", "barriers", 0, 0),
     ]),
 }
 
@@ -873,7 +912,7 @@ def stored_witnesses(tmp_path_factory):
         envelope = json.loads(out.getvalue())
         assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == kinds
         stored[name] = envelope
-    assert len(stored["barriers"]["oracle"]["witness"]["barriers"]) == 21
+    assert stored["barriers"]["oracle"]["witness"]["barriers"] == [[7]]
     return folder, stored
 
 

@@ -118,6 +118,12 @@ class TestConstruction:
         with pytest.raises(ProfileError):
             make_partial_profile(2, [(0, 2), (2, 2)], cap=3)
 
+    def test_constructor_rejects_a_cap_below_the_known_total(self):
+        with pytest.raises(ProfileError, match="known dimensions total 3, exceeding cap 1"):
+            BettiProfile(2, {0: DimBound.exact(3)}, cap=1)
+        with pytest.raises(ProfileError, match="known dimensions total 6, exceeding cap 5"):
+            BettiProfile(2, {}, DimBound.exact(2), cap=5)
+
     def test_dims_refuses_unknown_slots(self):
         p = make_partial_profile(3, [(0, 1)])
         with pytest.raises(ProfileError):

@@ -12,7 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from isofloer import specseq
 from isofloer.catalog import munzner_betti_N, validate_family
-from isofloer.homology import ProfileError, make_partial_profile, make_profile
+from isofloer.homology import (
+    BettiProfile,
+    DimBound,
+    ProfileError,
+    make_partial_profile,
+    make_profile,
+)
 from isofloer.specseq import (
     CONTRADICTION,
     ChainStep,
@@ -23,7 +29,6 @@ from isofloer.specseq import (
     INFEASIBLE,
     InfeasibleWitness,
     MAX_CLASSES,
-    MAX_COMPLETIONS,
     MaslovTooSmallError,
     NO_CONTRADICTION,
     NarrownessVerdict,
@@ -191,7 +196,7 @@ class TestOracle:
         # two classes in slot 0 but one partner in slot 2
         v = oracle_narrow_feasible(make_profile(2, [(0, 2), (2, 1)]), 3, 1)
         assert v.witness.barriers == ((2,),)
-        assert is_tutte_barrier((2, 0, 1), 3, 1, (2,))
+        assert is_tutte_barrier(make_profile(2, [(0, 2), (2, 1)]), 3, 1, (2,))
 
     def test_fifteen_slot_parity_case(self):
         # an odd total, so some class is always left unpaired
@@ -211,6 +216,16 @@ class TestOracle:
     def test_unbounded_slots_refused(self):
         with pytest.raises(UnknownSlotsError):
             oracle_narrow_feasible(G6_PARTIAL, 4, 3)
+
+    @pytest.mark.parametrize(
+        "open_slot",
+        [DimBound(1, 3), DimBound(0, 2)],  # a class is forced; the cap leaves room for 3
+        ids=["positive-lower-end", "upper-end-below-the-room"],
+    )
+    def test_open_slots_narrower_than_the_cap_refused(self, open_slot):
+        profile = BettiProfile(2, {0: DimBound.exact(1), 2: open_slot}, cap=4)
+        with pytest.raises(UnknownSlotsError, match="range over"):
+            oracle_narrow_feasible(profile, 3, 1)
 
     def test_search_cap_refusal(self):
         # two million classes: refused before any matching is built
@@ -235,14 +250,15 @@ class TestOracle:
         assert v.kind == FEASIBLE
         assert v.witness.pairs == ((0, 1, half),)
 
-    def test_completion_limit_refusal(self):
+    def test_millions_of_completions_take_one_matching(self):
         # slot 0 has one class and every partner slot of it is pinned to 0, so
         # each of the millions of completions within the cap is infeasible
         partners = [2, 5, 8, 11, 14, 17, 20]
         profile = make_partial_profile(20, [(0, 1)] + [(t, 0) for t in partners], cap=20)
         start = time.perf_counter()
-        with pytest.raises(SearchCapError, match=f"more than {MAX_COMPLETIONS} completions"):
-            oracle_narrow_feasible(profile, 3, 7)
+        v = oracle_narrow_feasible(profile, 3, 7)
+        assert v.witness == InfeasibleWitness(((),))
+        assert replay_witness(v, profile, 3, 7)
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize(
@@ -250,14 +266,19 @@ class TestOracle:
         [
             # slots 1 and 2 could each be 1, but not both: total 4 > cap 3
             (4, [(0, 1), (3, 1)], 3, 3, 4),
-            # eight open slots in [0, 4], of which only totals <= 4 are tried
+            # eight open slots in [0, 4], of which only totals <= 4 are within the cap
             (12, [(0, 1), (3, 0), (6, 2), (9, 0), (12, 1)], 8, 4, 495),
         ],
     )
     def test_completions_stay_within_the_cap(self, n, known, cap, maslov, tried):
-        v = oracle_narrow_feasible(make_partial_profile(n, known, cap), maslov, (n + 1) // maslov)
+        profile, nu = make_partial_profile(n, known, cap), (n + 1) // maslov
+        completions = completions_within_the_cap(profile)
+        assert len(completions) == tried
+        assert not any(brute_feasible(dims, maslov, nu) for dims in completions)
+        v = oracle_narrow_feasible(profile, maslov, nu)
         assert v.kind == INFEASIBLE
-        assert v.witness.completions_tried == tried
+        assert v.witness.completions_tried == 1
+        assert replay_witness(v, profile, maslov, nu)
 
     def test_bounded_partial_profile_enumerates_completions(self):
         # one open slot of width 2; the first completion (1,0,1) already dies
@@ -326,7 +347,7 @@ def test_decider_matches_brute_force(page):
     assert (v.kind == FEASIBLE) == brute_feasible(dims, maslov, nu)
     assert replay_witness(v, profile, maslov, nu)
     if v.kind == INFEASIBLE:
-        assert is_tutte_barrier(dims, maslov, nu, v.witness.barriers[0])
+        assert is_tutte_barrier(profile, maslov, nu, v.witness.barriers[0])
     else:  # the page model is the reference the pairs are held to
         page = dims
         for ranks in rank_vectors(v.witness.pairs, len(dims), nu):
@@ -342,18 +363,54 @@ def rank_vectors(pairs, width, nu):
     return [RankVector(r, tuple(a)) for r, a in enumerate(ranks, start=1)]
 
 
+def completions_within_the_cap(profile):
+    """Every choice of one value per slot, within its bounds and the cap."""
+    ranges = [range(slot.lo, slot.hi + 1) for slot in profile.slots]
+    return [dims for dims in itertools.product(*ranges)
+            if profile.cap is None or sum(dims) <= profile.cap]
+
+
+@st.composite
+def small_capped_profiles(draw, max_n=6, max_dim=3, max_room=4):
+    """A profile with open slots and a cap within ``max_room`` of the known total,
+    a Maslov number and a page count, all small enough for brute force."""
+    n = draw(st.integers(0, max_n))
+    dims = draw(st.lists(st.one_of(st.none(), st.integers(0, max_dim)),
+                         min_size=n + 1, max_size=n + 1))
+    known = [(s, dim) for s, dim in enumerate(dims) if dim is not None]
+    cap = sum(dim for _, dim in known) + draw(st.integers(0, max_room))
+    maslov = draw(st.integers(3, 6))
+    return make_partial_profile(n, known, cap), maslov, draw(st.integers(0, (n + 1) // maslov))
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_capped_profiles())
+@example((make_partial_profile(6, [(0, 3), (6, 1)], 6), 3, 2))  # slot 0 needs 3 of the 2 open
+@example((make_partial_profile(4, [(0, 1)], 5), 3, 1))  # two of the 3 pool classes pair up
+def test_capped_decider_matches_brute_force_over_the_completions(case):
+    profile, maslov, nu = case
+    v = oracle_narrow_feasible(profile, maslov, nu)
+    feasible = any(brute_feasible(dims, maslov, nu) for dims in completions_within_the_cap(profile))
+    assert (v.kind == FEASIBLE) == feasible
+    assert replay_witness(v, profile, maslov, nu)
+
+
 @settings(deadline=None, max_examples=150)
-@given(small_pages())
-def test_some_slot_barrier_exists_iff_brute_force_fails(page):
-    # so the slot-level check loses nothing: it is exact on its own
-    dims, maslov, nu = page
-    slots = range(len(dims))
+@given(st.one_of(small_pages().map(
+    lambda page: (make_profile(len(page[0]) - 1, list(enumerate(page[0]))), *page[1:])),
+    small_capped_profiles(max_n=5, max_dim=2, max_room=3)))
+def test_some_slot_barrier_exists_iff_brute_force_fails(case):
+    # so the slot-level check loses nothing: it is exact on its own, the pool
+    # slot n + 1 included
+    profile, maslov, nu = case
+    slots = range(profile.n + 2)
     certified = any(
-        is_tutte_barrier(dims, maslov, nu, subset)
-        for size in range(len(dims) + 1)
+        is_tutte_barrier(profile, maslov, nu, subset)
+        for size in range(profile.n + 3)
         for subset in itertools.combinations(slots, size)
     )
-    assert certified != brute_feasible(dims, maslov, nu)
+    feasible = any(brute_feasible(dims, maslov, nu) for dims in completions_within_the_cap(profile))
+    assert certified != feasible
 
 
 class TestOracleCrossCheck:
@@ -485,13 +542,28 @@ class TestReplay:
         edited = NarrownessVerdict(2, InfeasibleWitness((barrier,)))
         assert replay_witness(edited, profile, 3, 1) is ok
 
-    def test_barrier_count_must_match_the_completions(self):
+    def test_infeasible_witness_holds_one_barrier(self):
         profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
         v = oracle_narrow_feasible(profile, 3, 1)
-        assert v.witness.completions_tried == 4
+        assert v.witness.barriers == ((),)
         for barriers in (v.witness.barriers[:-1], v.witness.barriers + ((),), ()):
             edited = NarrownessVerdict(2, InfeasibleWitness(barriers))
             assert not replay_witness(edited, profile, 3, 1)
+
+    @pytest.mark.parametrize(
+        "barrier,ok",
+        [
+            ((7,), True),  # the pool's 2 classes cannot serve slot 0's 3 and slot 6's 1
+            ((), False),  # one group with an even total
+            ((0,), False),  # slot 6 and the pool pair off
+            ((8,), False),  # past the pool
+        ],
+    )
+    def test_pool_barrier_edits(self, barrier, ok):
+        profile = make_partial_profile(6, [(0, 3), (6, 1)], cap=6)
+        assert oracle_narrow_feasible(profile, 3, 2).witness.barriers == ((7,),)
+        edited = NarrownessVerdict(3, InfeasibleWitness((barrier,)))
+        assert replay_witness(edited, profile, 3, 2) is ok
 
     def test_states_explored_stays_out_of_equality(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
