@@ -10,6 +10,7 @@ by its reader, which exits 1 silently.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .homology import ProfileError, as_int, profile_from_json, profile_to_json
 from .specseq import (
     CONTRADICTION,
     FEASIBLE,
+    INFEASIBLE,
     EngineError,
     SearchCapError,
     UnknownSlotsError,
@@ -56,7 +58,13 @@ class InputError(Exception):
     """An input file that cannot be read, is not JSON, or does not parse."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged, and each subcommand's handler reads the
+    engine functions from this module's globals when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="isofloer",
         description="Displaceability obstructions for Gauss images of isoparametric hypersurfaces.",
@@ -68,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: text)")
         if verbose:
             p.add_argument("--verbose", action="store_true",
-                           help="print witness chains in text output")
+                           help="print each witness in text output")
 
     p = sub.add_parser("classify", help="classify one family (g, m1, m2)")
     p.add_argument("--g", type=int, required=True, help="number of distinct principal curvatures")
@@ -233,8 +241,9 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
         print(f"  sweep-volume lower bound: {report.volume_lower_bound:.6f}")
 
 
-def _verdict_text_lines(verdict, maslov: int | None = None) -> list[str]:
-    """The summary, then the chain or each cancellation (which needs ``maslov``)."""
+def _verdict_text_lines(verdict, maslov: int | None = None, n: int | None = None) -> list[str]:
+    """The summary, then the chain, each cancellation (which needs ``maslov``)
+    or each barrier (which needs ``n``: slot n + 1 is the pool)."""
     lines = [_verdict_summary(verdict)]
     if verdict.kind == CONTRADICTION:
         for c in verdict.witness.chain:
@@ -247,6 +256,14 @@ def _verdict_text_lines(verdict, maslov: int | None = None) -> list[str]:
             classes = "1 class of slot" if count == 1 else f"{count} classes of slot"
             verb = "cancels" if count == 1 else "cancel"
             lines.append(f"page {r}: {classes} {s} {verb} slot {s + r * maslov - 1}")
+    elif verdict.kind == INFEASIBLE:
+        for barrier in verdict.witness.barriers:
+            if not barrier:
+                lines.append("barrier: empty (with no slot removed, a class is left unpaired)")
+                continue
+            slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in barrier)
+            lines.append(f"barrier: {slots} (more parts are odd without the barrier "
+                         "than it holds classes)")
     return lines
 
 
@@ -310,13 +327,13 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
         })
         return EXIT_OK
     print(f"propagation: {_verdict_summary(verdict)}")
-    if args.verbose or verdict.kind == CONTRADICTION:
+    if args.verbose:
         for line in _verdict_text_lines(verdict)[1:]:
             print(f"  {line}")
     if oracle_verdict is not None:
         print(f"oracle: {_verdict_summary(oracle_verdict)}")
         if args.verbose:
-            for line in _verdict_text_lines(oracle_verdict, args.maslov)[1:]:
+            for line in _verdict_text_lines(oracle_verdict, args.maslov, profile.n)[1:]:
                 print(f"  {line}")
     elif oracle_note is not None:
         print(f"oracle skipped: {oracle_note}")
@@ -381,11 +398,10 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the parser lives until main returns: freed before the handler runs, it
-    # leaves heap holes that raised the dense benchmark's peak RSS by 0.7 MB
-    parser = build_parser()
+    # building the parser costs about 15x parsing with it, so one parser
+    # serves every call in the process and is never freed between them
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # --help exits 0; a usage error is a domain error, not a format error
         return EXIT_DOMAIN if exc.code else EXIT_OK

@@ -178,14 +178,20 @@ def euler_char(profile: BettiProfile) -> int:
 
 
 def total_betti(profile: BettiProfile) -> DimBound:
-    """Interval sum of all slots, tightened by the profile cap if any."""
-    total = ZERO
-    for slot in profile.slots:
-        total = total + slot
+    """Interval sum of all slots, tightened by the profile cap if any.
+
+    Sums the support and counts the default once per unlisted degree.
+    """
+    bounds, default = profile.support.values(), profile.default
+    unlisted = profile.n + 1 - len(bounds)
+    lo = sum(slot.lo for slot in bounds) + unlisted * default.lo
+    if any(slot.hi is None for slot in bounds) or (unlisted and default.hi is None):
+        hi = None
+    else:
+        hi = sum(slot.hi for slot in bounds) + (unlisted * default.hi if unlisted else 0)
     if profile.cap is not None:
-        hi = profile.cap if total.hi is None else min(total.hi, profile.cap)
-        total = DimBound(total.lo, hi)
-    return total
+        hi = profile.cap if hi is None else min(hi, profile.cap)
+    return DimBound(lo, hi)
 
 
 def check_poincare(profile: BettiProfile) -> bool:

@@ -1,5 +1,6 @@
 """CLI tests, run in-process through cli.main."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -142,7 +143,30 @@ class TestNarrowCheck:
         path = write_profile(tmp_path, "g4_22.json", validate_family(4, 2, 2))
         code, out, _ = run(capsys, ["narrow-check", "--profile", path, "--maslov", "4"])
         assert code == 0
-        assert "Contradiction at slot 4" in out
+        assert out == "propagation: Contradiction at slot 4 (final page 3, forced lower bound 2)\n"
+        code, verbose, _ = run(
+            capsys, ["narrow-check", "--profile", path, "--maslov", "4", "--verbose"]
+        )
+        assert code == 0
+        assert verbose.splitlines() == [
+            out.rstrip("\n"),
+            "  page 1: slot bound 2 -> 2 (neighbours 1 hi=0, 7 hi=0)",
+            "  page 2: slot bound 2 -> 2 (neighbours -3 hi=0, 11 hi=0)",
+        ]
+
+    def test_wide_contradiction_text_is_the_headline(self, capsys, tmp_path):
+        # the chain has one step per page, 1365 of them; text prints it only
+        # under --verbose, JSON always carries it
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps(wide_capped_recipe(0, 3)), encoding="utf-8")
+        argv = ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
+        assert run(capsys, argv) == (0, (
+            "propagation: Contradiction at slot 0 (final page 1366, forced lower bound 1)\n"
+            "oracle: Infeasible\n"
+        ), "")
+        code, out, _ = run(capsys, argv + ["--verbose"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1365 + 2
 
     def test_json_envelope(self, capsys, tmp_path):
         path = write_profile(tmp_path, "g4_22.json", validate_family(4, 2, 2))
@@ -270,6 +294,23 @@ class TestNarrowCheck:
             "  page 1: 2 classes of slot 0 cancel slot 2",
             "  page 1: 1 class of slot 3 cancels slot 5",
         ]
+
+    @pytest.mark.parametrize("profile,barrier", [
+        ({"n": 4, "known": [[0, 1], [3, 1]], "cap": 3},
+         "empty (with no slot removed, a class is left unpaired)"),
+        ({"n": 16, "known": [[8, 3]], "cap": 5}, "pool"),
+        ({"n": 4, "known": [[0, 1], [1, 0], [2, 1], [3, 0], [4, 1]], "cap": None}, "slot 2"),
+    ], ids=["empty", "pool", "slot"])
+    def test_verbose_oracle_names_the_barrier(self, capsys, tmp_path, profile, barrier):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        argv = ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
+        code, out, _ = run(capsys, argv + ["--verbose"])
+        assert code == 0
+        tail = "" if barrier.startswith("empty") else (
+            " (more parts are odd without the barrier than it holds classes)")
+        assert out.splitlines()[-2:] == ["oracle: Infeasible", f"  barrier: {barrier}{tail}"]
+        assert run(capsys, argv)[1].splitlines()[-1] == "oracle: Infeasible"
 
     def test_oracle_limits_are_skipped(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -570,6 +611,40 @@ class TestDispatch:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "1", "--frob"])[0] == 1
+
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        sequence = [
+            ["classify", "--g", "4", "--m1", "2", "--m2", "2", "--verbose"],
+            ["classify", "--g", "4", "--m1", "2", "--m2", "2"],
+            ["classify-all", "--bound", "6", "--format", "json"],
+            ["classify-all", "--bound", "6"],
+            ["classify", "--g", "4", "--m1", "2"],
+            ["classify", "--help"],
+            ["frobnicate"],
+        ]
+
+        def with_a_fresh_parser(argv):
+            cli.build_parser.cache_clear()
+            return run(capsys, argv)
+
+        expected = [with_a_fresh_parser(argv) for argv in sequence]
+        assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0, 1]
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.__wrapped__()
+        one_build = len(built)
+        built.clear()
+        cli.build_parser.cache_clear()
+        try:
+            assert [run(capsys, argv) for argv in sequence] == expected
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(built) == one_build > 0
 
 
 # --- the failure policy -------------------------------------------------------

@@ -1,8 +1,10 @@
 """Unit tests for interval-valued Betti profiles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofloer.homology import (
+    ZERO,
     BettiProfile,
     DimBound,
     MAX_TOP_DEGREE,
@@ -162,6 +164,26 @@ class TestQueries:
     def test_total_betti_unbounded(self):
         p = make_partial_profile(4, [(0, 1), (4, 1)])
         assert total_betti(p) == DimBound(2, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_total_betti_matches_the_dense_sum(self, data):
+        bounds = st.builds(
+            lambda lo, width: DimBound(lo, None if width is None else lo + width),
+            st.integers(0, 3), st.none() | st.integers(0, 3),
+        )
+        n = data.draw(st.integers(0, 12), label="n")
+        support = data.draw(st.dictionaries(st.integers(0, n), bounds), label="support")
+        default = data.draw(bounds, label="default")
+        used = sum(slot.lo for slot in support.values()) + (n + 1 - len(support)) * default.lo
+        cap = data.draw(st.none() | st.integers(used, used + 40), label="cap")
+        profile = BettiProfile(n, support, default, cap)
+        dense = ZERO
+        for slot in profile.slots:
+            dense = dense + slot
+        if cap is not None:
+            dense = DimBound(dense.lo, cap if dense.hi is None else min(dense.hi, cap))
+        assert total_betti(profile) == dense
 
     def test_poincare_symmetry(self):
         sym = make_profile(4, [(0, 1), (2, 2), (4, 1)])
