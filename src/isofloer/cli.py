@@ -243,7 +243,7 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
 
 def _verdict_text_lines(verdict, maslov: int | None = None, n: int | None = None) -> list[str]:
     """The summary, then the chain, each cancellation (which needs ``maslov``)
-    or each barrier (which needs ``n``: slot n + 1 is the pool)."""
+    or the barrier (which needs ``n``: slot n + 1 is the pool)."""
     lines = [_verdict_summary(verdict)]
     if verdict.kind == CONTRADICTION:
         for c in verdict.witness.chain:
@@ -257,10 +257,10 @@ def _verdict_text_lines(verdict, maslov: int | None = None, n: int | None = None
             verb = "cancels" if count == 1 else "cancel"
             lines.append(f"page {r}: {classes} {s} {verb} slot {s + r * maslov - 1}")
     elif verdict.kind == INFEASIBLE:
-        for barrier in verdict.witness.barriers:
-            if not barrier:
-                lines.append("barrier: empty (with no slot removed, a class is left unpaired)")
-                continue
+        barrier = verdict.witness.barrier
+        if not barrier:
+            lines.append("barrier: empty (with no slot removed, a class is left unpaired)")
+        else:
             slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in barrier)
             lines.append(f"barrier: {slots} (more parts are odd without the barrier "
                          "than it holds classes)")
@@ -320,8 +320,6 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
         _emit_json({
             "profile": profile_to_json(profile),
             "maslov": args.maslov,
-            "n": profile.n,
-            "nu": nu,
             "verdict": verdict_to_json(verdict),
             "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
         })
@@ -352,29 +350,20 @@ def _cmd_wide_check(args: argparse.Namespace) -> int:
 
 
 def _witness_from_json(data: dict):
-    """The fields of a ``narrow-check --format json`` envelope that replay reads."""
+    """The fields of a ``narrow-check --format json`` envelope that replay reads;
+    it ignores every other key."""
     profile = profile_from_json(data["profile"])
     maslov = as_int(data["maslov"], what="witness field 'maslov'")
-    n = as_int(data["n"], what="witness field 'n'")
-    nu = as_int(data["nu"], what="witness field 'nu'")
     verdicts = [verdict_from_json(data["verdict"])]
     if data.get("oracle") is not None:
         verdicts.append(verdict_from_json(data["oracle"]))
-    return profile, maslov, n, nu, verdicts
+    return profile, maslov, verdicts
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    profile, maslov, n, nu, verdicts = _read(args.witness_file, _witness_from_json, "witness")
+    profile, maslov, verdicts = _read(args.witness_file, _witness_from_json, "witness")
     require_maslov(maslov)
-    if n != profile.n:
-        raise InputError(f"malformed witness file: n is {n}, "
-                         f"but the profile's top degree is {profile.n}")
-    turns = (profile.n + 1) // maslov
-    if nu != turns:
-        raise InputError(
-            f"malformed witness file: nu is {nu}, but a profile of top degree "
-            f"{profile.n} at Maslov number {maslov} turns {turns} pages"
-        )
+    nu = (profile.n + 1) // maslov
     ok = all(replay_witness(v, profile, maslov, nu) for v in verdicts)
     if args.format == "json":
         _emit_json({"replayed": ok, "verdicts": len(verdicts)})

@@ -43,7 +43,8 @@ A Feasible witness is that matching, counted by slot and page.  If each
 class has one partner, the ranks a_r[s] = count(s, r) are legal on every
 page and end on the zero page: on page r slot s still holds every class
 paired on page r or later, at least a_r[s] + a_r[s - shift].  So replay
-only counts, slot by slot, that every class is used exactly once.
+only adds up each slot's counts, and that completion must lie within the
+profile.
 
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
@@ -200,12 +201,13 @@ class FinalPageWitness:
 
 @dataclass(frozen=True)
 class FeasibleWitness:
-    """A completion and ``(s, r, count)`` pairs, strictly ascending: ``count``
-    classes of slot s cancel as many of slot s + rN - 1 on page r.  Valid iff
-    1 <= r <= nu, both slots exist, and each slot's counts sum to its dimension."""
+    """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
+    cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
+    to its value in the completion they pair off.  Valid iff 1 <= r <= nu,
+    both slots exist, and that completion lies within the profile's bounds
+    and cap."""
 
     kind = FEASIBLE
-    completion: tuple[int, ...]
     pairs: tuple[tuple[int, int, int], ...]
 
 
@@ -213,15 +215,13 @@ class FeasibleWitness:
 class InfeasibleWitness:
     """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
     pool); the trees grown, ``states_explored``, stay off the wire and out of
-    equality."""
+    equality, and one matching decides a profile, so ``completions_tried``
+    is 1."""
 
     kind = INFEASIBLE
-    barriers: tuple[tuple[int, ...], ...]
+    barrier: tuple[int, ...]
     states_explored: int = field(default=0, compare=False)
-
-    @property
-    def completions_tried(self) -> int:
-        return len(self.barriers)
+    completions_tried = 1
 
 
 @dataclass(frozen=True)
@@ -329,18 +329,18 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
     One maximum matching on ``_graph`` decides it, whether the profile is
     fully known or capped: a perfect matching is the Feasible witness, a
     stuck alternating tree the Infeasible one, a single Tutte barrier.
-    Beyond ``MAX_CLASSES`` on the total dimension: SearchCapError.
+    Beyond ``MAX_CLASSES`` on the total dimension: SearchCapError, before
+    any graph is built.
     """
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    graph = _graph(profile, maslov, nu)
-    total = total_betti(profile).hi  # finite: _graph refuses an open slot with no cap
-    if total > MAX_CLASSES:
+    total = total_betti(profile).hi  # None: an open slot with no cap, which _graph refuses
+    if total is not None and total > MAX_CLASSES:
         raise SearchCapError(
             f"total dimension may reach {total}, above the matching's limit of {MAX_CLASSES}"
         )
-    return NarrownessVerdict(nu + 1, _match(*graph, maslov))
+    return NarrownessVerdict(nu + 1, _match(*_graph(profile, maslov, nu), maslov))
 
 
 def _graph(profile: BettiProfile, maslov: int, nu: int):
@@ -390,9 +390,9 @@ def _match(dims: list[int], partners, exits: dict[int, int], maslov: int):
     pages, ascending) seeds the matching; Edmonds' search then grows one
     alternating tree per unmatched class (without a pool and for even N no
     blossom forms).  Returns the FeasibleWitness read off the matching, a
-    class matched to the pool counting one class of its slot's exit, or an
-    InfeasibleWitness: the slots of a stuck tree's inner vertices, which are
-    whole slots as copies share partners.
+    class matched to the pool pairing with one class of its slot's exit, or
+    an InfeasibleWitness: the slots of a stuck tree's inner vertices, which
+    are whole slots as copies share partners.
     """
     start = list(accumulate(dims, initial=0))  # slot s holds classes start[s] .. start[s+1] - 1
     slot_of = [s for s, dim in enumerate(dims) for _ in range(dim)]
@@ -412,8 +412,8 @@ def _match(dims: list[int], partners, exits: dict[int, int], maslov: int):
             trees += 1
             inner = _grow(root, mate, slot_of, start, partners)
             if inner is not None:
-                return InfeasibleWitness((tuple(sorted({slot_of[u] for u in inner})),), trees)
-    completion, pairs, pool = dims[:-1], Counter(), len(dims) - 1
+                return InfeasibleWitness(tuple(sorted({slot_of[u] for u in inner})), trees)
+    pairs, pool = Counter(), len(dims) - 1
     # classes are numbered by slot, so u < v puts u in the lower slot, and
     # the pool's own pairs are dropped
     for u, v in enumerate(mate):
@@ -421,10 +421,8 @@ def _match(dims: list[int], partners, exits: dict[int, int], maslov: int):
             s, t = slot_of[u], slot_of[v]
             if t == pool:
                 t = exits[s]
-                completion[t] += 1
             pairs[min(s, t), (abs(t - s) + 1) // maslov] += 1
-    return FeasibleWitness(tuple(completion), tuple(
-        (s, r, count) for (s, r), count in sorted(pairs.items())))
+    return FeasibleWitness(tuple((s, r, count) for (s, r), count in sorted(pairs.items())))
 
 
 def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | None:
@@ -514,11 +512,12 @@ def replay_witness(
     """Re-derive a verdict's witness from scratch; True iff it checks out.
 
     Contradiction chains are re-walked arithmetically against the profile
-    (no call into the propagator); Feasible pairs are counted against their
-    completion, slot by slot; an Infeasible witness's one barrier is checked
-    with ``is_tutte_barrier``, without calling the decider; NoContradiction
-    is checked by recomputation.  Every verdict names the final page nu + 1.
-    Malformed structure raises; wrong values return False.
+    (no call into the propagator); Feasible pairs are added up slot by slot
+    into the completion they pair off, which must lie within the profile;
+    an Infeasible witness's barrier is checked with ``is_tutte_barrier``,
+    without calling the decider; NoContradiction is checked by
+    recomputation.  Every verdict names the final page nu + 1.  Malformed
+    structure raises; wrong values return False.
     """
     witness = verdict.witness
     final = verdict.page == nu + 1
@@ -530,8 +529,7 @@ def replay_witness(
         if isinstance(witness, FeasibleWitness):
             return final and _replay_feasible(witness, profile, maslov, nu)
         if isinstance(witness, InfeasibleWitness):
-            return (final and len(witness.barriers) == 1
-                    and is_tutte_barrier(profile, maslov, nu, witness.barriers[0]))
+            return final and is_tutte_barrier(profile, maslov, nu, witness.barrier)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
     raise WitnessError(f"not a witness: {type(witness).__name__}")
@@ -550,22 +548,21 @@ def _replay_contradiction(
 def _replay_feasible(
     witness: FeasibleWitness, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
-    dims = tuple(witness.completion)
-    if len(dims) != profile.n + 1 or (profile.cap is not None and sum(dims) > profile.cap):
-        return False
-    if any(v < s.lo or (s.hi is not None and v > s.hi) for v, s in zip(dims, profile.slots)):
-        return False
-    # every class is paired exactly once iff ``unpaired`` ends at zero; pairs
-    # must ascend strictly in (s, r), and above (0, 0) rules out s < 0
-    unpaired, last = list(dims), (0, 0)
+    # each slot's counts add up to its value in the completion that the pairs
+    # pair off; pairs must ascend strictly in (s, r), and above (0, 0) rules
+    # out s < 0
+    paired, last = Counter(), (0, 0)
     for s, r, count in witness.pairs:
         t = s + r * maslov - 1
         if not (last < (s, r) and 1 <= r <= nu and count >= 1 and t <= profile.n):
             return False
-        unpaired[s] -= count
-        unpaired[t] -= count
+        paired[s] += count
+        paired[t] += count
         last = (s, r)
-    return not any(unpaired)
+    if profile.cap is not None and sum(paired.values()) > profile.cap:
+        return False
+    return all(slot.lo <= paired[s] and (slot.hi is None or paired[s] <= slot.hi)
+               for s, slot in enumerate(profile.slots))
 
 
 # --- serialization ----------------------------------------------------------
@@ -589,14 +586,10 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
     elif isinstance(witness, FeasibleWitness):
         payload = {
             "type": "cancellation-pairs",
-            "completion": list(witness.completion),
             "pairs": [list(pair) for pair in witness.pairs],
         }
     elif isinstance(witness, InfeasibleWitness):
-        payload = {
-            "type": "tutte-barriers",
-            "barriers": [list(barrier) for barrier in witness.barriers],
-        }
+        payload = {"type": "tutte-barrier", "barrier": list(witness.barrier)}
     else:
         raise WitnessError(f"unserializable witnessType {type(witness).__name__}")
     return {
@@ -637,13 +630,10 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
             )
         elif wtype == "cancellation-pairs":
             witness = FeasibleWitness(
-                tuple(_as_int(v) for v in payload["completion"]),
-                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in payload["pairs"]),
+                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in payload["pairs"])
             )
-        elif wtype == "tutte-barriers":
-            witness = InfeasibleWitness(
-                tuple(tuple(_as_int(s) for s in barrier) for barrier in payload["barriers"])
-            )
+        elif wtype == "tutte-barrier":
+            witness = InfeasibleWitness(tuple(_as_int(s) for s in payload["barrier"]))
         if witness is None or kind != witness.kind:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
         verdict = NarrownessVerdict(_as_opt_int(data["page"]), witness)

@@ -175,8 +175,8 @@ class TestNarrowCheck:
         )
         assert code == 0
         envelope = json.loads(out)
-        assert set(envelope) == {"profile", "maslov", "n", "nu", "verdict", "oracle"}
-        assert envelope["nu"] == 2            # default floor((8+1)/4)
+        # replay derives n and nu = floor((8+1)/4) from the profile and Maslov number
+        assert set(envelope) == {"profile", "maslov", "verdict", "oracle"}
         assert envelope["verdict"]["kind"] == "Contradiction"
         assert envelope["verdict"]["slot"] == 4
         assert envelope["oracle"] is None
@@ -235,8 +235,7 @@ class TestNarrowCheck:
         assert code == 0
         oracle = json.loads(out)["oracle"]
         assert oracle["kind"] == "Infeasible"
-        assert oracle["witness"]["type"] == "tutte-barriers"
-        assert oracle["witness"]["barriers"] == [[17]]
+        assert oracle["witness"] == {"type": "tutte-barrier", "barrier": [17]}
         witness = tmp_path / "witness.json"
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
@@ -266,7 +265,7 @@ class TestNarrowCheck:
     @pytest.mark.parametrize("n", [511, 512, 1500, MAX_TOP_DEGREE])
     def test_wide_zero_cap_profile_is_decided(self, capsys, tmp_path, n):
         # the decider has no limit on the number of slots, and its witness
-        # lists the completion and no pairs
+        # lists no pairs
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": n, "known": [], "cap": 0}), encoding="utf-8")
         code, out, _ = run(
@@ -311,6 +310,35 @@ class TestNarrowCheck:
             " (more parts are odd without the barrier than it holds classes)")
         assert out.splitlines()[-2:] == ["oracle: Infeasible", f"  barrier: {barrier}{tail}"]
         assert run(capsys, argv)[1].splitlines()[-1] == "oracle: Infeasible"
+
+    def test_feasible_pool_envelope_round_trip(self, capsys, tmp_path):
+        # slot 0's one class is matched into the pool: the pair (0, 1, 1) with
+        # its first open partner, slot 2
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps({"n": 4, "known": [[0, 1]], "cap": 5}), encoding="utf-8")
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
+                                    "--oracle", "--format", "json"])
+        assert code == 0
+        envelope = json.loads(out)
+        assert "n" not in envelope and "nu" not in envelope
+        assert envelope["oracle"]["kind"] == "Feasible"
+        assert envelope["oracle"]["witness"] == {"type": "cancellation-pairs", "pairs": [[0, 1, 1]]}
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+
+    def test_wide_oversized_profile_is_skipped_at_once(self, capsys, tmp_path):
+        # 4097 classes, one per slot: refused on its total before any graph is built
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"n": 4096, "known": [[s, 1] for s in range(4097)],
+                                    "cap": None}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
+                                    "--oracle"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "oracle skipped: total dimension may reach 4097, above the matching's limit of 1000")
 
     def test_oracle_limits_are_skipped(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -422,31 +450,45 @@ class TestReplay:
         assert code == 0
         assert json.loads(out) == {"replayed": True, "verdicts": 2}
 
-    @pytest.mark.parametrize("barriers", [[[]], [[0, 2]]], ids=["slot-dropped", "slot-added"])
-    def test_edited_barrier_exits_1(self, capsys, tmp_path, barriers):
+    @pytest.mark.parametrize("barrier", [[], [0, 2]], ids=["slot-dropped", "slot-added"])
+    def test_edited_barrier_exits_1(self, capsys, tmp_path, barrier):
         profile = {"n": 2, "known": [[0, 3], [1, 0], [2, 1]], "cap": None}
         payload = envelope(profile, 3, oracle_json(profile, 3))
-        assert payload["oracle"]["witness"] == {"type": "tutte-barriers", "barriers": [[2]]}
-        payload["oracle"]["witness"]["barriers"] = barriers
+        assert payload["oracle"]["witness"] == {"type": "tutte-barrier", "barrier": [2]}
+        payload["oracle"]["witness"]["barrier"] = barrier
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps(payload), encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
 
     def test_forged_barriers_fail_at_the_first(self, capsys, tmp_path):
-        # an Infeasible witness holds one barrier; replay must not check
-        # 10,000 of them before it says so
+        # an Infeasible witness holds one barrier, a list of slots; a list of
+        # 10,000 barriers is refused at its first entry
         profile = {"n": 4096, "known": [], "cap": 1000}
         payload = envelope(profile, 3)
         assert payload["verdict"]["kind"] == "NoContradiction"
         payload["oracle"] = {
-            "kind": "Infeasible", "slot": None, "page": payload["nu"] + 1, "bound": None,
-            "witness": {"type": "tutte-barriers", "barriers": [[]] * 10_000},
+            "kind": "Infeasible", "slot": None, "page": 4097 // 3 + 1, "bound": None,
+            "witness": {"type": "tutte-barrier", "barrier": [[]] * 10_000},
         }
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps(payload), encoding="utf-8")
         start = time.perf_counter()
-        assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
+        code, out, err = run(capsys, ["replay", str(witness)])
+        assert (code, out) == (2, "")
+        assert "must be an integer" in err
         assert time.perf_counter() - start < 1.0
+
+    def test_stale_envelope_keys_are_ignored(self, capsys, tmp_path):
+        # the fields that older files carried and replay derives: n, nu and a
+        # Feasible witness's completion, here all wrong
+        profile = {"n": 5, "known": [[0, 2], [2, 2], [3, 1], [5, 1]], "cap": 6}
+        payload = envelope(profile, 3, oracle_json(profile, 3))
+        assert set(payload["oracle"]["witness"]) == {"type", "pairs"}
+        payload.update(n=999, nu="3")
+        payload["oracle"]["witness"]["completion"] = [9] * 6
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
     @pytest.mark.parametrize(
         "pairs",
@@ -528,13 +570,8 @@ class TestReplay:
     @pytest.mark.parametrize(
         "field,value,exit_code,message",
         [
-            ("nu", -1, 2, "nu"),
-            ("nu", 100000, 2, "nu"),
             ("maslov", 2, 1, "Maslov"),
             ("maslov", 4.0, 2, "maslov"),
-            ("nu", "3", 2, "nu"),
-            ("n", 999, 2, "n is 999, but the profile's top degree is 6"),
-            ("n", "12", 2, "witness field 'n' must be an integer"),
         ],
     )
     def test_envelope_fields_are_checked(self, capsys, tmp_path, field, value, exit_code,
@@ -659,7 +696,7 @@ def envelope(profile: dict, maslov: int, oracle: dict | None = None) -> dict:
     parsed = profile_from_json(profile)
     nu = (parsed.n + 1) // maslov
     return {
-        "profile": profile, "maslov": maslov, "n": parsed.n, "nu": nu,
+        "profile": profile, "maslov": maslov,
         "verdict": verdict_to_json(propagate_narrow(parsed, maslov, parsed.n, nu)),
         "oracle": oracle,
     }
@@ -691,6 +728,12 @@ RANK_ASSIGNMENT = {
                           {"page": 2, "ranks": [0, 0, 0, 0, 0, 0, 0]}]},
 }
 
+# the g = 4, (2, 2) barrier in the retired list-of-barriers form
+TUTTE_BARRIERS = {
+    "kind": "Infeasible", "slot": None, "page": 3, "bound": None,
+    "witness": {"type": "tutte-barriers", "barriers": [[]]},
+}
+
 NARROW = ["narrow-check", "--profile", "input.json", "--maslov"]
 REPLAY = ["replay", "input.json"]
 
@@ -715,7 +758,6 @@ FAILURES = [
                  id="maslov-2-replay"),
     pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], G6_PROFILE, 1,
                  "unknown", id="unknown-degree-wide-check"),
-    pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"nu": 3}, 2, "nu is 3", id="nu-mismatch"),
     pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
     # a true Infeasible verdict for the capped profile, replayed with the cap dropped:
     # replay cannot size the pool its barrier belongs to
@@ -725,6 +767,8 @@ FAILURES = [
                  2, "does not match witness type 'exhausted-search'", id="wide-oracle"),
     pytest.param(REPLAY, envelope(G4_12_PROFILE, 3, RANK_ASSIGNMENT), 2,
                  "does not match witness type 'rank-assignment'", id="rank-assignment"),
+    pytest.param(REPLAY, envelope(G4_22_PROFILE, 4, TUTTE_BARRIERS), 2,
+                 "does not match witness type 'tutte-barriers'", id="tutte-barriers"),
 ]
 
 
@@ -795,9 +839,10 @@ class TestGolden:
         assert code == 0
         assert json.loads(out)["oracle"]["kind"] == "Feasible"
         data = out.encode()
-        assert len(data) == 1_395
+        # recorded after the envelope dropped n and nu and the witness its completion
+        assert len(data) == 1_267
         assert hashlib.sha256(data).hexdigest() == (
-            "b15e16fb98f6ffb49c4a89e2b0b969a173e80a19744663003fd7dc3fb946f9d8"
+            "ae261f76ee7e68c466d47d056a634be332d96388683ca522e75e45d22b1fef4b"
         )
 
     def test_classify_all_json_through_a_pipe(self):
@@ -944,30 +989,29 @@ json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=4))
 # the paths of the fields the fuzz may overwrite
 WITNESS_FILES = {
     "g4-22": (G4_22_PROFILE, 4, ("Contradiction", "Infeasible"), [
-        ("maslov",), ("nu",),
+        ("maslov",),
         ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
         ("verdict", "witness", "slot"), ("verdict", "witness", "bound"),
         ("verdict", "witness", "chain", 0), ("verdict", "witness", "chain", 1),
         ("verdict", "witness", "chain", 1, "lower_after"),
         ("oracle", "page"), ("oracle", "slot"),
-        ("oracle", "witness", "barriers"), ("oracle", "witness", "barriers", 0),
+        ("oracle", "witness", "barrier"),
     ]),
     "g4-12": (G4_12_PROFILE, 3, ("NoContradiction", "Feasible"), [
-        ("maslov",), ("nu",),
+        ("maslov",),
         ("verdict", "page"), ("verdict", "slot"), ("verdict", "bound"),
         ("verdict", "witness", "slots", 3),
         ("oracle", "page"), ("oracle", "slot"), ("oracle", "bound"),
-        ("oracle", "witness", "completion"), ("oracle", "witness", "completion", 3),
         ("oracle", "witness", "pairs"), ("oracle", "witness", "pairs", 0),
         ("oracle", "witness", "pairs", 1, 0), ("oracle", "witness", "pairs", 2, 1),
         ("oracle", "witness", "pairs", 3, 2),
     ]),
     # 21 completions within the cap and one barrier, the pool slot 7
-    "barriers": ({"n": 6, "known": [[0, 3], [6, 1]], "cap": 6}, 3,
-                 ("NoContradiction", "Infeasible"), [
+    "barrier": ({"n": 6, "known": [[0, 3], [6, 1]], "cap": 6}, 3,
+                ("NoContradiction", "Infeasible"), [
         ("profile", "cap"), ("profile", "known", 1, 1), ("oracle", "page"),
-        ("oracle", "witness", "type"), ("oracle", "witness", "barriers"),
-        ("oracle", "witness", "barriers", 0), ("oracle", "witness", "barriers", 0, 0),
+        ("oracle", "witness", "type"), ("oracle", "witness", "barrier"),
+        ("oracle", "witness", "barrier", 0),
     ]),
 }
 
@@ -987,7 +1031,8 @@ def stored_witnesses(tmp_path_factory):
         envelope = json.loads(out.getvalue())
         assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == kinds
         stored[name] = envelope
-    assert stored["barriers"]["oracle"]["witness"]["barriers"] == [[7]]
+    assert stored["barrier"]["oracle"]["witness"] == {"type": "tutte-barrier", "barrier": [7]}
+    assert all("n" not in envelope and "nu" not in envelope for envelope in stored.values())
     return folder, stored
 
 

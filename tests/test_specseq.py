@@ -6,9 +6,10 @@ page can die, and (2,2) whose middle slots cannot.
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from isofloer import specseq
 from isofloer.catalog import munzner_betti_N, validate_family
@@ -93,7 +94,7 @@ class TestStepPage:
         # a pair cancels on one page: moved to page 2, its partners lie 5 slots up
         v = oracle_narrow_feasible(G4_12, 3, 2)
         moved = tuple((s, 2, count) for s, _, count in v.witness.pairs)
-        relabelled = FeasibleWitness(v.witness.completion, moved)
+        relabelled = FeasibleWitness(moved)
         assert not replay_witness(NarrownessVerdict(3, relabelled), G4_12, 3, 2)
         with pytest.raises(RankViolationError):
             step_page(G4_12_DIMS, 3, RankVector(0, (0,) * 7))
@@ -181,21 +182,20 @@ class TestOracle:
     def test_g4_12_feasible_with_expected_witness(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
         assert v.kind == FEASIBLE
-        assert v.witness.completion == (1, 1, 1, 2, 1, 1, 1)
         assert v.witness.pairs == ((0, 1, 1), (1, 1, 1), (3, 1, 1), (4, 1, 1))
 
     def test_g4_22_infeasible(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
         assert v.kind == INFEASIBLE
         # slot 0 has no partner at all, so the empty barrier leaves it unpaired
-        assert v.witness.barriers == ((),)
+        assert v.witness.barrier == ()
         assert v.witness.completions_tried == 1
         assert v.witness.states_explored >= 1
 
     def test_hall_set_barrier(self):
         # two classes in slot 0 but one partner in slot 2
         v = oracle_narrow_feasible(make_profile(2, [(0, 2), (2, 1)]), 3, 1)
-        assert v.witness.barriers == ((2,),)
+        assert v.witness.barrier == (2,)
         assert is_tutte_barrier(make_profile(2, [(0, 2), (2, 1)]), 3, 1, (2,))
 
     def test_fifteen_slot_parity_case(self):
@@ -237,6 +237,30 @@ class TestOracle:
             oracle_narrow_feasible(make_partial_profile(4, [(0, 1)], cap=MAX_CLASSES + 1), 3, 1)
         assert time.perf_counter() - start < 0.5
 
+    def test_size_refusal_comes_before_the_graph(self, monkeypatch):
+        # 4097 slots of one class each at Maslov 3: the graph's partner lists
+        # would hold about 11 million entries
+        profile = make_profile(4096, [(s, 1) for s in range(4097)])
+        start = time.perf_counter()
+        with pytest.raises(SearchCapError, match="4097"):
+            oracle_narrow_feasible(profile, 3, 4097 // 3)
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchCapError):
+                oracle_narrow_feasible(profile, 3, 4097 // 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+        def refuse(*args):
+            raise AssertionError("built the graph")
+
+        monkeypatch.setattr(specseq, "_graph", refuse)
+        with pytest.raises(SearchCapError):
+            oracle_narrow_feasible(profile, 3, 4097 // 3)
+
     def test_wide_zero_cap_profile_is_decided(self):
         profile = make_partial_profile(1500, [], cap=0)
         v = oracle_narrow_feasible(profile, 3, 1501 // 3)
@@ -257,7 +281,7 @@ class TestOracle:
         profile = make_partial_profile(20, [(0, 1)] + [(t, 0) for t in partners], cap=20)
         start = time.perf_counter()
         v = oracle_narrow_feasible(profile, 3, 7)
-        assert v.witness == InfeasibleWitness(((),))
+        assert v.witness == InfeasibleWitness(())
         assert replay_witness(v, profile, 3, 7)
         assert time.perf_counter() - start < 5.0
 
@@ -281,11 +305,11 @@ class TestOracle:
         assert replay_witness(v, profile, maslov, nu)
 
     def test_bounded_partial_profile_enumerates_completions(self):
-        # one open slot of width 2; the first completion (1,0,1) already dies
+        # one open slot of width 2; the pairs pair off the completion (1, 0, 1)
         profile = make_partial_profile(2, [(0, 1), (2, 1)], cap=3)
         v = oracle_narrow_feasible(profile, 3, 1)
         assert v.kind == FEASIBLE
-        assert v.witness.completion == (1, 0, 1)
+        assert v.witness.pairs == ((0, 1, 1),)
 
 
 def brute_feasible(dims, maslov, nu):
@@ -347,7 +371,7 @@ def test_decider_matches_brute_force(page):
     assert (v.kind == FEASIBLE) == brute_feasible(dims, maslov, nu)
     assert replay_witness(v, profile, maslov, nu)
     if v.kind == INFEASIBLE:
-        assert is_tutte_barrier(profile, maslov, nu, v.witness.barriers[0])
+        assert is_tutte_barrier(profile, maslov, nu, v.witness.barrier)
     else:  # the page model is the reference the pairs are held to
         page = dims
         for ranks in rank_vectors(v.witness.pairs, len(dims), nu):
@@ -411,6 +435,75 @@ def test_some_slot_barrier_exists_iff_brute_force_fails(case):
     )
     feasible = any(brute_feasible(dims, maslov, nu) for dims in completions_within_the_cap(profile))
     assert certified != feasible
+
+
+@st.composite
+def paired_pages(draw, max_n=6, max_count=3):
+    """A page as small as ``small_pages`` draws, whose classes pair off: drawn
+    ``(s, r, count)`` pairs added up slot by slot.  ``small_pages`` seldom
+    draws a page with a pair that pairs off, so this one is built from them."""
+    maslov = draw(st.integers(3, 6))
+    n = draw(st.integers(maslov - 1, max(maslov - 1, max_n)))
+    nu = draw(st.integers(1, (n + 1) // maslov))
+    dims = [0] * (n + 1)
+    for _ in range(draw(st.integers(1, 4))):
+        shift = draw(st.integers(1, nu)) * maslov - 1
+        s, count = draw(st.integers(0, n - shift)), draw(st.integers(1, max_count))
+        dims[s] += count
+        dims[s + shift] += count
+    return tuple(dims), maslov, nu
+
+
+@settings(deadline=None, max_examples=200)
+@given(paired_pages())
+@example(((1, 1, 1, 2, 1, 1, 1), 3, 2))
+def test_feasible_replay_refuses_a_raised_count_or_a_dropped_pair(page):
+    dims, maslov, nu = page
+    profile = make_profile(len(dims) - 1, list(enumerate(dims)))
+    v = oracle_narrow_feasible(profile, maslov, nu)
+    assert v.kind == FEASIBLE and replay_witness(v, profile, maslov, nu)
+    pairs = v.witness.pairs
+    for i, (s, r, count) in enumerate(pairs):
+        for edited in (pairs[:i] + ((s, r, count + 1),) + pairs[i + 1:], pairs[:i] + pairs[i + 1:]):
+            forged = NarrownessVerdict(v.page, FeasibleWitness(edited))
+            assert not replay_witness(forged, profile, maslov, nu)
+
+
+@st.composite
+def open_partner_profiles(draw):
+    """A capped profile that pairs off, with two open partner slots s and
+    s + rN - 1: the completion ``paired_pages`` draws, with a drawn set of its
+    slots opened and the room the cap leaves them."""
+    dims, maslov, nu = draw(paired_pages())
+    n = len(dims) - 1
+    r = draw(st.integers(1, nu))
+    s = draw(st.integers(0, n - (r * maslov - 1)))  # nu * maslov - 1 <= n
+    opened = {s, s + r * maslov - 1} | set(draw(st.lists(st.integers(0, n), max_size=n + 1)))
+    known = [(u, dim) for u, dim in enumerate(dims) if u not in opened]
+    room = sum(dims[u] for u in opened) + draw(st.integers(0, 3))
+    return make_partial_profile(n, known, sum(dim for _, dim in known) + room), maslov, nu, s, r
+
+
+@settings(deadline=None, max_examples=200)
+@given(open_partner_profiles())
+@example((make_partial_profile(4, [(0, 1)], 5), 3, 1, 1, 1))
+def test_feasible_replay_refuses_an_open_pair_past_the_cap(case):
+    profile, maslov, nu, s, r = case
+    v = oracle_narrow_feasible(profile, maslov, nu)
+    assert v.kind == FEASIBLE and replay_witness(v, profile, maslov, nu)
+    t, pairs = s + r * maslov - 1, {(a, b): c for a, b, c in v.witness.pairs}
+    total = 2 * sum(pairs.values())
+    used = sum(slot.lo for slot in profile.slots if slot.known)
+    paired = {u: sum(c for (a, b), c in pairs.items() if u in (a, a + b * maslov - 1))
+              for u in (s, t)}
+    # the fewest added classes that pass the cap, if both slots can take them
+    k = (profile.cap - total) // 2 + 1
+    assume(all(paired[u] + k <= profile.cap - used for u in (s, t)))
+    for count, ok in ((k - 1, True), (k, False)):
+        edited = dict(pairs)
+        edited[s, r] = edited.get((s, r), 0) + count
+        witness = FeasibleWitness(tuple((a, b, c) for (a, b), c in sorted(edited.items()) if c))
+        assert replay_witness(NarrownessVerdict(v.page, witness), profile, maslov, nu) is ok
 
 
 class TestOracleCrossCheck:
@@ -486,7 +579,7 @@ class TestReplay:
     def test_pair_edits(self, pairs, ok):
         profile = make_profile(7, [(0, 2), (2, 2), (5, 1), (7, 1)])
         assert oracle_narrow_feasible(profile, 3, 2).witness.pairs == ((0, 1, 2), (5, 1, 1))
-        edited = NarrownessVerdict(3, FeasibleWitness(profile.dims(), pairs))
+        edited = NarrownessVerdict(3, FeasibleWitness(pairs))
         assert replay_witness(edited, profile, 3, 2) is ok
 
     @pytest.mark.parametrize(
@@ -500,7 +593,7 @@ class TestReplay:
     def test_pair_off_the_graph_fails(self, dims, pair):
         profile = make_profile(len(dims) - 1, list(enumerate(dims)))
         assert oracle_narrow_feasible(profile, 3, 1).kind == INFEASIBLE
-        witness = FeasibleWitness(dims, (pair,))
+        witness = FeasibleWitness((pair,))
         assert not replay_witness(NarrownessVerdict(2, witness), profile, 3, 1)
 
     def test_chain_through_an_unbounded_neighbour_fails(self):
@@ -538,17 +631,20 @@ class TestReplay:
     def test_barrier_edits(self, barrier, ok):
         profile = make_profile(2, [(0, 3), (2, 1)])
         v = oracle_narrow_feasible(profile, 3, 1)
-        assert v.witness.barriers == ((2,),)
-        edited = NarrownessVerdict(2, InfeasibleWitness((barrier,)))
+        assert v.witness.barrier == (2,)
+        edited = NarrownessVerdict(2, InfeasibleWitness(barrier))
         assert replay_witness(edited, profile, 3, 1) is ok
 
     def test_infeasible_witness_holds_one_barrier(self):
         profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
         v = oracle_narrow_feasible(profile, 3, 1)
-        assert v.witness.barriers == ((),)
-        for barriers in (v.witness.barriers[:-1], v.witness.barriers + ((),), ()):
-            edited = NarrownessVerdict(2, InfeasibleWitness(barriers))
-            assert not replay_witness(edited, profile, 3, 1)
+        assert v.witness.barrier == ()
+        payload = verdict_to_json(v)
+        assert payload["witness"] == {"type": "tutte-barrier", "barrier": []}
+        # a list of barriers is not a barrier
+        payload["witness"]["barrier"] = [[]]
+        with pytest.raises(WitnessError, match="integer"):
+            verdict_from_json(payload)
 
     @pytest.mark.parametrize(
         "barrier,ok",
@@ -561,13 +657,13 @@ class TestReplay:
     )
     def test_pool_barrier_edits(self, barrier, ok):
         profile = make_partial_profile(6, [(0, 3), (6, 1)], cap=6)
-        assert oracle_narrow_feasible(profile, 3, 2).witness.barriers == ((7,),)
-        edited = NarrownessVerdict(3, InfeasibleWitness((barrier,)))
+        assert oracle_narrow_feasible(profile, 3, 2).witness.barrier == (7,)
+        edited = NarrownessVerdict(3, InfeasibleWitness(barrier))
         assert replay_witness(edited, profile, 3, 2) is ok
 
     def test_states_explored_stays_out_of_equality(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
-        assert v.witness == InfeasibleWitness(v.witness.barriers, v.witness.states_explored + 1)
+        assert v.witness == InfeasibleWitness(v.witness.barrier, v.witness.states_explored + 1)
 
     def test_corrupted_bound_fails(self):
         v = propagate_narrow(G4_22, 4, 8, 2)
@@ -588,14 +684,14 @@ class TestReplay:
         # slot 0's pair moved to slot 2: slot 0 is left unpaired, slot 4 paired twice
         v = oracle_narrow_feasible(G4_12, 3, 2)
         pairs = ((1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1))
-        bad = NarrownessVerdict(v.page, type(v.witness)(v.witness.completion, pairs))
+        bad = NarrownessVerdict(v.page, type(v.witness)(pairs))
         assert not replay_witness(bad, G4_12, 3, 2)
 
     def test_completion_outside_profile_fails(self):
+        # the pairs add up to the completion (9, 1, 9, 2, 1, 1, 1)
         v = oracle_narrow_feasible(G4_12, 3, 2)
-        bad = NarrownessVerdict(
-            v.page, type(v.witness)((9, 1, 1, 2, 1, 1, 1), v.witness.pairs)
-        )
+        pairs = ((0, 1, 9),) + v.witness.pairs[1:]
+        bad = NarrownessVerdict(v.page, type(v.witness)(pairs))
         assert not replay_witness(bad, G4_12, 3, 2)
 
     def test_wrong_final_page_fails(self):
@@ -610,9 +706,10 @@ class TestReplay:
                 assert not replay_witness(bad, profile, maslov, 2), (v.kind, page)
 
     def test_completion_above_cap_fails(self):
-        # every slot is within its interval, but the total 4 exceeds the cap 3
+        # the pairs add up to (1, 1, 1, 1, 0): every slot is within its
+        # interval, but the total 4 exceeds the cap 3
         profile = make_partial_profile(4, [(0, 1), (3, 1)], cap=3)
-        witness = FeasibleWitness((1, 1, 1, 1, 0), ((0, 1, 1), (1, 1, 1)))
+        witness = FeasibleWitness(((0, 1, 1), (1, 1, 1)))
         assert not replay_witness(NarrownessVerdict(2, witness), profile, 3, 1)
 
     def test_non_witness_raises(self):
@@ -643,7 +740,7 @@ class TestVerdictJson:
             "contradiction-chain",
             "final-page",
             "cancellation-pairs",
-            "tutte-barriers",
+            "tutte-barrier",
         ]
 
     def test_kind_witness_mismatch_rejected(self):
