@@ -39,7 +39,6 @@ from .specseq import (
     INFEASIBLE,
     EngineError,
     SearchCapError,
-    UnknownSlotsError,
     WitnessError,
     oracle_narrow_feasible,
     propagate_narrow,
@@ -314,7 +313,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     if args.oracle:
         try:
             oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu)
-        except (UnknownSlotsError, SearchCapError) as exc:
+        except SearchCapError as exc:
             oracle_note = str(exc)
     if args.format == "json":
         _emit_json({

@@ -35,6 +35,17 @@ def as_int(value, error: type[ValueError] = ProfileError, what: str = "value") -
     return value
 
 
+def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") -> list:
+    """Return ``value`` if it is a JSON array, else raise ``error``.
+
+    Iterating a JSON object or string where an array belongs would read its
+    keys or characters, so ``{}`` and ``""`` would pass as empty lists.
+    """
+    if not isinstance(value, list):
+        raise error(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class DimBound:
     """Closed interval [lo, hi] of possible Z2 dimensions.
@@ -60,12 +71,6 @@ class DimBound:
     def known(self) -> bool:
         return self.hi == self.lo
 
-    def __add__(self, other: "DimBound") -> "DimBound":
-        if not isinstance(other, DimBound):
-            return NotImplemented
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return DimBound(self.lo + other.lo, hi)
-
 
 ZERO = DimBound.exact(0)
 
@@ -83,9 +88,9 @@ class BettiProfile:
     in [0, n] has the bound ``default``.  Equality compares the dense
     views, so one profile written with two different supports is one
     value.  ``cap``, when present, bounds the *total* Betti number; it is
-    what the unknown slots' upper ends were derived from and it tightens
-    ``total_betti`` beyond the slotwise sum.  A cap below the slots' lower
-    ends total leaves no completion and is refused.
+    what the unknown slots' upper ends were derived from, and the unknown
+    slots share it.  A cap below the slots' lower ends total leaves no
+    completion and is refused.
     """
 
     n: int
@@ -177,23 +182,6 @@ def euler_char(profile: BettiProfile) -> int:
     return sum(dim if s % 2 == 0 else -dim for s, dim in enumerate(dims))
 
 
-def total_betti(profile: BettiProfile) -> DimBound:
-    """Interval sum of all slots, tightened by the profile cap if any.
-
-    Sums the support and counts the default once per unlisted degree.
-    """
-    bounds, default = profile.support.values(), profile.default
-    unlisted = profile.n + 1 - len(bounds)
-    lo = sum(slot.lo for slot in bounds) + unlisted * default.lo
-    if any(slot.hi is None for slot in bounds) or (unlisted and default.hi is None):
-        hi = None
-    else:
-        hi = sum(slot.hi for slot in bounds) + (unlisted * default.hi if unlisted else 0)
-    if profile.cap is not None:
-        hi = profile.cap if hi is None else min(hi, profile.cap)
-    return DimBound(lo, hi)
-
-
 def check_poincare(profile: BettiProfile) -> bool:
     """Z2 Poincare symmetry dim[s] == dim[n-s], a closed-manifold sanity check."""
     dims = profile.dims()
@@ -224,7 +212,9 @@ def profile_from_json(data: dict) -> BettiProfile:
     if cap is not None:
         as_int(cap, what="profile field 'cap'")
     try:
-        known = [(as_int(d, what="degree"), as_int(v, what="dimension")) for d, v in raw]
+        known = [(as_int(d, what="degree"), as_int(v, what="dimension"))
+                 for d, v in (as_list(entry, what="a 'known' entry")
+                              for entry in as_list(raw, what="profile field 'known'"))]
     except (TypeError, ValueError) as exc:
         raise ProfileError(f"malformed 'known' entries: {exc}") from exc
     return make_partial_profile(n, known, cap)

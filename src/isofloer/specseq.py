@@ -31,13 +31,14 @@ Two deciders answer "can the final page vanish":
 
 * ``propagate_narrow`` pushes interval bounds page by page.  Sound on
   partially known profiles, not complete.
-* ``oracle_narrow_feasible`` is exact, and polynomial in the total
-  dimension.  The final page vanishes exactly when the first page's
+* ``oracle_narrow_feasible`` is exact, and polynomial in the number of
+  exact classes.  The final page vanishes exactly when the first page's
   classes pair off along the cancellation graph (a class in slot s with
   one in slot s + rN - 1, 1 <= r <= nu).  A maximum matching decides that
-  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  A capped
-  partial profile adds one pool slot for its open classes, so one
-  matching decides it too.
+  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  A partial
+  profile, capped or not, adds one pool slot for its open classes, so one
+  matching decides it too.  The decider and the barrier check refuse the
+  same profiles: those beyond ``MAX_CLASSES`` exact and pool classes.
 
 A Feasible witness is that matching, counted by slot and page.  If each
 class has one partner, the ranks a_r[s] = count(s, r) are legal on every
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate
 
-from .homology import BettiProfile, DimBound, as_int, total_betti
+from .homology import BettiProfile, DimBound, as_int, as_list
 
 
 class EngineError(ValueError):
@@ -77,7 +78,7 @@ class RankViolationError(EngineError):
 
 
 class UnknownSlotsError(EngineError):
-    """The oracle needs a cap, and every unknown slot over [0, cap - known total]."""
+    """An unknown slot narrower than [0, cap - known total], or bounded with no cap."""
 
 
 class SearchCapError(EngineError):
@@ -96,8 +97,8 @@ INFEASIBLE = "Infeasible"
 
 LIFTED_MIN_MASLOV = 3
 
-# Limit of the exact decider: on a 2-core machine the slowest matching found
-# on MAX_CLASSES classes took about a second.
+# Limit of the exact decider on exact classes plus pool classes: on a 2-core
+# machine the slowest matching found on MAX_CLASSES classes took about a second.
 MAX_CLASSES = 1000
 
 
@@ -327,19 +328,13 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
     """Decide exactly whether some legal rank choice kills the final page.
 
     One maximum matching on ``_graph`` decides it, whether the profile is
-    fully known or capped: a perfect matching is the Feasible witness, a
-    stuck alternating tree the Infeasible one, a single Tutte barrier.
-    Beyond ``MAX_CLASSES`` on the total dimension: SearchCapError, before
-    any graph is built.
+    fully known, capped or uncapped: a perfect matching is the Feasible
+    witness, a stuck alternating tree the Infeasible one, a single Tutte
+    barrier.  ``_graph`` refuses what it cannot decide.
     """
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    total = total_betti(profile).hi  # None: an open slot with no cap, which _graph refuses
-    if total is not None and total > MAX_CLASSES:
-        raise SearchCapError(
-            f"total dimension may reach {total}, above the matching's limit of {MAX_CLASSES}"
-        )
     return NarrownessVerdict(nu + 1, _match(*_graph(profile, maslov, nu), maslov))
 
 
@@ -348,38 +343,47 @@ def _graph(profile: BettiProfile, maslov: int, nu: int):
 
     Exact slots keep their dimension and open slots get 0; nonzero slots s
     and s + rN - 1, 1 <= r <= nu, are partners.  Open slots must range over
-    [0, room] at least, room = cap - used, and share that budget.  Two open
-    classes that cancel each other can be dropped, so only open classes
-    paired with exact ones matter, and slot n + 1, the pool, stands for
-    them: the largest count <= room with the parity of used, so that its
-    leftover classes pair among themselves.  The pool is its own partner
-    and, after the exact ones, a partner of every exact slot s with an open
-    partner, the first of which is ``exits[s]``.
+    [0, room], room = cap - used, or be unbounded with no cap.  Two open
+    classes that cancel each other can be dropped, so slot n + 1, the pool,
+    stands for those paired with the E classes of the exact slots s with an
+    open partner, the first of which is ``exits[s]``: min(room, E) classes,
+    one fewer if that parity differs from used's, so that its leftover
+    classes pair among themselves.  The pool is its own partner and, after
+    the exact ones, a partner of every slot in ``exits``.  This is the
+    oracle's one gate: beyond ``MAX_CLASSES`` exact classes, or exact and
+    pool classes, SearchCapError, before any partner list is built.
     """
     slots, width = profile.slots, profile.n + 1
     opened = [not slot.known for slot in slots]
     dims = [0 if free else slot.lo for slot, free in zip(slots, opened)]
-    exits, pool = {}, 0
-    if any(opened):
-        if profile.cap is None:
-            raise UnknownSlotsError("profile has slots with no finite upper bound")
-        used = sum(dims)
-        room = profile.cap - used
-        if any(slot.lo or (slot.hi is not None and slot.hi < room)
-               for slot, free in zip(slots, opened) if free):
-            raise UnknownSlotsError(
-                f"the oracle needs every unknown slot to range over [0, {room}] at least"
-            )
-        pool = max(0, room - (room + used) % 2)
+    used = sum(dims)
+    if used > MAX_CLASSES:
+        raise SearchCapError(f"{used} exact classes, above the matching's limit of {MAX_CLASSES}")
+    room = None if profile.cap is None else profile.cap - used
+    if any(slot.lo or slot.hi is not None and (room is None or slot.hi < room)
+           for slot, free in zip(slots, opened) if free):
+        span = "[0, unbounded)" if room is None else f"[0, {room}]"
+        raise UnknownSlotsError(f"the oracle needs every unknown slot to range over {span}")
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
-    partners = [[t for k in shifts for t in (s - k, s + k) if 0 <= t < width and dims[t]]
-                if dims[s] else [] for s in range(width)]
-    for s in range(width) if pool else ():
+    exits = {}
+    for s in range(width) if any(opened) else ():
         t = next((t for k in shifts for t in (s - k, s + k)
                   if 0 <= t < width and opened[t]), None) if dims[s] else None
         if t is not None:
             exits[s] = t
-            partners[s].append(width)
+    pool = sum(dims[s] for s in exits)
+    if room is not None:
+        pool = min(pool, room)
+    pool = max(0, pool - (pool + used) % 2)
+    if used + pool > MAX_CLASSES:
+        raise SearchCapError(f"{used} exact classes and a pool of {pool}, above the "
+                             f"matching's limit of {MAX_CLASSES}")
+    partners = [[t for k in shifts for t in (s - k, s + k) if 0 <= t < width and dims[t]]
+                if dims[s] else [] for s in range(width)]
+    if not pool:
+        exits = {}
+    for s in exits:
+        partners[s].append(width)
     partners.append([width, *exits])
     return dims + [pool], partners, exits
 
@@ -482,7 +486,7 @@ def is_tutte_barrier(profile: BettiProfile, maslov: int, nu: int, barrier) -> bo
     or one when its total is odd if it is its own partner (the pool, a
     clique), and a larger connected group is one odd part when its total is
     odd; more odd parts than classes in the barrier leave a class unpaired
-    (Tutte 1952).
+    (Tutte 1952).  A profile that ``_graph`` refuses raises, as the decider does.
     """
     dims, partners, _ = _graph(profile, maslov, nu)
     removed = set(barrier)
@@ -517,7 +521,8 @@ def replay_witness(
     an Infeasible witness's barrier is checked with ``is_tutte_barrier``,
     without calling the decider; NoContradiction is checked by
     recomputation.  Every verdict names the final page nu + 1.  Malformed
-    structure raises; wrong values return False.
+    structure raises; wrong values return False; a profile beyond the
+    oracle's limits raises SearchCapError for a barrier.
     """
     witness = verdict.witness
     final = verdict.page == nu + 1
@@ -602,6 +607,12 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
 
 
 _as_int = partial(as_int, error=WitnessError, what="witness field")
+_as_list = partial(as_list, error=WitnessError, what="witness entry")
+
+
+def _rows(payload: dict, key: str, entry=_as_list) -> list:
+    """The list under ``key``, with ``entry`` applied to each of its entries."""
+    return [entry(row) for row in _as_list(payload[key], what=f"witness field {key!r}")]
 
 
 def _as_opt_int(value) -> int | None:
@@ -619,21 +630,21 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         if wtype == "contradiction-chain":
             chain = tuple(
                 ChainStep(*(_as_int(c[f.name]) for f in fields(ChainStep)))
-                for c in payload["chain"]
+                for c in _as_list(payload["chain"], what="witness field 'chain'")
             )
             witness = ContradictionWitness(
                 _as_int(payload["slot"]), _as_int(payload["bound"]), chain
             )
         elif wtype == "final-page":
             witness = FinalPageWitness(
-                tuple(DimBound(_as_int(lo), _as_opt_int(hi)) for lo, hi in payload["slots"])
+                tuple(DimBound(_as_int(lo), _as_opt_int(hi)) for lo, hi in _rows(payload, "slots"))
             )
         elif wtype == "cancellation-pairs":
             witness = FeasibleWitness(
-                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in payload["pairs"])
+                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in _rows(payload, "pairs"))
             )
         elif wtype == "tutte-barrier":
-            witness = InfeasibleWitness(tuple(_as_int(s) for s in payload["barrier"]))
+            witness = InfeasibleWitness(tuple(_rows(payload, "barrier", _as_int)))
         if witness is None or kind != witness.kind:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
         verdict = NarrownessVerdict(_as_opt_int(data["page"]), witness)

@@ -193,12 +193,33 @@ class TestNarrowCheck:
         assert envelope["oracle"]["kind"] == "Feasible"
 
     def test_oracle_refusal_still_exits_0(self, capsys, tmp_path):
+        # one class past the limit, and 600 classes whose open partner slot 2
+        # would need a pool of 600
+        path = tmp_path / "big.json"
+        for known, reason in [([[0, 501], [2, 500]], "1001 exact classes,"),
+                              ([[0, 600]], "600 exact classes and a pool of 600,")]:
+            path.write_text(json.dumps({"n": 2, "known": known, "cap": None}), encoding="utf-8")
+            code, out, _ = run(
+                capsys, ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
+            )
+            assert code == 0
+            assert out.splitlines()[-1] == (
+                f"oracle skipped: {reason} above the matching's limit of 1000")
+
+    def test_uncapped_catalog_table_is_decided(self, capsys, tmp_path):
+        # the (6, 2, 2) table lists degrees 0, 3, 6, 9, 12 and leaves the rest
+        # open with no cap; slot 6's two classes have no partner
         path = write_profile(tmp_path, "g6.json", validate_family(6, 2, 2))
         code, out, _ = run(
-            capsys, ["narrow-check", "--profile", path, "--maslov", "4", "--oracle"]
+            capsys,
+            ["narrow-check", "--profile", path, "--maslov", "4", "--oracle", "--format", "json"],
         )
         assert code == 0
-        assert "oracle skipped" in out
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["kind"], oracle["witness"]["barrier"]) == ("Infeasible", [])
+        witness = tmp_path / "witness.json"
+        witness.write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
     @pytest.mark.parametrize(
         "profile,maslov",
@@ -338,7 +359,7 @@ class TestNarrowCheck:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out.splitlines()[-1] == (
-            "oracle skipped: total dimension may reach 4097, above the matching's limit of 1000")
+            "oracle skipped: 4097 exact classes, above the matching's limit of 1000")
 
     def test_oracle_limits_are_skipped(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -350,7 +371,7 @@ class TestNarrowCheck:
             capsys, ["narrow-check", "--profile", str(path), "--maslov", "3", "--oracle"]
         )
         assert code == 0
-        assert "oracle skipped: total dimension may reach 2000000" in out
+        assert "oracle skipped: 2000000 exact classes," in out
 
     @pytest.mark.parametrize("command", ["narrow-check", "wide-check"])
     def test_top_degree_above_the_limit_exits_2(self, capsys, tmp_path, command):
@@ -460,6 +481,16 @@ class TestReplay:
         witness.write_text(json.dumps(payload), encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
 
+    def test_forged_unbounded_infeasible_exits_1(self, capsys, tmp_path):
+        # a true Infeasible verdict for the capped profile, replayed with the cap
+        # dropped: the uncapped pool serves slots 0 and 3, so the barrier fails
+        payload = envelope(CAPPED | {"cap": None}, 3, oracle_json(CAPPED, 3))
+        assert payload["oracle"]["witness"]["barrier"] == []
+        assert oracle_json(CAPPED | {"cap": None}, 3)["kind"] == "Feasible"
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, ["replay", str(witness)]) == (1, "witness replay: MISMATCH\n", "")
+
     def test_forged_barriers_fail_at_the_first(self, capsys, tmp_path):
         # an Infeasible witness holds one barrier, a list of slots; a list of
         # 10,000 barriers is refused at its first entry
@@ -536,7 +567,7 @@ class TestReplay:
         monkeypatch.setattr(cli, "oracle_narrow_feasible", refuse)
         start = time.perf_counter()
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
-        assert (decided_s, time.perf_counter() - start) < (1.0, 1.0)
+        assert decided_s < 1.0 and time.perf_counter() - start < 1.0
 
     def test_tampered_witness_exits_1(self, capsys, tmp_path):
         witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
@@ -707,6 +738,16 @@ def oracle_json(profile: dict, maslov: int) -> dict:
     return verdict_to_json(oracle_narrow_feasible(parsed, maslov, (parsed.n + 1) // maslov))
 
 
+def edited(payload, path: tuple, value):
+    """A deep copy of ``payload`` with ``value`` at the key path ``path``."""
+    payload = copy.deepcopy(payload)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
 def forged_headline() -> dict:
     payload = envelope(G4_22_PROFILE, 4)
     payload["verdict"].update(slot=0, bound=99)
@@ -726,6 +767,14 @@ RANK_ASSIGNMENT = {
     "witness": {"type": "rank-assignment", "completion": [1, 1, 1, 2, 1, 1, 1],
                 "ranks": [{"page": 1, "ranks": [1, 1, 0, 1, 1, 0, 0]},
                           {"page": 2, "ranks": [0, 0, 0, 0, 0, 0, 0]}]},
+}
+
+# 4097 classes, one per slot, and an empty barrier: the decider refuses this
+# profile, and so does replay
+ONES = {"n": 4096, "known": [[s, 1] for s in range(4097)], "cap": None}
+FORGED_ONES_INFEASIBLE = {
+    "kind": "Infeasible", "slot": None, "page": 4097 // 3 + 1, "bound": None,
+    "witness": {"type": "tutte-barrier", "barrier": []},
 }
 
 # the g = 4, (2, 2) barrier in the retired list-of-barriers form
@@ -759,10 +808,30 @@ FAILURES = [
     pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], G6_PROFILE, 1,
                  "unknown", id="unknown-degree-wide-check"),
     pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
-    # a true Infeasible verdict for the capped profile, replayed with the cap dropped:
-    # replay cannot size the pool its barrier belongs to
-    pytest.param(REPLAY, envelope(CAPPED | {"cap": None}, 3, oracle_json(CAPPED, 3)), 1,
-                 "no finite upper bound", id="forged-unbounded-infeasible"),
+    pytest.param(REPLAY, envelope(ONES, 3, FORGED_ONES_INFEASIBLE), 1,
+                 "4097 exact classes, above the matching's limit of 1000",
+                 id="replay-over-the-limit"),
+    pytest.param(NARROW + ["3"], CAPPED | {"known": {}}, 2, "'known' must be a list, got dict",
+                 id="known-object"),
+    pytest.param(NARROW + ["3"], CAPPED | {"known": ""}, 2, "'known' must be a list, got str",
+                 id="known-string"),
+    pytest.param(NARROW + ["3"], CAPPED | {"known": [{"0": 1}]}, 2,
+                 "'known' entry must be a list, got dict", id="known-entry-object"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3, oracle_json(G4_12_PROFILE, 3)),
+                                ("oracle", "witness", "pairs"), {}), 2,
+                 "'pairs' must be a list, got dict", id="pairs-object"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3, oracle_json(G4_12_PROFILE, 3)),
+                                ("oracle", "witness", "pairs", 0), "012"), 2,
+                 "entry must be a list, got str", id="pairs-entry-string"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4, oracle_json(G4_22_PROFILE, 4)),
+                                ("oracle", "witness", "barrier"), {}), 2,
+                 "'barrier' must be a list, got dict", id="barrier-object"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "chain"), {}),
+                 2, "'chain' must be a list, got dict", id="chain-object"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots"), ""),
+                 2, "'slots' must be a list, got str", id="slots-string"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots", 0),
+                                {}), 2, "entry must be a list, got dict", id="slots-entry-object"),
     pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
                  2, "does not match witness type 'exhausted-search'", id="wide-oracle"),
     pytest.param(REPLAY, envelope(G4_12_PROFILE, 3, RANK_ASSIGNMENT), 2,
@@ -984,6 +1053,9 @@ json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
 )
 json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=4))
+# no JSON array: a reader that iterated these would take {} or "" for an empty list
+non_lists = st.one_of(json_scalars, st.dictionaries(st.text(max_size=3), json_scalars,
+                                                    max_size=3))
 
 # every witness kind: the profile, its Maslov number, the verdict kinds and
 # the paths of the fields the fuzz may overwrite
@@ -1044,16 +1116,33 @@ FUZZ_FIELDS = [(name, path) for name, (*_, paths) in WITNESS_FILES.items() for p
 def test_replay_exits_cleanly_on_any_field_value(stored_witnesses, field, value):
     folder, stored = stored_witnesses
     name, path = field
-    payload = copy.deepcopy(stored[name])
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
     witness = folder / "witness.json"
-    witness.write_text(json.dumps(payload), encoding="utf-8")
+    witness.write_text(json.dumps(edited(stored[name], path, value)), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["replay", str(witness)])
     assert code in (0, 1, 2)
+
+
+# the witness fields that hold a list, or a list per entry
+LIST_FIELDS = [
+    ("g4-22", ("verdict", "witness", "chain")), ("g4-22", ("oracle", "witness", "barrier")),
+    ("g4-12", ("verdict", "witness", "slots")), ("g4-12", ("verdict", "witness", "slots", 3)),
+    ("g4-12", ("oracle", "witness", "pairs")), ("g4-12", ("oracle", "witness", "pairs", 0)),
+    ("g4-12", ("profile", "known")), ("g4-12", ("profile", "known", 0)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LIST_FIELDS), non_lists)
+def test_replay_refuses_a_non_list_where_a_list_belongs(stored_witnesses, field, value):
+    folder, stored = stored_witnesses
+    name, path = field
+    witness = folder / "witness.json"
+    witness.write_text(json.dumps(edited(stored[name], path, value)), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["replay", str(witness)])
+    assert code == 2, err.getvalue()
 
 
 # --- profile fuzzing ----------------------------------------------------------
@@ -1070,20 +1159,18 @@ PROFILE_FIELDS = [("n",), ("cap",), ("known",), ("known", 0), ("known", 1, 0), (
 @given(
     st.sampled_from(range(len(PROFILE_FILES))),
     st.sampled_from(PROFILE_FIELDS),
-    json_values,
+    st.one_of(json_values, non_lists),
     st.sampled_from(["narrow-check", "wide-check"]),
 )
 def test_profile_readers_exit_cleanly_on_any_field_value(tmp_path_factory, index, path, value,
                                                          command):
     profile, maslov = PROFILE_FILES[index]
-    payload = copy.deepcopy(profile)
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
     file = tmp_path_factory.getbasetemp() / "fuzzed_profile.json"
-    file.write_text(json.dumps(payload), encoding="utf-8")
+    file.write_text(json.dumps(edited(profile, path, value)), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([command, "--profile", str(file), "--maslov", str(maslov),
                          "--format", "json"])
-    assert code in (0, 1, 2)
+    if path in (("known",), ("known", 0)) and not isinstance(value, list):
+        assert code == 2  # a non-list where a list belongs is a malformed file
+    else:
+        assert code in (0, 1, 2)

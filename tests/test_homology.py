@@ -1,10 +1,8 @@
 """Unit tests for interval-valued Betti profiles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from isofloer.homology import (
-    ZERO,
     BettiProfile,
     DimBound,
     MAX_TOP_DEGREE,
@@ -15,7 +13,6 @@ from isofloer.homology import (
     make_profile,
     profile_from_json,
     profile_to_json,
-    total_betti,
 )
 
 
@@ -39,12 +36,6 @@ class TestDimBound:
     def test_empty_interval_rejected(self):
         with pytest.raises(ProfileError):
             DimBound(3, 2)
-
-    def test_addition(self):
-        assert DimBound(1, 2) + DimBound(0, 3) == DimBound(1, 5)
-
-    def test_addition_absorbs_unbounded(self):
-        assert DimBound(1, 2) + DimBound(1, None) == DimBound(2, None)
 
 
 class TestConstruction:
@@ -147,43 +138,6 @@ class TestQueries:
     def test_euler_char_vanishes_on_odd_symmetric(self):
         p = make_profile(3, [(0, 1), (1, 1), (2, 1), (3, 1)])
         assert euler_char(p) == 0
-
-    def test_total_betti_exact(self):
-        p = make_profile(6, [(0, 1), (2, 2), (4, 2), (6, 1)])
-        assert total_betti(p) == DimBound.exact(6)
-
-    def test_total_betti_of_g4_table(self):
-        p = make_profile(6, [(0, 1), (1, 1), (2, 1), (3, 2), (4, 1), (5, 1), (6, 1)])
-        assert total_betti(p) == DimBound.exact(8)
-
-    def test_total_betti_capped(self):
-        # slotwise sum would be [2, 2 + 2*10]; the cap tightens the top
-        p = make_partial_profile(4, [(0, 1), (4, 1)], cap=12)
-        assert total_betti(p) == DimBound(2, 12)
-
-    def test_total_betti_unbounded(self):
-        p = make_partial_profile(4, [(0, 1), (4, 1)])
-        assert total_betti(p) == DimBound(2, None)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_total_betti_matches_the_dense_sum(self, data):
-        bounds = st.builds(
-            lambda lo, width: DimBound(lo, None if width is None else lo + width),
-            st.integers(0, 3), st.none() | st.integers(0, 3),
-        )
-        n = data.draw(st.integers(0, 12), label="n")
-        support = data.draw(st.dictionaries(st.integers(0, n), bounds), label="support")
-        default = data.draw(bounds, label="default")
-        used = sum(slot.lo for slot in support.values()) + (n + 1 - len(support)) * default.lo
-        cap = data.draw(st.none() | st.integers(used, used + 40), label="cap")
-        profile = BettiProfile(n, support, default, cap)
-        dense = ZERO
-        for slot in profile.slots:
-            dense = dense + slot
-        if cap is not None:
-            dense = DimBound(dense.lo, cap if dense.hi is None else min(dense.hi, cap))
-        assert total_betti(profile) == dense
 
     def test_poincare_symmetry(self):
         sym = make_profile(4, [(0, 1), (2, 2), (4, 1)])

@@ -19,6 +19,7 @@ from isofloer.homology import (
     ProfileError,
     make_partial_profile,
     make_profile,
+    profile_from_json,
 )
 from isofloer.specseq import (
     CONTRADICTION,
@@ -213,31 +214,42 @@ class TestOracle:
         assert v.kind == FEASIBLE
         assert v.witness.pairs == ()
 
-    def test_unbounded_slots_refused(self):
-        with pytest.raises(UnknownSlotsError):
-            oracle_narrow_feasible(G6_PARTIAL, 4, 3)
+    def test_unbounded_slots_are_decided(self):
+        # the (6, 2, 2) table: slot 6's two classes have no partner, open or exact
+        v = oracle_narrow_feasible(G6_PARTIAL, 4, 3)
+        assert v.witness == InfeasibleWitness(())
+        assert replay_witness(v, G6_PARTIAL, 4, 3)
 
     @pytest.mark.parametrize(
-        "open_slot",
-        [DimBound(1, 3), DimBound(0, 2)],  # a class is forced; the cap leaves room for 3
-        ids=["positive-lower-end", "upper-end-below-the-room"],
+        "open_slot,cap",
+        # a class is forced; the cap leaves room for 3; no cap, but an upper end
+        [(DimBound(1, 3), 4), (DimBound(0, 2), 4), (DimBound(0, 5), None)],
+        ids=["positive-lower-end", "upper-end-below-the-room", "upper-end-without-a-cap"],
     )
-    def test_open_slots_narrower_than_the_cap_refused(self, open_slot):
-        profile = BettiProfile(2, {0: DimBound.exact(1), 2: open_slot}, cap=4)
+    def test_open_slots_narrower_than_the_cap_refused(self, open_slot, cap):
+        profile = BettiProfile(2, {0: DimBound.exact(1), 2: open_slot}, cap=cap)
         with pytest.raises(UnknownSlotsError, match="range over"):
             oracle_narrow_feasible(profile, 3, 1)
 
     def test_search_cap_refusal(self):
-        # two million classes: refused before any matching is built
-        profile = make_profile(2, [(0, 1_000_000), (2, 1_000_000)])
+        # two million exact classes, or 600 and as many in the pool: refused
+        # before any matching is built
         start = time.perf_counter()
-        with pytest.raises(SearchCapError, match="total dimension"):
-            oracle_narrow_feasible(profile, 3, 1)
-        with pytest.raises(SearchCapError, match="total dimension"):
-            oracle_narrow_feasible(make_partial_profile(4, [(0, 1)], cap=MAX_CLASSES + 1), 3, 1)
+        with pytest.raises(SearchCapError, match="2000000 exact classes,"):
+            oracle_narrow_feasible(make_profile(2, [(0, 1_000_000), (2, 1_000_000)]), 3, 1)
+        uncapped = make_partial_profile(2, [(0, 600)])
+        with pytest.raises(SearchCapError, match="600 exact classes and a pool of 600"):
+            oracle_narrow_feasible(uncapped, 3, 1)
+        with pytest.raises(SearchCapError, match="a pool of 600"):
+            is_tutte_barrier(uncapped, 3, 1, ())
         assert time.perf_counter() - start < 0.5
+        # a cap past the limit is not a class: the pool holds only slot 0's partner
+        profile = make_partial_profile(4, [(0, 1)], cap=MAX_CLASSES + 1)
+        v = oracle_narrow_feasible(profile, 3, 1)
+        assert v.witness == FeasibleWitness(((0, 1, 1),))
+        assert replay_witness(v, profile, 3, 1)
 
-    def test_size_refusal_comes_before_the_graph(self, monkeypatch):
+    def test_size_refusal_comes_before_the_graph(self):
         # 4097 slots of one class each at Maslov 3: the graph's partner lists
         # would hold about 11 million entries
         profile = make_profile(4096, [(s, 1) for s in range(4097)])
@@ -253,13 +265,6 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-        def refuse(*args):
-            raise AssertionError("built the graph")
-
-        monkeypatch.setattr(specseq, "_graph", refuse)
-        with pytest.raises(SearchCapError):
-            oracle_narrow_feasible(profile, 3, 4097 // 3)
 
     def test_wide_zero_cap_profile_is_decided(self):
         profile = make_partial_profile(1500, [], cap=0)
@@ -388,27 +393,47 @@ def rank_vectors(pairs, width, nu):
 
 
 def completions_within_the_cap(profile):
-    """Every choice of one value per slot, within its bounds and the cap."""
-    ranges = [range(slot.lo, slot.hi + 1) for slot in profile.slots]
-    return [dims for dims in itertools.product(*ranges)
-            if profile.cap is None or sum(dims) <= profile.cap]
+    """Every choice of one value per slot, within its bounds and the cap.
+
+    Without a cap, open values in [0, used] summing to at most used, the
+    known total, are enough: two open classes that cancel each other can be
+    dropped, so if some completion pairs off, one does whose open classes
+    each cancel a distinct known one.
+    """
+    used = sum(slot.lo for slot in profile.slots if slot.known)
+    cap = 2 * used if profile.cap is None else profile.cap
+    ranges = [range(slot.lo, (used if slot.hi is None else slot.hi) + 1) for slot in profile.slots]
+    return [dims for dims in itertools.product(*ranges) if sum(dims) <= cap]
 
 
 @st.composite
-def small_capped_profiles(draw, max_n=6, max_dim=3, max_room=4):
-    """A profile with open slots and a cap within ``max_room`` of the known total,
-    a Maslov number and a page count, all small enough for brute force."""
+def small_partial_profiles(draw, max_n=6, max_dim=3, rooms=st.integers(0, 4)):
+    """A profile with open slots and a cap ``rooms`` above the known total (no
+    cap if it draws None), a Maslov number and a page count, all small enough
+    for brute force."""
     n = draw(st.integers(0, max_n))
     dims = draw(st.lists(st.one_of(st.none(), st.integers(0, max_dim)),
                          min_size=n + 1, max_size=n + 1))
     known = [(s, dim) for s, dim in enumerate(dims) if dim is not None]
-    cap = sum(dim for _, dim in known) + draw(st.integers(0, max_room))
+    room = draw(rooms)
+    cap = None if room is None else sum(dim for _, dim in known) + room
     maslov = draw(st.integers(3, 6))
     return make_partial_profile(n, known, cap), maslov, draw(st.integers(0, (n + 1) // maslov))
 
 
+def exit_classes(profile, maslov, nu):
+    """E: the known classes in slots with an open partner on some page."""
+    slots = profile.slots
+
+    def opened(t):
+        return 0 <= t <= profile.n and not slots[t].known
+
+    return sum(slot.lo for s, slot in enumerate(slots) if slot.known and any(
+        opened(s - r * maslov + 1) or opened(s + r * maslov - 1) for r in range(1, nu + 1)))
+
+
 @settings(deadline=None, max_examples=200)
-@given(small_capped_profiles())
+@given(small_partial_profiles())
 @example((make_partial_profile(6, [(0, 3), (6, 1)], 6), 3, 2))  # slot 0 needs 3 of the 2 open
 @example((make_partial_profile(4, [(0, 1)], 5), 3, 1))  # two of the 3 pool classes pair up
 def test_capped_decider_matches_brute_force_over_the_completions(case):
@@ -419,10 +444,38 @@ def test_capped_decider_matches_brute_force_over_the_completions(case):
     assert replay_witness(v, profile, maslov, nu)
 
 
+@settings(deadline=None, max_examples=200)
+@given(small_partial_profiles(max_n=5, max_dim=2, rooms=st.none()))
+@example((G6_PARTIAL, 4, 3))
+@example((make_partial_profile(4, [(0, 1), (3, 1)]), 3, 1))  # the pool pairs with slots 0, 3
+def test_uncapped_decider_matches_brute_force_over_the_completions(case):
+    # completions_within_the_cap says why open values up to the known total suffice
+    profile, maslov, nu = case
+    v = oracle_narrow_feasible(profile, maslov, nu)
+    feasible = any(brute_feasible(dims, maslov, nu) for dims in completions_within_the_cap(profile))
+    assert (v.kind == FEASIBLE) == feasible
+    assert replay_witness(v, profile, maslov, nu)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_partial_profiles(max_n=12, max_dim=3, rooms=st.none()), st.integers(0, 3))
+def test_a_cap_past_the_exit_classes_decides_as_no_cap(case, extra):
+    # room = cap - used >= E: the pool is E or E - 1 classes either way
+    profile, maslov, nu = case
+    used = sum(slot.lo for slot in profile.slots if slot.known)
+    cap = used + exit_classes(profile, maslov, nu) + extra
+    capped = make_partial_profile(profile.n, [(s, slot.lo) for s, slot in
+                                              enumerate(profile.slots) if slot.known], cap)
+    v = oracle_narrow_feasible(capped, maslov, nu)
+    assert v == oracle_narrow_feasible(profile, maslov, nu)
+    assert replay_witness(v, capped, maslov, nu)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(small_pages().map(
     lambda page: (make_profile(len(page[0]) - 1, list(enumerate(page[0]))), *page[1:])),
-    small_capped_profiles(max_n=5, max_dim=2, max_room=3)))
+    small_partial_profiles(max_n=5, max_dim=2, rooms=st.integers(0, 3)),
+    small_partial_profiles(max_n=4, max_dim=2, rooms=st.none())))
 def test_some_slot_barrier_exists_iff_brute_force_fails(case):
     # so the slot-level check loses nothing: it is exact on its own, the pool
     # slot n + 1 included
@@ -660,6 +713,26 @@ class TestReplay:
         assert oracle_narrow_feasible(profile, 3, 2).witness.barrier == (7,)
         edited = NarrownessVerdict(3, InfeasibleWitness(barrier))
         assert replay_witness(edited, profile, 3, 2) is ok
+
+    def test_barrier_replay_refuses_what_the_decider_refuses(self):
+        # the partner lists of 4097 one-class slots at Maslov 3 would hold about
+        # 11 million entries; replay stops at the same limit as the decider
+        profile = profile_from_json({"n": 4096, "known": [[s, 1] for s in range(4097)]})
+        forged = verdict_from_json({"kind": INFEASIBLE, "slot": None, "page": 4097 // 3 + 1,
+                                    "bound": None,
+                                    "witness": {"type": "tutte-barrier", "barrier": []}})
+        start = time.perf_counter()
+        with pytest.raises(SearchCapError, match="4097 exact classes"):
+            replay_witness(forged, profile, 3, 4097 // 3)
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchCapError):
+                replay_witness(forged, profile, 3, 4097 // 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_states_explored_stays_out_of_equality(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
