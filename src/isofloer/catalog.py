@@ -17,7 +17,6 @@ sequence, and the g = 3 Gauss-image homology.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .homology import (
@@ -109,7 +108,10 @@ def munzner_betti_N(family: IsoparametricFamily) -> BettiProfile:
         if family.m1 != 2:
             raise MissingTableError("no Z2 homology table is on record for g=6, m=1")
         return make_partial_profile(family.n, [(0, 1), (3, 0), (6, 2), (9, 0), (12, 1)])
-    return make_profile(family.n, sorted(Counter(_munzner_degrees(family)).items()))
+    counts: dict[int, int] = {}
+    for degree in _munzner_degrees(family):
+        counts[degree] = counts.get(degree, 0) + 1
+    return make_profile(family.n, sorted(counts.items()))
 
 
 def _munzner_degrees(family: IsoparametricFamily) -> list[int]:

@@ -65,6 +65,9 @@ class DimBound:
 
     @classmethod
     def exact(cls, dim: int) -> "DimBound":
+        """``[dim, dim]``; the small dims of a Muenzner table share one instance each."""
+        if type(dim) is int and 0 <= dim < len(_SMALL_EXACT):
+            return _SMALL_EXACT[dim]
         return cls(dim, dim)
 
     @property
@@ -72,6 +75,8 @@ class DimBound:
         return self.hi == self.lo
 
 
+# A fixed handful, so no input can grow it; every other dim builds afresh.
+_SMALL_EXACT = tuple(DimBound(dim, dim) for dim in range(4))
 ZERO = DimBound.exact(0)
 
 # Widest profile, from a file or a family's table: 8x the widest family at

@@ -24,7 +24,7 @@ from isofloer.criteria import (
     volume_lower_bound,
     wide_check_biran_cornea,
 )
-from isofloer.homology import ProfileError, make_profile
+from isofloer.homology import BettiProfile, ProfileError, make_profile
 from isofloer.specseq import (
     CONTRADICTION,
     MaslovTooSmallError,
@@ -231,6 +231,17 @@ class TestClassifier:
 
 
 class TestReportJson:
+    def test_reports_never_build_the_dense_dims(self, monkeypatch):
+        # the claim and the verdict are written from the table's support
+        families = [f for f in enumerate_families(64) if f.g == 4]
+        expected = [report_to_json(classify(f)) for f in families]
+
+        def refuse(profile):
+            raise AssertionError("BettiProfile.dims was called")
+
+        monkeypatch.setattr(BettiProfile, "dims", refuse)
+        assert [report_to_json(classify(f)) for f in families] == expected
+
     @pytest.mark.parametrize(
         "g,m1,m2",
         [(1, 2, 2), (2, 1, 2), (3, 1, 1), (3, 2, 2), (4, 1, 1), (4, 1, 2), (4, 2, 2), (6, 1, 1), (6, 2, 2)],

@@ -22,6 +22,16 @@ class TestDimBound:
         assert (b.lo, b.hi) == (3, 3)
         assert b.known
 
+    @pytest.mark.parametrize("dim", range(6))
+    def test_exact_equals_its_interval(self, dim):
+        # dims 0..3 come from a shared instance, the rest are built afresh
+        assert DimBound.exact(dim) == DimBound(dim, dim)
+        assert hash(DimBound.exact(dim)) == hash(DimBound(dim, dim))
+
+    def test_exact_refuses_a_negative_dim(self):
+        with pytest.raises(ProfileError):
+            DimBound.exact(-1)
+
     def test_unbounded_above(self):
         b = DimBound(0, None)
         assert not b.known

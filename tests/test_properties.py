@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from isofloer.criteria import _profile_brief
 from isofloer.homology import (
     BettiProfile,
     DimBound,
@@ -165,3 +166,27 @@ def test_oracle_witnesses_replay(profile, maslov):
     v = oracle_narrow_feasible(profile, maslov, nu)
     assert v.kind in (FEASIBLE, INFEASIBLE)
     assert replay_witness(v, profile, maslov, nu)
+
+
+@st.composite
+def sparse_profiles(draw):
+    """Top degree up to 300, a few listed degrees, an exact default of 0..2.
+
+    Some listed slots are intervals, so not every profile is fully known."""
+    n = draw(st.integers(0, 300))
+    slot = st.integers(0, 3).map(DimBound.exact) | st.just(DimBound(0, None))
+    support = draw(st.dictionaries(st.integers(0, n), slot, max_size=10))
+    return BettiProfile(n, support, DimBound.exact(draw(st.integers(0, 2))))
+
+
+def dense_brief(profile):
+    """The claim text as read off the dense view, degree by degree."""
+    if profile.fully_known:
+        return f"dims {list(profile.dims())}"
+    known = {s: slot.lo for s, slot in enumerate(profile.slots) if slot.known}
+    return f"known slots {known}, other degrees unknown"
+
+
+@given(sparse_profiles() | partial_profiles(max_n=300))
+def test_profile_brief_matches_the_dense_rendering(profile):
+    assert _profile_brief(profile) == dense_brief(profile)
