@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .catalog import (
-    REAL_FORM_WIDE,
     IsoparametricFamily,
     cited_facts,
     collapse_step,
@@ -130,25 +129,16 @@ def _profile_brief(profile: BettiProfile) -> str:
     unlisted degrees is k copies of the default, so the dense tuple is never
     built.  Otherwise the known slots are listed as a dict.
     """
-    support, default = profile.support, profile.default
     if profile.fully_known:
+        support, default = profile.support, profile.default
         fill, text, start = f", {default.lo}", [], 0
         for degree in sorted(support):
             text += fill * (degree - start), f", {support[degree].lo}"
             start = degree + 1
         text.append(fill * (profile.n + 1 - start))
         return f"dims [{''.join(text)[2:]}]"
-    if default.known:
-        known = {s: slot.lo for s, slot in enumerate(profile.slots) if slot.known}
-    else:
-        known = {s: support[s].lo for s in sorted(support) if support[s].known}
+    known = {s: slot.lo for s, slot in enumerate(profile.slots) if slot.known}
     return f"known slots {known}, other degrees unknown"
-
-
-# g in {1, 2}: one cited step, the same for every family
-_REAL_FORM_STEPS = (
-    JustificationStep("real-form", "cited", REAL_FORM_WIDE.statement, REAL_FORM_WIDE.source),
-)
 
 
 def classify(family: IsoparametricFamily) -> CaseReport:
@@ -159,10 +149,14 @@ def classify(family: IsoparametricFamily) -> CaseReport:
     lifted narrowness contradiction for g in {4, 6} when the Maslov number
     admits the lifted theory; below that threshold nothing applies.
     """
-    if family.g in (1, 2):
-        return CaseReport(family, WIDE, _REAL_FORM_STEPS, None)
-
     steps: list[JustificationStep] = []
+
+    if family.g in (1, 2):
+        fact = cited_facts(family)[0]
+        steps.append(
+            JustificationStep("real-form", "cited", fact.statement, fact.source)
+        )
+        return CaseReport(family, WIDE, tuple(steps), None)
 
     if family.g == 3:
         maslov = minimal_maslov(family)

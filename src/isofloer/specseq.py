@@ -274,26 +274,22 @@ def propagate_narrow(
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    # Upper bounds are constant across pages.  Shifts are positive, so a
-    # left neighbour can only fall below 0 and a right one only above n,
-    # where the bound is exactly zero.
-    get, default, top = profile.support.get, profile.default, profile.n
+    bound = profile.bound  # upper bounds are constant across pages
 
     # A slot starting at lower bound 0 stays at 0, so only the positive ones
     # are walked; lows[s] is slot s's lower bound on the final page.
-    if default.lo > 0:
-        live = range(top + 1)
+    if profile.default.lo > 0:
+        live = range(profile.n + 1)
     else:
         live = [s for s, slot in profile.support.items() if slot.lo > 0]
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
     lows: dict[int, int] = {}
     for s in live:
-        lo = get(s, default).lo
+        lo = bound(s).lo
         for shift in shifts:
             if not lo:
                 break
-            left_hi = get(s - shift, default).hi if s >= shift else 0
-            right_hi = get(s + shift, default).hi if s + shift <= top else 0
+            left_hi, right_hi = bound(s - shift).hi, bound(s + shift).hi
             lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
         lows[s] = lo
 
