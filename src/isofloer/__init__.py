@@ -6,7 +6,7 @@ sphere, viewed as a monotone Lagrangian in the complex hyperquadric, as Wide
 homology nonzero by a spectral-sequence narrowness contradiction), or
 Unresolved.  ``classify`` is the one classification path for a family; the
 engine functions (``propagate_narrow``, ``oracle_narrow_feasible``,
-``step_page``, ``replay_witness``) work on raw Betti profiles.
+``replay_witness``) work on raw Betti profiles.
 """
 
 from .catalog import (
@@ -38,8 +38,6 @@ from .homology import (
     BettiProfile,
     DimBound,
     ProfileError,
-    check_poincare,
-    euler_char,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -53,15 +51,12 @@ from .specseq import (
     MaslovTooSmallError,
     NO_CONTRADICTION,
     NarrownessVerdict,
-    RankVector,
-    RankViolationError,
     SearchCapError,
     UnknownSlotsError,
     WitnessError,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
-    step_page,
     verdict_from_json,
     verdict_to_json,
 )
@@ -86,19 +81,15 @@ __all__ = [
     "NON_DISPLACEABLE",
     "NarrownessVerdict",
     "ProfileError",
-    "RankVector",
-    "RankViolationError",
     "STATUSES",
     "SearchCapError",
     "UNRESOLVED",
     "UnknownSlotsError",
     "WIDE",
     "WitnessError",
-    "check_poincare",
     "classify",
     "collapse_step",
     "enumerate_families",
-    "euler_char",
     "gauss_image_betti_g3",
     "make_partial_profile",
     "make_profile",
@@ -111,7 +102,6 @@ __all__ = [
     "propagate_narrow",
     "replay_witness",
     "report_to_json",
-    "step_page",
     "validate_family",
     "verdict_from_json",
     "verdict_to_json",

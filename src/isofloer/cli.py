@@ -5,11 +5,17 @@ are verdicts), 1 on domain or usage errors, 2 on malformed input files.
 ``main`` is the one place that turns an exception into an exit code; every
 failure prints one ``error:`` line on stderr, except an output pipe closed
 by its reader, which exits 1 silently.
+
+``classify-all`` and ``catalog --format json`` render their families
+through ``_ordered_map``, which spreads them over forked worker processes,
+one per CPU the process may run on, and prints the results in order: the
+bytes are those of one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -209,21 +215,149 @@ def _write(value, indent: str, chunks: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(payload) -> None:
-    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would, plus a newline.
+def _emit_json(payload: dict) -> None:
+    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would, plus a newline."""
+    sys.stdout.write(json_text(payload) + "\n")  # looked up per call: capsys swaps it
 
-    A dict is written whole; a list or any other iterable is written one
-    element at a time, so a generator of records is never held in memory.
+
+def _emit_json_list(texts) -> None:
+    """Print the list of the items that ``texts`` render as ``json.dumps(items,
+    indent=2)`` would, plus a newline.
+
+    Each text is ``json_text`` of one item, indented as a list element.  The
+    texts are written as they come, so they are never held together.
     """
-    out = sys.stdout  # looked up per call: redirect_stdout and capsys swap it
-    if isinstance(payload, dict):
-        out.write(json_text(payload) + "\n")
-        return
+    out = sys.stdout
     opener = "[\n  "
-    for item in payload:
-        out.write(opener + json_text(item, "\n  "))
+    for text in texts:
+        out.write(opener + text)
         opener = ",\n  "
     out.write("[]\n" if opener == "[\n  " else "\n]\n")
+
+
+# families per unit of work of a worker process; at most this many are
+# rendered in process
+CHUNK = 256
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _ordered_map(fn, items: list):
+    """Give an iterator of ``fn(item)`` for every item, in order.
+
+    With one CPU, no ``os.fork`` or at most ``CHUNK`` items this is ``map``.
+    Otherwise the items are cut into chunks of ``CHUNK``, and k forked
+    workers, one per CPU but no more than chunks, share them: worker w
+    takes chunks w, w + k, w + 2k, ...  It sends each chunk's results as
+    one length-prefixed pickle on its own pipe, and the iterator reads the
+    chunks back in order.  Where a pipe or a process cannot be had, the
+    workers already started are stopped and this is ``map`` again.
+
+    When ``fn`` raises, the iterator gives the results before that item and
+    then raises the same exception, as ``map`` would; a worker's exception
+    has the worker's traceback as its cause.  On leaving the block, however
+    it is left, the workers are killed and reaped.  A worker whose parent
+    died meets a closed pipe on its next write and exits.
+    """
+    chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
+    workers = min(_cpus(), len(chunks)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        yield map(fn, items)
+        return
+    sources, pids = [], []
+    try:
+        try:
+            for w in range(workers):
+                read, write = os.pipe()
+                sources.append(open(read, "rb"))
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _work(fn, chunks[w::workers], write, [s.fileno() for s in sources])
+                os.close(write)
+                pids.append(pid)
+        except OSError:  # EAGAIN, ENOMEM, EMFILE, ...: one process does the work
+            _stop(sources, pids)
+        yield _read_chunks(sources, len(chunks)) if pids else map(fn, items)
+    finally:
+        _stop(sources, pids)
+
+
+def _stop(sources: list, pids: list[int]) -> None:
+    """Close the read ends, then kill and reap the workers; empties both lists."""
+    # imported here, as _work and _read_chunks import pickle: about 3 ms that
+    # a command which never forks, such as a single classify, does not pay
+    import signal
+
+    for source in sources:
+        source.close()
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    sources.clear()
+    pids.clear()
+
+
+def _work(fn, chunks: list, write: int, others: list[int]):
+    """A worker, right after ``fork``: send each chunk's results, then exit.
+
+    It keeps no pipe end but ``write``, prints nothing to the parent's
+    stdout, and leaves through ``os._exit``, so no exit handler or test
+    teardown of the parent runs in it.
+    """
+    try:
+        import pickle
+
+        for fd in others:
+            os.close(fd)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        with open(write, "wb") as out:
+            for chunk in chunks:
+                values, error, trace = [], None, None
+                try:
+                    for item in chunk:
+                        values.append(fn(item))
+                except Exception as exc:  # the parent raises it after the values
+                    import traceback
+
+                    error, trace = exc, traceback.format_exc()
+                    try:
+                        pickle.loads(pickle.dumps(error))
+                    except Exception:  # it does not cross a pipe: its type and message do
+                        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                frame = pickle.dumps((values, error, trace), pickle.HIGHEST_PROTOCOL)
+                out.write(len(frame).to_bytes(8, "little") + frame)
+                out.flush()
+                if error is not None:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _read_chunks(sources: list, count: int):
+    """The results of chunks 0..count-1; chunk i comes from ``sources[i % len(sources)]``."""
+    import pickle
+
+    for i in range(count):
+        source = sources[i % len(sources)]
+        size = int.from_bytes(source.read(8), "little")
+        frame = source.read(size)
+        if not frame or len(frame) < size:
+            raise EngineError(f"a worker process ended before it sent chunk {i}")
+        values, error, trace = pickle.loads(frame)
+        yield from values
+        if error is not None:
+            raise error from RuntimeError(f"in a worker process:\n{trace}")
 
 
 def _print_report_text(report: CaseReport, verbose: bool) -> None:
@@ -289,18 +423,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_classify_all(args: argparse.Namespace) -> int:
     families = enumerate_families(args.bound)
     if args.format == "json":
-        _emit_json(report_to_json(classify(f)) for f in families)
+        with _ordered_map(_report_json, families) as texts:
+            _emit_json_list(texts)
         return EXIT_OK
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification")
     unresolved = []
-    for f in families:
-        report = classify(f)
-        trail = " -> ".join(step.rule for step in report.justification)
-        print(f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}")
-        if report.status == UNRESOLVED:
-            unresolved.append(f"({f.g},{f.m1},{f.m2})")
+    with _ordered_map(_report_row, families) as rows:
+        for row, name in rows:
+            print(row)
+            if name is not None:
+                unresolved.append(name)
     print(f"unresolved: {', '.join(unresolved) or 'none'}")
     return EXIT_OK
+
+
+def _report_json(family) -> str:
+    return json_text(report_to_json(classify(family)), "\n  ")
+
+
+def _report_row(family) -> tuple[str, str | None]:
+    """A ``classify-all`` text row, and the family's name if it is Unresolved."""
+    f, report = family, classify(family)
+    trail = " -> ".join(step.rule for step in report.justification)
+    row = f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}"
+    return row, f"({f.g},{f.m1},{f.m2})" if report.status == UNRESOLVED else None
 
 
 def _cmd_narrow_check(args: argparse.Namespace) -> int:
@@ -374,15 +520,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     families = enumerate_families(args.bound)
     if args.format == "json":
-        _emit_json(data_to_json(f) for f in families)
+        with _ordered_map(_data_json, families) as texts:
+            _emit_json_list(texts)
         return EXIT_OK
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")
+    # three small calls per family: forked workers gain nothing here
     for f in families:
         print(
             f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4} {minimal_maslov(f):>7} {collapse_step(f):>3} "
             f"{'yes' if orientable(f) else 'no':>7}"
         )
     return EXIT_OK
+
+
+def _data_json(family) -> str:
+    return json_text(data_to_json(family), "\n  ")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -181,18 +181,6 @@ def make_partial_profile(
     return BettiProfile(n, entries, DimBound(0, room), cap)
 
 
-def euler_char(profile: BettiProfile) -> int:
-    """Alternating sum of the dimensions; every slot must be known."""
-    dims = profile.dims()
-    return sum(dim if s % 2 == 0 else -dim for s, dim in enumerate(dims))
-
-
-def check_poincare(profile: BettiProfile) -> bool:
-    """Z2 Poincare symmetry dim[s] == dim[n-s], a closed-manifold sanity check."""
-    dims = profile.dims()
-    return all(dims[s] == dims[profile.n - s] for s in range(profile.n + 1))
-
-
 def profile_to_json(profile: BettiProfile) -> dict:
     """Render as {"n": int, "known": [[degree, dim], ...], "cap": int|null}.
 

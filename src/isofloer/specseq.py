@@ -23,9 +23,10 @@ does.  Since lifted Floer homology is a Hamiltonian isotopy invariant
 that vanishes for displaceable Lagrangians, a certified nonzero slot on
 the final page is a non-displaceability proof.
 
-A page with known dimensions is just its tuple of slot dimensions, and
-``step_page`` turns it with one rank vector.  Interval-valued slots live
-only in ``BettiProfile``, which serves as the first page.
+A page with known dimensions is just its tuple of slot dimensions.
+Interval-valued slots live only in ``BettiProfile``, which serves as the
+first page.  The page-by-page model that turns a page with one rank vector
+belongs to the tests (``tests/page_model.py``), as a reference.
 
 Two deciders answer "can the final page vanish":
 
@@ -49,10 +50,11 @@ profile.
 
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
-the tests, a walk over every rank vector, is the oracle's reference.  Each
-verdict is its final page and a witness; its kind, and a Contradiction's
-slot and bound, are read off the witness, and ``replay_witness``
-re-derives any witness without trusting the run that produced it.
+the tests' page model, a walk over every rank vector, is the oracle's
+reference.  Each verdict is its final page and a witness; its kind, and a
+Contradiction's slot and bound, are read off the witness, and
+``replay_witness`` re-derives any witness without trusting the run that
+produced it.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class EngineError(ValueError):
 
 class MaslovTooSmallError(EngineError):
     """Minimal Maslov number below the threshold of the requested theory."""
-
-
-class RankViolationError(EngineError):
-    """A rank vector breaks a linear-algebra constraint of its page."""
 
 
 class UnknownSlotsError(EngineError):
@@ -108,61 +106,6 @@ def require_maslov(maslov: int) -> None:
         raise MaslovTooSmallError(
             f"lifted Floer theory needs minimal Maslov number >= {LIFTED_MIN_MASLOV}, got {maslov}"
         )
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Chosen ranks of the page-r differential out of each slot."""
-
-    r: int
-    ranks: tuple[int, ...]
-
-
-def step_page(dims: tuple[int, ...], maslov: int, ranks: RankVector) -> tuple[int, ...]:
-    """Turn page ``ranks.r``: dim'[s] = dim[s] - a[s] - a[s - shift], shift = r*N - 1.
-
-    A page is its tuple of slot dimensions.  Legality, for every slot s
-    (with dims and ranks zero out of range): a[s] <= dim[s] and
-    a[s] <= dim[s + shift] (a rank is bounded by domain and codomain), and
-    a[s] + a[s - shift] <= dim[s] (the incoming image must fit inside the
-    outgoing kernel, i.e. d o d = 0).  Any rank choice passing these is
-    realizable by honest Z2-linear maps.
-    """
-    require_maslov(maslov)
-    if ranks.r < 1:
-        raise RankViolationError(f"rank vector for page {ranks.r}; pages start at 1")
-    width = len(dims)
-    if len(ranks.ranks) != width:
-        raise RankViolationError(
-            f"rank vector has {len(ranks.ranks)} slots, page has {width}"
-        )
-    shift = ranks.r * maslov - 1
-    a = ranks.ranks
-
-    def a_at(s: int) -> int:
-        return a[s] if 0 <= s < width else 0
-
-    def d_at(s: int) -> int:
-        return dims[s] if 0 <= s < width else 0
-
-    for s in range(width):
-        if a[s] < 0:
-            raise RankViolationError(f"slot {s}: negative rank {a[s]}")
-        if a[s] > dims[s]:
-            raise RankViolationError(
-                f"slot {s}: rank {a[s]} exceeds the domain dimension {dims[s]}"
-            )
-        if a[s] > d_at(s + shift):
-            raise RankViolationError(
-                f"slot {s}: rank {a[s]} exceeds the codomain dimension "
-                f"{d_at(s + shift)} at slot {s + shift}"
-            )
-        if a[s] + a_at(s - shift) > dims[s]:
-            raise RankViolationError(
-                f"slot {s}: incoming rank {a_at(s - shift)} plus outgoing rank {a[s]} "
-                f"exceeds the dimension {dims[s]} (d o d = 0 fails)"
-            )
-    return tuple(dims[s] - a[s] - a_at(s - shift) for s in range(width))
 
 
 # --- verdicts and witnesses -------------------------------------------------
@@ -596,7 +539,7 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
     elif isinstance(witness, InfeasibleWitness):
         payload = {"type": "tutte-barrier", "barrier": list(witness.barrier)}
     else:
-        raise WitnessError(f"unserializable witnessType {type(witness).__name__}")
+        raise WitnessError(f"unserializable witness type {type(witness).__name__}")
     return {
         "kind": verdict.kind,
         "slot": verdict.slot,

@@ -28,7 +28,6 @@ from isofloer.criteria import volume_lower_bound, wide_check_biran_cornea
 from isofloer.homology import (
     BettiProfile,
     DimBound,
-    check_poincare,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -38,14 +37,14 @@ from isofloer.specseq import (
     CONTRADICTION,
     FEASIBLE,
     INFEASIBLE,
-    RankVector,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
-    step_page,
     verdict_from_json,
     verdict_to_json,
 )
+
+from page_model import RankVector, check_poincare, step_page
 
 
 @contextlib.contextmanager

@@ -18,7 +18,9 @@ from isofloer.catalog import (
     orientable,
     validate_family,
 )
-from isofloer.homology import DimBound, check_poincare, profile_from_json
+from isofloer.homology import DimBound, profile_from_json
+
+from page_model import check_poincare
 
 
 class TestValidation:

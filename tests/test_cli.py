@@ -3,11 +3,15 @@
 import argparse
 import contextlib
 import copy
+import ctypes
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -946,13 +950,231 @@ def test_closed_output_pipe_exits_1_quietly(argv, read):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)  # and stdout to a pipe is block-buffered
     proc = subprocess.Popen([sys.executable, "-m", "isofloer.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
     assert len(proc.stdout.read(read)) == read
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+    # the json and text rows forked workers, which the CLI reaps before it exits
+    assert_group_gone(proc.pid, timeout=0)
+
+
+# --- the worker processes of classify-all and catalog ---------------------------
+
+# the bound-64 outputs that TestGolden pins
+BOUND_64_GOLDEN = {
+    ("classify-all", "json"): "809d3c9964010c93cee1f3ad51aacaa9199d62f3a0354821ae135dba5821ea0b",
+    ("classify-all", "text"): "bb73afe973a81b941d826a409f4b233c96fc0cb9c1acea711cbe7fbe613796f7",
+    ("catalog", "text"): "b0a434ce9dc9cb09b90eb7b67beb27f9f577d63022f6333e528b742ce36ab1de",
+}
+
+
+def run_on_cpus(capsys, monkeypatch, cpus, argv):
+    """``run`` with ``cpus`` CPUs available; also returns how many workers it forked."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return run(capsys, argv), len(forks)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["classify-all", "catalog"])
+def test_workers_print_the_bytes_of_one_process(capsys, monkeypatch, command, fmt):
+    # 4 workers share the 9 chunks unevenly, and outnumber two cores; the
+    # catalog text table is three small calls per family and never forks
+    argv = [command, "--bound", "64", "--format", fmt]
+    (serial, forks_1), (forked, forks_2), (more, forks_4) = (
+        run_on_cpus(capsys, monkeypatch, cpus, argv) for cpus in (1, 2, 4))
+    forking = (command, fmt) != ("catalog", "text")
+    assert (forks_1, forks_2, forks_4) == ((0, 2, 4) if forking else (0, 0, 0))
+    assert serial == forked == more
+    code, out, err = forked
+    assert (code, err) == (0, "")
+    if (command, fmt) in BOUND_64_GOLDEN:
+        assert hashlib.sha256(out.encode()).hexdigest() == BOUND_64_GOLDEN[command, fmt]
+    elif fmt == "json":
+        records = [catalog.data_to_json(f) for f in catalog.enumerate_families(64)]
+        assert out == json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_workers_stop_where_one_process_stops(capsys, monkeypatch, fmt):
+    # a family in the third chunk raises: the families before it are printed,
+    # then the error line, as by one process
+    index = 2 * cli.CHUNK + 7
+    bad = catalog.enumerate_families(64)[index]
+    classify = cli.classify
+
+    def classify_or_raise(family):
+        if family == bad:
+            raise catalog.FamilyError(f"no verdict for {family}")
+        return classify(family)
+
+    monkeypatch.setattr(cli, "classify", classify_or_raise)
+    argv = ["classify-all", "--bound", "64", "--format", fmt]
+    (serial, forks_1), (forked, forks_2) = (run_on_cpus(capsys, monkeypatch, cpus, argv)
+                                            for cpus in (1, 2))
+    assert (forks_1, forks_2) == (0, 2)
+    assert serial == forked
+    code, out, err = forked
+    assert (code, err) == (1, f"error: no verdict for {bad}\n")
+    if fmt == "json":
+        assert out.count("\n  {") == index  # one per record, each at indent 2
+    else:
+        assert out.count("\n") == 1 + index  # the header, then one row per family
+
+
+def test_a_worker_that_dies_is_an_error(capsys, monkeypatch):
+    # a worker that exits without its chunk, as one killed from outside would
+    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    classify = cli.classify
+    monkeypatch.setattr(cli, "classify", lambda f: os._exit(3) if f == bad else classify(f))
+    (code, out, err), forks = run_on_cpus(
+        capsys, monkeypatch, 2, ["classify-all", "--bound", "64", "--format", "json"])
+    assert forks == 2
+    assert (code, err) == (1, "error: a worker process ended before it sent chunk 2\n")
+    assert out.count("\n  {") == 2 * cli.CHUNK
+
+
+@pytest.mark.parametrize("failing", ["fork", "pipe"])
+def test_no_process_to_be_had_means_one_process(capsys, monkeypatch, failing):
+    # the second pipe or fork fails, as under a pids, memory or open-file
+    # limit: the first worker is stopped and the parent does the work
+    calls, pids = [], []
+    real = {"fork": os.fork, "pipe": os.pipe}[failing]
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, f"no {failing} to be had")
+        result = real()
+        if failing == "fork":
+            pids.append(result)
+        return result
+
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, failing, second_fails)
+    code, out, err = run(capsys, ["classify-all", "--bound", "64", "--format", "json"])
+    assert (code, err, len(calls)) == (0, "", 2)
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_64_GOLDEN["classify-all", "json"]
+    for pid in pids:  # the worker that did start was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    if fds is not None:  # and no pipe end was left open
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_worker_bug_keeps_its_traceback(monkeypatch):
+    # an exception that main does not turn into an exit code escapes it,
+    # with the worker's traceback as its cause
+    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    classify = cli.classify
+
+    def classify_with_a_bug(family):
+        if family == bad:
+            raise KeyError("a bug in a worker")
+        return classify(family)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "classify", classify_with_a_bug)
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(KeyError) as caught:
+        cli.main(["classify-all", "--bound", "64", "--format", "json"])
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("in a worker process:\nTraceback")
+    assert "in classify_with_a_bug" in cause and "KeyError: 'a bug in a worker'" in cause
+
+
+def test_an_unpicklable_worker_error_keeps_its_type_and_message(monkeypatch):
+    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    classify = cli.classify
+
+    def classify_or_raise(family):
+        if family == bad:
+            raise Unpicklable("not for a pipe")
+        return classify(family)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "classify", classify_or_raise)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(RuntimeError) as caught:
+        cli.main(["classify-all", "--bound", "64", "--format", "json"])
+    assert str(caught.value) == "Unpicklable: not for a pipe"
+    assert "in classify_or_raise" in str(caught.value.__cause__)
+    assert out.getvalue().count("\n  {") == 2 * cli.CHUNK + 7
+
+
+def assert_group_gone(pgid: int, timeout: float = 5.0) -> None:
+    """Wait until process group ``pgid`` has no member, reaping any member that
+    was re-parented to this process."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(-pgid, os.WNOHANG)
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, f"process group {pgid} outlived its leader"
+        time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def reaping_orphans():
+    """Make this process the reaper of its orphaned descendants in the block.
+
+    A worker whose parent was killed is re-parented to the nearest reaper;
+    until that reaper waits for it, it stays a zombie and a member of its
+    process group.  An init process that never waits would leave it there.
+    """
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        pytest.skip("no prctl")
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    set_child_subreaper = 36  # PR_SET_CHILD_SUBREAPER in <linux/prctl.h>
+    if prctl(set_child_subreaper, 1, 0, 0, 0) != 0:
+        pytest.skip("PR_SET_CHILD_SUBREAPER refused")
+    try:
+        yield
+    finally:
+        prctl(set_child_subreaper, 0, 0, 0, 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl and /proc children")
+def test_no_worker_outlives_a_killed_parent():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with reaping_orphans():
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isofloer.cli", "classify-all", "--bound", "64",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, start_new_session=True)
+        try:
+            # the first bytes come from a worker's first chunk: the workers run
+            assert len(proc.stdout.read(1 << 16)) == 1 << 16
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            workers = min(cli._cpus(), 9)  # 2086 families, 9 chunks
+            if children.exists():
+                assert len(children.read_text().split()) == (workers if workers > 1 else 0)
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+        fd, deadline = proc.stdout.fileno(), time.monotonic() + 5
+        while select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            if not os.read(fd, 1 << 16):
+                break
+        else:
+            pytest.fail("stdout stayed open 5 s after the CLI was killed")
+        proc.stdout.close()
+        assert proc.wait(timeout=5) == -signal.SIGKILL
+        assert_group_gone(proc.pid)
 
 
 # a child forked from this test process would count the test process's pages
@@ -1011,9 +1233,14 @@ json_trees = st.recursive(
 
 
 def emitted(payload) -> str:
+    """A dict through ``_emit_json``; a list or iterable rendered element by
+    element, as the workers do, and written by ``_emit_json_list``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_json(payload)
+        if isinstance(payload, dict):
+            cli._emit_json(payload)
+        else:
+            cli._emit_json_list(cli.json_text(item, "\n  ") for item in payload)
     return out.getvalue()
 
 

@@ -7,13 +7,13 @@ from isofloer.homology import (
     DimBound,
     MAX_TOP_DEGREE,
     ProfileError,
-    check_poincare,
-    euler_char,
     make_partial_profile,
     make_profile,
     profile_from_json,
     profile_to_json,
 )
+
+from page_model import check_poincare, euler_char
 
 
 class TestDimBound:

@@ -6,7 +6,6 @@ from isofloer.criteria import _profile_brief
 from isofloer.homology import (
     BettiProfile,
     DimBound,
-    euler_char,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -16,14 +15,14 @@ from isofloer.specseq import (
     CONTRADICTION,
     FEASIBLE,
     INFEASIBLE,
-    RankVector,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
-    step_page,
     verdict_from_json,
     verdict_to_json,
 )
+
+from page_model import RankVector, euler_char, step_page
 
 
 @st.composite

@@ -34,8 +34,6 @@ from isofloer.specseq import (
     MaslovTooSmallError,
     NO_CONTRADICTION,
     NarrownessVerdict,
-    RankVector,
-    RankViolationError,
     SearchCapError,
     UnknownSlotsError,
     WitnessError,
@@ -43,10 +41,11 @@ from isofloer.specseq import (
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
-    step_page,
     verdict_from_json,
     verdict_to_json,
 )
+
+from page_model import RankVector, RankViolationError, brute_feasible, step_page
 
 G4_12 = munzner_betti_N(validate_family(4, 1, 2))    # dims (1,1,1,2,1,1,1), maslov 3
 G4_22 = munzner_betti_N(validate_family(4, 2, 2))    # dims (1,0,2,0,2,0,2,0,1), maslov 4
@@ -317,46 +316,6 @@ class TestOracle:
         assert v.witness.pairs == ((0, 1, 1),)
 
 
-def brute_feasible(dims, maslov, nu):
-    """Independent exhaustive check, no sharing with the engine.
-
-    Enumerates full rank vectors per page by brute product, filtering on
-    the three legality constraints, and asks whether any path of page
-    turns ends at the zero page.
-    """
-    width = len(dims)
-
-    def frontier(d, shift):
-        caps = []
-        for s in range(width):
-            cod = d[s + shift] if s + shift < width else 0
-            caps.append(min(d[s], cod))
-        for a in itertools.product(*(range(c + 1) for c in caps)):
-            ok = True
-            for s in range(width):
-                inc = a[s - shift] if s - shift >= 0 else 0
-                if a[s] + inc > d[s]:
-                    ok = False
-                    break
-            if ok:
-                yield a
-
-    def walk(d, r):
-        if r > nu:
-            return not any(d)
-        shift = r * maslov - 1
-        for a in frontier(d, shift):
-            nxt = tuple(
-                d[s] - a[s] - (a[s - shift] if s - shift >= 0 else 0)
-                for s in range(width)
-            )
-            if walk(nxt, r + 1):
-                return True
-        return False
-
-    return walk(tuple(dims), 1)
-
-
 @st.composite
 def small_pages(draw, max_n=6, max_dim=3):
     """Dims, a Maslov number and a page count small enough for brute force."""
@@ -605,13 +564,10 @@ class TestReplay:
         v = oracle_narrow_feasible(G4_12, 3, 2)
         assert replay_witness(v, G4_12, 3, 2)
 
-    def test_feasible_replay_never_steps_pages(self, monkeypatch):
+    def test_feasible_replay_never_steps_pages(self):
         v = oracle_narrow_feasible(G4_12, 3, 2)
-
-        def refuse(*args):
-            raise AssertionError("replay stepped a page")
-
-        monkeypatch.setattr(specseq, "step_page", refuse)
+        # the page stepper is the tests' reference model; the engine has none
+        assert not hasattr(specseq, "step_page")
         assert replay_witness(v, G4_12, 3, 2)
 
     @pytest.mark.parametrize(
@@ -841,3 +797,7 @@ class TestVerdictJson:
     def test_non_dict_rejected(self):
         with pytest.raises(WitnessError):
             verdict_from_json("Contradiction")
+
+    def test_unknown_witness_object_is_not_serialized(self):
+        with pytest.raises(WitnessError, match="^unserializable witness type tuple$"):
+            verdict_to_json(NarrownessVerdict(3, G4_12_DIMS))
