@@ -36,7 +36,6 @@ from .criteria import (
 )
 from .homology import (
     BettiProfile,
-    DimBound,
     ProfileError,
     make_partial_profile,
     make_profile,
@@ -52,7 +51,6 @@ from .specseq import (
     NO_CONTRADICTION,
     NarrownessVerdict,
     SearchCapError,
-    UnknownSlotsError,
     WitnessError,
     oracle_narrow_feasible,
     propagate_narrow,
@@ -68,7 +66,6 @@ __all__ = [
     "CaseReport",
     "CitedFact",
     "CONTRADICTION",
-    "DimBound",
     "EngineError",
     "FEASIBLE",
     "FamilyError",
@@ -84,7 +81,6 @@ __all__ = [
     "STATUSES",
     "SearchCapError",
     "UNRESOLVED",
-    "UnknownSlotsError",
     "WIDE",
     "WitnessError",
     "classify",

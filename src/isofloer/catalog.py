@@ -115,15 +115,16 @@ def munzner_betti_N(family: IsoparametricFamily) -> BettiProfile:
 
 
 def _munzner_degrees(family: IsoparametricFamily) -> list[int]:
-    """The 2g degrees of H_*(N; Z2) for g <= 4, one Z2 each, coinciding ones repeated."""
-    g, m1, m2, n = family.g, family.m1, family.m2, family.n
-    if g == 1:
-        return [0, n]
-    if g == 2:
-        return [0, m1, m2, n]
-    if g == 3:
-        return [0, m1, m1, 2 * m1, 2 * m1, n]
-    return [0, m1, m2, m1 + m2, m1 + m2, 2 * m1 + m2, m1 + 2 * m2, n]  # g == 4
+    """The 2g degrees of H_*(N; Z2) for g <= 4, one Z2 each, coinciding ones repeated.
+
+    Muenzner (Math. Ann. 251 (1980), 256 (1981)): they are the first g partial
+    sums 0, m1, m1 + m2, 2m1 + m2, ... of the alternating multiplicities
+    m1, m2, m1, ..., together with n minus each of them.
+    """
+    sums = [0]
+    for i in range(family.g - 1):
+        sums.append(sums[-1] + (family.m2 if i % 2 else family.m1))
+    return sums + [family.n - degree for degree in sums]
 
 
 def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:

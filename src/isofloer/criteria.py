@@ -59,14 +59,13 @@ def wideness_obstructions(betti_l: BettiProfile, maslov: int) -> list[int]:
         raise MaslovTooSmallError(
             f"the wideness criterion needs minimal Maslov number >= 2, got {maslov}"
         )
-    failed = []
+    failed, known = [], betti_l.known
     for degree in range(maslov - 1, betti_l.n + 1, maslov):
-        slot = betti_l.bound(degree)
-        if not slot.known:
+        if degree not in known and betti_l.room != 0:
             raise ProfileError(
                 f"degree {degree} of the profile is unknown; the wideness test needs it exactly"
             )
-        if slot.lo != 0:
+        if known.get(degree, 0) != 0:
             failed.append(degree)
     return failed
 
@@ -126,19 +125,19 @@ def _profile_brief(profile: BettiProfile) -> str:
     """The table as the claim states it, written from the sorted support.
 
     A fully known profile reads ``dims [d0, d1, ..., dn]``: each run of k
-    unlisted degrees is k copies of the default, so the dense tuple is never
-    built.  Otherwise the known slots are listed as a dict.
+    unlisted degrees is k zeros, so the dense tuple is never built.
+    Otherwise the listed slots are written as a dict, in ascending order.
     """
+    known = profile.known
     if profile.fully_known:
-        support, default = profile.support, profile.default
-        fill, text, start = f", {default.lo}", [], 0
-        for degree in sorted(support):
-            text += fill * (degree - start), f", {support[degree].lo}"
+        text, start = [], 0
+        for degree in sorted(known):
+            text += ", 0" * (degree - start), f", {known[degree]}"
             start = degree + 1
-        text.append(fill * (profile.n + 1 - start))
+        text.append(", 0" * (profile.n + 1 - start))
         return f"dims [{''.join(text)[2:]}]"
-    known = {s: slot.lo for s, slot in enumerate(profile.slots) if slot.known}
-    return f"known slots {known}, other degrees unknown"
+    listed = {s: known[s] for s in sorted(known)}
+    return f"known slots {listed}, other degrees unknown"
 
 
 def classify(family: IsoparametricFamily) -> CaseReport:

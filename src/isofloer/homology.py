@@ -1,22 +1,21 @@
-"""Graded Z2 Betti profiles with interval-valued entries.
+"""Graded Z2 Betti profiles: exact dims at listed degrees, one rule for the rest.
 
-A profile stores dim H_s(X; Z2) for s = 0..n.  Slots may be only
-partially known: each one is a closed integer interval, with an open
-upper end standing for "nothing known beyond nonnegativity".  Degrees
-outside [0, n] always query as exactly zero; the bound computations
-downstream lean on that vanishing constantly, so it is part of the
-query contract rather than an error.
+A profile stores dim H_s(X; Z2) for s = 0..n.  The listed degrees are
+known exactly.  The other degrees in [0, n] are either all 0 or all open,
+each ranging over [0, room] under a cap on the total Betti number, or
+unbounded above when there is no cap.  Degrees outside [0, n] always read
+as exactly zero; the bound computations downstream lean on that vanishing
+constantly, so it is part of the contract rather than an error.
 
-Profiles are sparse: a support maps listed degrees to their bounds and one
-default bound covers the other degrees in [0, n].  A Muenzner table lists
-at most 2g degrees, so it costs O(support), not O(n), to build and query.
+Profiles are sparse: a Muenzner table lists at most 2g degrees, so it costs
+O(support), not O(n), to build, compare and query.
 
 Everything here is pure, and a profile's support is never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
@@ -46,39 +45,6 @@ def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") 
     return value
 
 
-@dataclass(frozen=True)
-class DimBound:
-    """Closed interval [lo, hi] of possible Z2 dimensions.
-
-    ``hi is None`` means unbounded above and compares greater than every
-    integer.  A bound is *known* when it pins a single value.
-    """
-
-    lo: int
-    hi: int | None
-
-    def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise ProfileError(f"dimension lower bound must be >= 0, got {self.lo}")
-        if self.hi is not None and self.hi < self.lo:
-            raise ProfileError(f"empty dimension interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def exact(cls, dim: int) -> "DimBound":
-        """``[dim, dim]``; the small dims of a Muenzner table share one instance each."""
-        if type(dim) is int and 0 <= dim < len(_SMALL_EXACT):
-            return _SMALL_EXACT[dim]
-        return cls(dim, dim)
-
-    @property
-    def known(self) -> bool:
-        return self.hi == self.lo
-
-
-# A fixed handful, so no input can grow it; every other dim builds afresh.
-_SMALL_EXACT = tuple(DimBound(dim, dim) for dim in range(4))
-ZERO = DimBound.exact(0)
-
 # Widest profile, from a file or a family's table: 8x the widest family at
 # classify-all --bound 256.  Verdict witnesses and the JSON form list every
 # degree, so a few bytes of input could otherwise ask for gigabytes of output.
@@ -87,77 +53,74 @@ MAX_TOP_DEGREE = 4096
 
 @dataclass(frozen=True, eq=False)
 class BettiProfile:
-    """Z2 Betti numbers over degrees 0..n, possibly partially known.
+    """Z2 Betti numbers over degrees 0..n, listed ones exact.
 
-    ``support`` maps listed degrees to their bounds; every unlisted degree
-    in [0, n] has the bound ``default``.  Equality compares the dense
-    views, so one profile written with two different supports is one
-    value.  ``cap``, when present, bounds the *total* Betti number; it is
-    what the unknown slots' upper ends were derived from, and the unknown
-    slots share it.  A cap below the slots' lower ends total leaves no
-    completion and is refused.
+    ``known`` maps listed degrees to their exact dims.  Every unlisted degree
+    in [0, n] is 0, unless ``open_rest`` is set: then each one ranges over
+    [0, room], where ``room`` is ``cap`` minus the known total, or unbounded
+    with no cap.  ``room``, computed once here, is the one rule for an
+    unlisted degree: 0 when the profile is closed, lists every degree or
+    spends its whole cap on the known dims.  ``cap``, when present, bounds
+    the *total* Betti number; a cap below the known total leaves no
+    completion and is refused.  Equality compares the degree-by-degree
+    bounds, in O(support): a listed 0 is an unlisted degree exactly when
+    ``room`` is 0.
     """
 
     n: int
-    support: Mapping[int, DimBound]
-    default: DimBound = ZERO
+    known: Mapping[int, int]
     cap: int | None = None
+    open_rest: bool = False
+    room: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for dim in self.known.values():
+            if dim < 0:
+                raise ProfileError(f"dimension lower bound must be >= 0, got {dim}")
         if not 0 <= self.n <= MAX_TOP_DEGREE:
             raise ProfileError(f"top degree must be in [0, {MAX_TOP_DEGREE}], got {self.n}")
-        for degree in self.support:
+        for degree in self.known:
             if not 0 <= degree <= self.n:
                 raise ProfileError(f"degree {degree} outside [0, {self.n}]")
-        if self.cap is not None:
-            unlisted = self.n + 1 - len(self.support)
-            used = sum(slot.lo for slot in self.support.values()) + unlisted * self.default.lo
-            if used > self.cap:
-                raise ProfileError(f"known dimensions total {used}, exceeding cap {self.cap}")
-
-    def bound(self, degree: int) -> DimBound:
-        """Bound at any integer degree; exactly zero outside [0, n]."""
-        if 0 <= degree <= self.n:
-            return self.support.get(degree, self.default)
-        return ZERO
-
-    @property
-    def slots(self) -> tuple[DimBound, ...]:
-        """Dense view: the bound at every degree 0..n."""
-        get, default = self.support.get, self.default
-        return tuple(get(s, default) for s in range(self.n + 1))
+        used = sum(self.known.values())
+        if self.cap is not None and used > self.cap:
+            raise ProfileError(f"known dimensions total {used}, exceeding cap {self.cap}")
+        room = 0
+        if self.open_rest and len(self.known) <= self.n:
+            room = None if self.cap is None else self.cap - used
+        object.__setattr__(self, "room", room)
 
     @property
     def fully_known(self) -> bool:
-        covered = len(self.support) == self.n + 1
-        return (covered or self.default.known) and all(
-            slot.known for slot in self.support.values()
-        )
+        return self.room == 0
 
     def dims(self) -> tuple[int, ...]:
         if not self.fully_known:
             raise ProfileError("profile has unknown slots")
-        dims = [self.default.lo] * (self.n + 1)
-        for degree, slot in self.support.items():
-            dims[degree] = slot.lo
-        return tuple(dims)
+        return tuple(self.known.get(s, 0) for s in range(self.n + 1))
+
+    def _key(self) -> tuple:
+        items = self.known.items()
+        if self.room == 0:
+            items = [(degree, dim) for degree, dim in items if dim]
+        return self.n, self.cap, self.room, frozenset(items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiProfile):
             return NotImplemented
-        return (self.n, self.cap, self.slots) == (other.n, other.cap, other.slots)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.cap, self.slots))
+        return hash(self._key())
 
 
-def _exact_entries(entries: Iterable[Sequence[int]]) -> dict[int, DimBound]:
-    # DimBound refuses negative dims and BettiProfile degrees outside [0, n]
-    seen: dict[int, DimBound] = {}
+def _exact_entries(entries: Iterable[Sequence[int]]) -> dict[int, int]:
+    # BettiProfile refuses negative dims and degrees outside [0, n]
+    seen: dict[int, int] = {}
     for degree, dim in entries:
         if degree in seen:
             raise ProfileError(f"duplicate degree {degree}")
-        seen[degree] = DimBound.exact(dim)
+        seen[degree] = dim
     return seen
 
 
@@ -169,26 +132,25 @@ def make_profile(n: int, entries: Iterable[Sequence[int]]) -> BettiProfile:
 def make_partial_profile(
     n: int, known: Iterable[Sequence[int]], cap: int | None = None
 ) -> BettiProfile:
-    """Profile with listed degrees exactly known and the rest interval-bounded.
+    """Profile with listed degrees exactly known and the rest open.
 
-    Unlisted slots get [0, cap - sum of known dims] when a cap on the total
-    Betti number is supplied, and [0, unbounded) otherwise.  A cap equal to
-    the known sum therefore forces every unlisted slot to exactly zero.
+    Unlisted slots range over [0, cap - sum of known dims] when a cap on the
+    total Betti number is supplied, and [0, unbounded) otherwise.  A cap
+    equal to the known sum therefore forces every unlisted slot to zero.
     """
-    entries = _exact_entries(known)
-    used = sum(slot.lo for slot in entries.values())
-    room = None if cap is None else max(cap - used, 0)  # BettiProfile refuses used > cap
-    return BettiProfile(n, entries, DimBound(0, room), cap)
+    return BettiProfile(n, _exact_entries(known), cap, True)
 
 
 def profile_to_json(profile: BettiProfile) -> dict:
     """Render as {"n": int, "known": [[degree, dim], ...], "cap": int|null}.
 
-    Only exactly-known slots are listed; parsing reconstructs the unknown
-    ones from the cap, so constructor-built profiles round-trip exactly.
+    A fully known profile lists every degree; any other lists its known
+    degrees in ascending order, and parsing reopens the rest under the cap,
+    so constructor-built profiles round-trip exactly.
     """
-    known = [[s, slot.lo] for s, slot in enumerate(profile.slots) if slot.known]
-    return {"n": profile.n, "known": known, "cap": profile.cap}
+    get = profile.known.get
+    degrees = range(profile.n + 1) if profile.fully_known else sorted(profile.known)
+    return {"n": profile.n, "known": [[s, get(s, 0)] for s in degrees], "cap": profile.cap}
 
 
 def profile_from_json(data: dict) -> BettiProfile:

@@ -23,15 +23,17 @@ does.  Since lifted Floer homology is a Hamiltonian isotopy invariant
 that vanishes for displaceable Lagrangians, a certified nonzero slot on
 the final page is a non-displaceability proof.
 
-A page with known dimensions is just its tuple of slot dimensions.
-Interval-valued slots live only in ``BettiProfile``, which serves as the
-first page.  The page-by-page model that turns a page with one rank vector
-belongs to the tests (``tests/page_model.py``), as a reference.
+A page with known dimensions is just its tuple of slot dimensions.  The
+first page is a ``BettiProfile``: exact dims at its listed degrees, and
+the rest 0 or open under its room.  The page-by-page model that turns a
+page with one rank vector belongs to the tests (``tests/page_model.py``),
+as a reference.
 
 Two deciders answer "can the final page vanish":
 
-* ``propagate_narrow`` pushes interval bounds page by page.  Sound on
-  partially known profiles, not complete.
+* ``propagate_narrow`` pushes a lower bound per slot page by page, against
+  the profile's upper bounds.  Sound on partially known profiles, not
+  complete.
 * ``oracle_narrow_feasible`` is exact, and polynomial in the number of
   exact classes.  The final page vanishes exactly when the first page's
   classes pair off along the cancellation graph (a class in slot s with
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate
 
-from .homology import BettiProfile, DimBound, as_int, as_list
+from .homology import BettiProfile, as_int, as_list
 
 
 class EngineError(ValueError):
@@ -73,10 +75,6 @@ class EngineError(ValueError):
 
 class MaslovTooSmallError(EngineError):
     """Minimal Maslov number below the threshold of the requested theory."""
-
-
-class UnknownSlotsError(EngineError):
-    """An unknown slot narrower than [0, cap - known total], or bounded with no cap."""
 
 
 class SearchCapError(EngineError):
@@ -139,8 +137,10 @@ class ContradictionWitness:
 
 @dataclass(frozen=True)
 class FinalPageWitness:
+    """``(lo, hi)`` per slot 0..n of the final page; ``hi`` None is unbounded."""
+
     kind = NO_CONTRADICTION
-    slots: tuple[DimBound, ...]
+    slots: tuple[tuple[int, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -217,48 +217,42 @@ def propagate_narrow(
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    bound = profile.bound  # upper bounds are constant across pages
-
-    # A slot starting at lower bound 0 stays at 0, so only the positive ones
-    # are walked; lows[s] is slot s's lower bound on the final page.
-    if profile.default.lo > 0:
-        live = range(profile.n + 1)
-    else:
-        live = [s for s, slot in profile.support.items() if slot.lo > 0]
+    # Only a listed slot starts above 0, and a slot at 0 stays there, so only
+    # the positive ones are walked; lows[s] is slot s's lower bound on the
+    # final page, kept when positive.
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
     lows: dict[int, int] = {}
-    for s in live:
-        lo = bound(s).lo
+    for s, lo in profile.known.items():
         for shift in shifts:
             if not lo:
                 break
-            left_hi, right_hi = bound(s - shift).hi, bound(s + shift).hi
+            left_hi, right_hi = _upper(profile, s - shift), _upper(profile, s + shift)
             lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
-        lows[s] = lo
+        if lo:
+            lows[s] = lo
 
-    positive = [s for s, lo in lows.items() if lo > 0]
-    if not positive:
-        witness = FinalPageWitness(
-            tuple(
-                DimBound(lows[s], slot.hi) if s in lows else slot
-                for s, slot in enumerate(profile.slots)
-            )
-        )
+    if not lows:  # every final-page slot may be 0, below its first-page bound
+        witness = FinalPageWitness(tuple((0, _upper(profile, s)) for s in range(profile.n + 1)))
         return NarrownessVerdict(nu + 1, witness)
 
-    best = max(positive, key=lambda s: (lows[s], -abs(2 * s - n), -s))
+    best = max(lows, key=lambda s: (lows[s], -abs(2 * s - n), -s))
     witness = ContradictionWitness(best, lows[best], _chain(profile, best, maslov, nu))
     return NarrownessVerdict(nu + 1, witness)
+
+
+def _upper(profile: BettiProfile, degree: int) -> int | None:
+    """The first page's upper bound at any integer degree: 0 outside [0, n]."""
+    return profile.known.get(degree, profile.room) if 0 <= degree <= profile.n else 0
 
 
 def _chain(profile: BettiProfile, slot: int, maslov: int,
            nu: int) -> tuple[ChainStep, ...] | None:
     """The exact-sequence bound at ``slot`` page by page, read off the profile's
     page-invariant upper bounds; None once a neighbour is unbounded."""
-    lower, chain = profile.bound(slot).lo, []
+    lower, chain = profile.known.get(slot, 0), []
     for r in range(1, nu + 1):
         shift = r * maslov - 1
-        left, right = profile.bound(slot - shift).hi, profile.bound(slot + shift).hi
+        left, right = _upper(profile, slot - shift), _upper(profile, slot + shift)
         if left is None or right is None:
             return None
         after = max(0, lower - left - right)
@@ -284,34 +278,27 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
 def _graph(profile: BettiProfile, maslov: int, nu: int):
     """The cancellation graph of a profile, as ``(dims, partners, exits)``.
 
-    Exact slots keep their dimension and open slots get 0; nonzero slots s
-    and s + rN - 1, 1 <= r <= nu, are partners.  Open slots must range over
-    [0, room], room = cap - used, or be unbounded with no cap.  Two open
-    classes that cancel each other can be dropped, so slot n + 1, the pool,
-    stands for those paired with the E classes of the exact slots s with an
-    open partner, the first of which is ``exits[s]``: min(room, E) classes,
+    Listed slots keep their dimension and open slots, the unlisted ones when
+    the profile's room is not 0, get 0; nonzero slots s and s + rN - 1,
+    1 <= r <= nu, are partners.  Two open classes that cancel each other can
+    be dropped, so slot n + 1, the pool, stands for those paired with the E
+    classes of the exact slots s with an open partner, the first of which is ``exits[s]``: min(room, E) classes,
     one fewer if that parity differs from used's, so that its leftover
     classes pair among themselves.  The pool is its own partner and, after
     the exact ones, a partner of every slot in ``exits``.  This is the
     oracle's one gate: beyond ``MAX_CLASSES`` exact classes, or exact and
     pool classes, SearchCapError, before any partner list is built.
     """
-    slots, width = profile.slots, profile.n + 1
-    opened = [not slot.known for slot in slots]
-    dims = [0 if free else slot.lo for slot, free in zip(slots, opened)]
+    known, room, width = profile.known, profile.room, profile.n + 1
+    dims = [known.get(s, 0) for s in range(width)]
     used = sum(dims)
     if used > MAX_CLASSES:
         raise SearchCapError(f"{used} exact classes, above the matching's limit of {MAX_CLASSES}")
-    room = None if profile.cap is None else profile.cap - used
-    if any(slot.lo or slot.hi is not None and (room is None or slot.hi < room)
-           for slot, free in zip(slots, opened) if free):
-        span = "[0, unbounded)" if room is None else f"[0, {room}]"
-        raise UnknownSlotsError(f"the oracle needs every unknown slot to range over {span}")
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
     exits = {}
-    for s in range(width) if any(opened) else ():
+    for s in sorted(s for s, dim in known.items() if dim) if room != 0 else ():
         t = next((t for k in shifts for t in (s - k, s + k)
-                  if 0 <= t < width and opened[t]), None) if dims[s] else None
+                  if 0 <= t < width and t not in known), None)
         if t is not None:
             exits[s] = t
     pool = sum(dims[s] for s in exits)
@@ -489,7 +476,7 @@ def _replay_contradiction(
     chain = _chain(profile, witness.slot, maslov, nu)
     if chain is None:
         return False
-    lower = chain[-1].lower_after if chain else profile.bound(witness.slot).lo
+    lower = chain[-1].lower_after if chain else profile.known.get(witness.slot, 0)
     return 0 < witness.bound == lower and witness.chain == chain
 
 
@@ -509,8 +496,9 @@ def _replay_feasible(
         last = (s, r)
     if profile.cap is not None and sum(paired.values()) > profile.cap:
         return False
-    return all(slot.lo <= paired[s] and (slot.hi is None or paired[s] <= slot.hi)
-               for s, slot in enumerate(profile.slots))
+    known, room = profile.known, profile.room
+    return all(paired[s] == dim for s, dim in known.items()) and (
+        room is None or all(count <= room for s, count in paired.items() if s not in known))
 
 
 # --- serialization ----------------------------------------------------------
@@ -529,7 +517,7 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
     elif isinstance(witness, FinalPageWitness):
         payload = {
             "type": "final-page",
-            "slots": [[slot.lo, slot.hi] for slot in witness.slots],
+            "slots": [list(slot) for slot in witness.slots],
         }
     elif isinstance(witness, FeasibleWitness):
         payload = {
@@ -562,6 +550,16 @@ def _as_opt_int(value) -> int | None:
     return None if value is None else _as_int(value)
 
 
+def _slot_bound(lo, hi) -> tuple[int, int | None]:
+    """A final-page slot: a nonempty interval of dims, ``hi`` None for unbounded."""
+    lo, hi = _as_int(lo), _as_opt_int(hi)
+    if lo < 0:
+        raise WitnessError(f"dimension lower bound must be >= 0, got {lo}")
+    if hi is not None and hi < lo:
+        raise WitnessError(f"empty dimension interval [{lo}, {hi}]")
+    return lo, hi
+
+
 def verdict_from_json(data: dict) -> NarrownessVerdict:
     if not isinstance(data, dict):
         raise WitnessError("verdict must be a JSON object")
@@ -580,7 +578,7 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
             )
         elif wtype == "final-page":
             witness = FinalPageWitness(
-                tuple(DimBound(_as_int(lo), _as_opt_int(hi)) for lo, hi in _rows(payload, "slots"))
+                tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots"))
             )
         elif wtype == "cancellation-pairs":
             witness = FeasibleWitness(

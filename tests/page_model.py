@@ -4,7 +4,8 @@ The tests own this model; the package never calls it.  ``step_page`` turns
 a page of known slot dimensions with one rank vector and checks every
 linear-algebra constraint of that turn.  ``brute_feasible`` walks every
 legal rank vector on every page and is the exact decider's reference.
-``euler_char`` and ``check_poincare`` are sanity checks of a table.  None
+``euler_char`` and ``check_poincare`` are sanity checks of a table, and
+``slot_bounds`` is a profile's first page written out degree by degree.  None
 of them shares decision logic with ``isofloer.specseq``; ``step_page``
 takes only its Maslov precondition from there.
 """
@@ -125,3 +126,10 @@ def check_poincare(profile: BettiProfile) -> bool:
     """Z2 Poincare symmetry dim[s] == dim[n-s], a closed-manifold sanity check."""
     dims = profile.dims()
     return all(dims[s] == dims[profile.n - s] for s in range(profile.n + 1))
+
+
+def slot_bounds(profile: BettiProfile) -> list[tuple[int, int | None]]:
+    """``(lo, hi)`` at every degree 0..n: a listed dim is exact and every other
+    degree ranges over [0, room], ``hi`` None when it is unbounded."""
+    return [(profile.known[s], profile.known[s]) if s in profile.known else (0, profile.room)
+            for s in range(profile.n + 1)]

@@ -27,7 +27,6 @@ from isofloer.catalog import (
 from isofloer.criteria import volume_lower_bound, wide_check_biran_cornea
 from isofloer.homology import (
     BettiProfile,
-    DimBound,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -245,10 +244,10 @@ def test_a8_randomized_property_battery(capsys):
             nu = (profile.n + 1) // maslov
             extra = rng.randint(1, 3)
             # the padded degrees are listed as exact zeros: unlisted ones would
-            # take the profile's default, which is not zero for a partial profile
-            zeros = {s: DimBound.exact(0) for s in range(profile.n + 1, profile.n + extra + 1)}
+            # be open in a partial profile
+            zeros = dict.fromkeys(range(profile.n + 1, profile.n + extra + 1), 0)
             padded = BettiProfile(
-                profile.n + extra, {**profile.support, **zeros}, profile.default, profile.cap
+                profile.n + extra, {**profile.known, **zeros}, profile.cap, profile.open_rest
             )
             a = propagate_narrow(profile, maslov, profile.n, nu)
             b = propagate_narrow(padded, maslov, profile.n, nu)

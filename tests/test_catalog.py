@@ -6,6 +6,7 @@ import pytest
 
 from isofloer.catalog import (
     FamilyError,
+    IsoparametricFamily,
     MissingTableError,
     cited_facts,
     collapse_step,
@@ -17,10 +18,23 @@ from isofloer.catalog import (
     munzner_betti_N,
     orientable,
     validate_family,
+    _munzner_degrees,
 )
-from isofloer.homology import DimBound, profile_from_json
+from isofloer.homology import profile_from_json
 
 from page_model import check_poincare
+
+
+def munzner_degrees_by_g(family: IsoparametricFamily) -> list[int]:
+    """The degrees of H_*(N; Z2), one branch per g <= 4, as the catalog once listed them."""
+    g, m1, m2, n = family.g, family.m1, family.m2, family.n
+    if g == 1:
+        return [0, n]
+    if g == 2:
+        return [0, m1, m2, n]
+    if g == 3:
+        return [0, m1, m1, 2 * m1, 2 * m1, n]
+    return [0, m1, m2, m1 + m2, m1 + m2, 2 * m1 + m2, m1 + 2 * m2, n]
 
 
 class TestValidation:
@@ -115,6 +129,15 @@ class TestCoveringTables:
                 continue
             assert sum(munzner_betti_N(f).dims()) == 2 * f.g
 
+    def test_one_formula_gives_each_g_its_old_branch(self):
+        # partial sums 0, m1, m1 + m2, ... and n minus each, degree by degree
+        checked = 0
+        for f in enumerate_families(256):
+            if f.g != 6:
+                assert sorted(_munzner_degrees(f)) == sorted(munzner_degrees_by_g(f)), f
+                checked += 1
+        assert checked == 32_900
+
     def test_poincare_symmetry_below_g6(self):
         for f in enumerate_families(10):
             if f.g == 6:
@@ -123,13 +146,9 @@ class TestCoveringTables:
 
     def test_g6_m2_partial_table(self):
         p = munzner_betti_N(validate_family(6, 2, 2))
-        assert p.bound(0) == DimBound.exact(1)
-        assert p.bound(3) == DimBound.exact(0)
-        assert p.bound(6) == DimBound.exact(2)
-        assert p.bound(9) == DimBound.exact(0)
-        assert p.bound(12) == DimBound.exact(1)
+        assert p.known == {0: 1, 3: 0, 6: 2, 9: 0, 12: 1}
         assert not p.fully_known
-        assert p.bound(1) == DimBound(0, None)
+        assert p.room is None  # every other degree is open, with no cap
 
     def test_g6_m1_has_no_table(self):
         with pytest.raises(MissingTableError):

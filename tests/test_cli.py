@@ -836,6 +836,15 @@ FAILURES = [
                  2, "'slots' must be a list, got str", id="slots-string"),
     pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots", 0),
                                 {}), 2, "entry must be a list, got dict", id="slots-entry-object"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots", 0),
+                                [-1, 2]), 2, "dimension lower bound must be >= 0, got -1",
+                 id="slots-entry-negative-lower-end"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots", 0),
+                                [3, 2]), 2, "empty dimension interval [3, 2]",
+                 id="slots-entry-empty"),
+    pytest.param(REPLAY, edited(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "slots", 0),
+                                [0, -1]), 2, "empty dimension interval [0, -1]",
+                 id="slots-entry-negative-upper-end"),
     pytest.param(REPLAY, envelope({"n": 1500, "known": [], "cap": 0}, 3, FORGED_WIDE_INFEASIBLE),
                  2, "does not match witness type 'exhausted-search'", id="wide-oracle"),
     pytest.param(REPLAY, envelope(G4_12_PROFILE, 3, RANK_ASSIGNMENT), 2,
@@ -918,6 +927,22 @@ class TestGolden:
             "ae261f76ee7e68c466d47d056a634be332d96388683ca522e75e45d22b1fef4b"
         )
 
+    def test_profile_listing_order_leaves_the_bytes_alone(self, capsys, tmp_path):
+        # the envelope lists the known degrees in ascending order, whatever the file's order
+        outs = []
+        for name, known in (("descending", [[6, 1], [0, 1]]), ("ascending", [[0, 1], [6, 1]])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"n": 6, "known": known, "cap": 4}), encoding="utf-8")
+            code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
+                                        "--oracle", "--format", "json"])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["profile"]["known"] == [[0, 1], [6, 1]]
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+            "0e1847746e6deda208b63d77b16f236b5d7e33217c6c16bbd0f9b144a9bbc324"
+        )
+
     def test_classify_all_json_through_a_pipe(self):
         # the JSON is streamed to the real stdout, not a capture buffer
         src = Path(__file__).resolve().parent.parent / "src"
@@ -964,11 +989,14 @@ def test_closed_output_pipe_exits_1_quietly(argv, read):
 
 # --- the worker processes of classify-all and catalog ---------------------------
 
-# the bound-64 outputs that TestGolden pins
+# the bound-64 outputs: TestGolden pins the first three too, and the catalog
+# JSON (7,182,734 bytes) is the one that writes every Muenzner table through
+# profile_to_json in the workers
 BOUND_64_GOLDEN = {
     ("classify-all", "json"): "809d3c9964010c93cee1f3ad51aacaa9199d62f3a0354821ae135dba5821ea0b",
     ("classify-all", "text"): "bb73afe973a81b941d826a409f4b233c96fc0cb9c1acea711cbe7fbe613796f7",
     ("catalog", "text"): "b0a434ce9dc9cb09b90eb7b67beb27f9f577d63022f6333e528b742ce36ab1de",
+    ("catalog", "json"): "143cf0fea2067f820da22a5bd9ea875394d427f5a4086d545975336e7ec65a1e",
 }
 
 
@@ -993,9 +1021,8 @@ def test_workers_print_the_bytes_of_one_process(capsys, monkeypatch, command, fm
     assert serial == forked == more
     code, out, err = forked
     assert (code, err) == (0, "")
-    if (command, fmt) in BOUND_64_GOLDEN:
-        assert hashlib.sha256(out.encode()).hexdigest() == BOUND_64_GOLDEN[command, fmt]
-    elif fmt == "json":
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_64_GOLDEN[command, fmt]
+    if (command, fmt) == ("catalog", "json"):
         records = [catalog.data_to_json(f) for f in catalog.enumerate_families(64)]
         assert out == json.dumps(records, indent=2) + "\n"
 

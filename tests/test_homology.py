@@ -1,10 +1,9 @@
-"""Unit tests for interval-valued Betti profiles."""
+"""Unit tests for Betti profiles: exact listed dims, the rest 0 or open."""
 
 import pytest
 
 from isofloer.homology import (
     BettiProfile,
-    DimBound,
     MAX_TOP_DEGREE,
     ProfileError,
     make_partial_profile,
@@ -13,39 +12,9 @@ from isofloer.homology import (
     profile_to_json,
 )
 
+from isofloer.specseq import _upper
+
 from page_model import check_poincare, euler_char
-
-
-class TestDimBound:
-    def test_exact(self):
-        b = DimBound.exact(3)
-        assert (b.lo, b.hi) == (3, 3)
-        assert b.known
-
-    @pytest.mark.parametrize("dim", range(6))
-    def test_exact_equals_its_interval(self, dim):
-        # dims 0..3 come from a shared instance, the rest are built afresh
-        assert DimBound.exact(dim) == DimBound(dim, dim)
-        assert hash(DimBound.exact(dim)) == hash(DimBound(dim, dim))
-
-    def test_exact_refuses_a_negative_dim(self):
-        with pytest.raises(ProfileError):
-            DimBound.exact(-1)
-
-    def test_unbounded_above(self):
-        b = DimBound(0, None)
-        assert not b.known
-
-    def test_interval_not_known(self):
-        assert not DimBound(1, 4).known
-
-    def test_negative_lower_rejected(self):
-        with pytest.raises(ProfileError):
-            DimBound(-1, 2)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ProfileError):
-            DimBound(3, 2)
 
 
 class TestConstruction:
@@ -57,25 +26,41 @@ class TestConstruction:
 
     def test_support_degree_range_enforced(self):
         with pytest.raises(ProfileError):
-            BettiProfile(3, {4: DimBound.exact(1)})
+            BettiProfile(3, {4: 1})
         with pytest.raises(ProfileError):
-            BettiProfile(3, {-1: DimBound.exact(1)})
+            BettiProfile(3, {-1: 1})
 
     def test_sparse_storage(self):
-        # only the listed degrees are stored; one default covers the rest
+        # only the listed degrees are stored; one room covers the rest
         p = make_profile(40, [(0, 1), (40, 1)])
-        assert p.support == {0: DimBound.exact(1), 40: DimBound.exact(1)}
-        assert p.default == DimBound.exact(0)
+        assert p.known == {0: 1, 40: 1}
+        assert p.room == 0 and not p.open_rest
         q = make_partial_profile(12, [(0, 1), (6, 2)], cap=5)
-        assert set(q.support) == {0, 6}
-        assert q.default == DimBound(0, 2)
+        assert q.known == {0: 1, 6: 2}
+        assert q.room == 2 and q.open_rest
 
     def test_equality_ignores_how_degrees_are_listed(self):
-        sparse = BettiProfile(3, {0: DimBound.exact(1)})
-        listed = {s: DimBound.exact(int(s == 0)) for s in range(4)}
-        dense = BettiProfile(3, listed, DimBound(0, None))
+        sparse = BettiProfile(3, {0: 1})
+        dense = BettiProfile(3, {s: int(s == 0) for s in range(4)}, None, True)
         assert sparse == dense and hash(sparse) == hash(dense)
-        assert sparse != BettiProfile(3, {0: DimBound.exact(1)}, DimBound(0, None))
+        assert sparse != BettiProfile(3, {0: 1}, None, True)
+
+    def test_a_listed_zero_is_an_unlisted_degree_only_when_closed(self):
+        closed = BettiProfile(3, {0: 1, 2: 0})
+        assert closed == BettiProfile(3, {0: 1}) and hash(closed) == hash(BettiProfile(3, {0: 1}))
+        opened = BettiProfile(3, {0: 1, 2: 0}, 4, True)
+        assert opened.room == 3
+        assert opened != BettiProfile(3, {0: 1}, 4, True)
+        # a cap spent on the known dims closes the rest
+        spent = BettiProfile(3, {0: 1, 2: 0}, 1, True)
+        assert spent.room == 0
+        assert spent == BettiProfile(3, {0: 1}, 1) and hash(spent) == hash(BettiProfile(3, {0: 1}, 1))
+
+    def test_n_and_cap_are_part_of_the_value(self):
+        p = BettiProfile(3, {0: 1})
+        assert p != BettiProfile(4, {0: 1})
+        assert p != BettiProfile(3, {0: 1}, 1)
+        assert BettiProfile(3, {0: 1}, 1) != BettiProfile(3, {0: 1}, 2)
 
     def test_degree_out_of_range_rejected(self):
         with pytest.raises(ProfileError):
@@ -97,20 +82,28 @@ class TestConstruction:
             make_profile(2, [(1, 1), (1, 2)])
 
     def test_negative_dim_rejected(self):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ProfileError, match="must be >= 0, got -1"):
             make_profile(2, [(1, -1)])
+        with pytest.raises(ProfileError, match="must be >= 0, got -1"):
+            BettiProfile(2, {1: -1}, None, True)
 
     def test_partial_without_cap_is_unbounded(self):
         p = make_partial_profile(3, [(0, 1)])
-        assert p.bound(0) == DimBound.exact(1)
-        assert p.bound(1) == DimBound(0, None)
+        assert p.known == {0: 1}
+        assert p.room is None
         assert not p.fully_known
 
     def test_partial_cap_bounds_unknown_slots(self):
         # cap 4 minus the known dim 1 leaves [0, 3] for each open slot
         p = make_partial_profile(2, [(0, 1)], cap=4)
-        assert p.bound(1) == DimBound(0, 3)
-        assert p.bound(2) == DimBound(0, 3)
+        assert p.room == 3
+
+    def test_listing_every_degree_leaves_no_room(self):
+        # nothing is unlisted, so the cap and the open rest change nothing
+        for cap in (None, 2, 9):
+            p = make_partial_profile(2, [(0, 1), (1, 0), (2, 1)], cap)
+            assert p.room == 0 and p.fully_known
+            assert p.dims() == (1, 0, 1)
 
     def test_cap_equal_to_known_sum_forces_zeros(self):
         p = make_partial_profile(2, [(0, 1), (2, 1)], cap=2)
@@ -123,9 +116,9 @@ class TestConstruction:
 
     def test_constructor_rejects_a_cap_below_the_known_total(self):
         with pytest.raises(ProfileError, match="known dimensions total 3, exceeding cap 1"):
-            BettiProfile(2, {0: DimBound.exact(3)}, cap=1)
+            BettiProfile(2, {0: 3}, cap=1)
         with pytest.raises(ProfileError, match="known dimensions total 6, exceeding cap 5"):
-            BettiProfile(2, {}, DimBound.exact(2), cap=5)
+            BettiProfile(2, {0: 3, 2: 3}, 5, True)
 
     def test_dims_refuses_unknown_slots(self):
         p = make_partial_profile(3, [(0, 1)])
@@ -135,10 +128,10 @@ class TestConstruction:
 
 class TestQueries:
     def test_out_of_range_degrees_are_zero(self):
-        p = make_profile(2, [(0, 1), (2, 1)])
-        assert p.bound(-1) == DimBound.exact(0)
-        assert p.bound(3) == DimBound.exact(0)
-        assert p.bound(17) == DimBound.exact(0)
+        # the engine's upper bounds: 0 outside [0, n], even where the rest is open
+        for p in (make_profile(2, [(0, 1), (2, 1)]), make_partial_profile(2, [(0, 1)])):
+            assert [_upper(p, s) for s in (-1, 3, 17)] == [0, 0, 0]
+        assert [_upper(make_partial_profile(2, [(0, 1)]), s) for s in (0, 1, 2)] == [1, None, None]
 
     def test_euler_char(self):
         # the g=3, m=2 hypersurface table
@@ -179,6 +172,10 @@ class TestJson:
     def test_known_lists_only_pinned_slots(self):
         p = make_partial_profile(3, [(1, 2)], cap=5)
         assert profile_to_json(p)["known"] == [[1, 2]]
+
+    def test_a_fully_known_profile_lists_every_degree(self):
+        for p in (make_profile(3, [(3, 1), (0, 1)]), make_partial_profile(3, [(3, 1), (0, 1)], 2)):
+            assert profile_to_json(p)["known"] == [[0, 1], [1, 0], [2, 0], [3, 1]]
 
     def test_rejects_non_dict(self):
         with pytest.raises(ProfileError):

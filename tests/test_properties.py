@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from isofloer.criteria import _profile_brief
 from isofloer.homology import (
     BettiProfile,
-    DimBound,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -22,7 +21,7 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
-from page_model import RankVector, euler_char, step_page
+from page_model import RankVector, euler_char, slot_bounds, step_page
 
 
 @st.composite
@@ -97,10 +96,10 @@ def test_even_maslov_preserves_alternating_sum(page_ranks):
 def test_padding_with_zero_slots_changes_nothing(profile, maslov, extra):
     nu = (profile.n + 1) // maslov
     # the padded degrees are listed as exact zeros: unlisted ones would
-    # take the profile's default, which is not zero for a partial profile
-    zeros = {s: DimBound.exact(0) for s in range(profile.n + 1, profile.n + extra + 1)}
+    # be open in a partial profile
+    zeros = dict.fromkeys(range(profile.n + 1, profile.n + extra + 1), 0)
     padded = BettiProfile(
-        profile.n + extra, {**profile.support, **zeros}, profile.default, profile.cap
+        profile.n + extra, {**profile.known, **zeros}, profile.cap, profile.open_rest
     )
     base = propagate_narrow(profile, maslov, profile.n, nu)
     lifted = propagate_narrow(padded, maslov, profile.n, nu)
@@ -111,14 +110,18 @@ def test_padding_with_zero_slots_changes_nothing(profile, maslov, extra):
         assert base.witness == lifted.witness
 
 
-@given(partial_profiles(), st.integers(3, 5))
-def test_listing_every_degree_changes_nothing(profile, maslov):
-    # a positive default lower bound makes the propagator walk every degree
-    listed = BettiProfile(profile.n, dict(enumerate(profile.slots)), DimBound(1, None), profile.cap)
-    assert listed == profile
+@given(known_profiles(), st.integers(3, 5), st.booleans())
+def test_listing_every_degree_changes_nothing(profile, maslov, capped):
+    # the nonzero degrees alone, closed, and every degree with its zeros,
+    # open and so with no room left, are one profile
+    dims = profile.dims()
+    cap = sum(dims) if capped else None
+    sparse = BettiProfile(profile.n, {s: dim for s, dim in enumerate(dims) if dim}, cap)
+    listed = make_partial_profile(profile.n, enumerate(dims), cap)
+    assert listed == sparse and hash(listed) == hash(sparse)
     nu = (profile.n + 1) // maslov
     assert propagate_narrow(listed, maslov, profile.n, nu) == propagate_narrow(
-        profile, maslov, profile.n, nu
+        sparse, maslov, profile.n, nu
     )
 
 
@@ -169,20 +172,22 @@ def test_oracle_witnesses_replay(profile, maslov):
 
 @st.composite
 def sparse_profiles(draw):
-    """Top degree up to 300, a few listed degrees, an exact default of 0..2.
+    """Top degree up to 300, a few listed degrees, the rest 0 or open.
 
-    Some listed slots are intervals, so not every profile is fully known."""
+    An open rest has no cap or a cap 0..2 above the known total, so not
+    every profile is fully known."""
     n = draw(st.integers(0, 300))
-    slot = st.integers(0, 3).map(DimBound.exact) | st.just(DimBound(0, None))
-    support = draw(st.dictionaries(st.integers(0, n), slot, max_size=10))
-    return BettiProfile(n, support, DimBound.exact(draw(st.integers(0, 2))))
+    known = draw(st.dictionaries(st.integers(0, n), st.integers(0, 3), max_size=10))
+    room = draw(st.none() | st.integers(0, 2))
+    cap = None if room is None else sum(known.values()) + room
+    return BettiProfile(n, known, cap, draw(st.booleans()))
 
 
 def dense_brief(profile):
     """The claim text as read off the dense view, degree by degree."""
     if profile.fully_known:
         return f"dims {list(profile.dims())}"
-    known = {s: slot.lo for s, slot in enumerate(profile.slots) if slot.known}
+    known = {s: lo for s, (lo, hi) in enumerate(slot_bounds(profile)) if lo == hi}
     return f"known slots {known}, other degrees unknown"
 
 

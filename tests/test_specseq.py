@@ -14,8 +14,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from isofloer import specseq
 from isofloer.catalog import munzner_betti_N, validate_family
 from isofloer.homology import (
-    BettiProfile,
-    DimBound,
     ProfileError,
     make_partial_profile,
     make_profile,
@@ -35,7 +33,6 @@ from isofloer.specseq import (
     NO_CONTRADICTION,
     NarrownessVerdict,
     SearchCapError,
-    UnknownSlotsError,
     WitnessError,
     is_tutte_barrier,
     oracle_narrow_feasible,
@@ -45,7 +42,7 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
-from page_model import RankVector, RankViolationError, brute_feasible, step_page
+from page_model import RankVector, RankViolationError, brute_feasible, slot_bounds, step_page
 
 G4_12 = munzner_betti_N(validate_family(4, 1, 2))    # dims (1,1,1,2,1,1,1), maslov 3
 G4_22 = munzner_betti_N(validate_family(4, 2, 2))    # dims (1,0,2,0,2,0,2,0,1), maslov 4
@@ -150,7 +147,7 @@ class TestPropagate:
         v = propagate_narrow(G4_12, 3, 6, 2)
         assert v.kind == NO_CONTRADICTION
         assert v.slot is None and v.bound is None
-        assert all(slot.lo == 0 for slot in v.witness.slots)
+        assert all(lo == 0 for lo, _ in v.witness.slots)
 
     def test_unbounded_neighbour_kills_the_bound(self):
         # lone known generator next to an open slot propagates nothing
@@ -218,17 +215,6 @@ class TestOracle:
         v = oracle_narrow_feasible(G6_PARTIAL, 4, 3)
         assert v.witness == InfeasibleWitness(())
         assert replay_witness(v, G6_PARTIAL, 4, 3)
-
-    @pytest.mark.parametrize(
-        "open_slot,cap",
-        # a class is forced; the cap leaves room for 3; no cap, but an upper end
-        [(DimBound(1, 3), 4), (DimBound(0, 2), 4), (DimBound(0, 5), None)],
-        ids=["positive-lower-end", "upper-end-below-the-room", "upper-end-without-a-cap"],
-    )
-    def test_open_slots_narrower_than_the_cap_refused(self, open_slot, cap):
-        profile = BettiProfile(2, {0: DimBound.exact(1), 2: open_slot}, cap=cap)
-        with pytest.raises(UnknownSlotsError, match="range over"):
-            oracle_narrow_feasible(profile, 3, 1)
 
     def test_search_cap_refusal(self):
         # two million exact classes, or 600 and as many in the pool: refused
@@ -359,9 +345,9 @@ def completions_within_the_cap(profile):
     dropped, so if some completion pairs off, one does whose open classes
     each cancel a distinct known one.
     """
-    used = sum(slot.lo for slot in profile.slots if slot.known)
+    used = sum(profile.known.values())
     cap = 2 * used if profile.cap is None else profile.cap
-    ranges = [range(slot.lo, (used if slot.hi is None else slot.hi) + 1) for slot in profile.slots]
+    ranges = [range(lo, (used if hi is None else hi) + 1) for lo, hi in slot_bounds(profile)]
     return [dims for dims in itertools.product(*ranges) if sum(dims) <= cap]
 
 
@@ -382,12 +368,12 @@ def small_partial_profiles(draw, max_n=6, max_dim=3, rooms=st.integers(0, 4)):
 
 def exit_classes(profile, maslov, nu):
     """E: the known classes in slots with an open partner on some page."""
-    slots = profile.slots
+    bounds = slot_bounds(profile)
 
     def opened(t):
-        return 0 <= t <= profile.n and not slots[t].known
+        return 0 <= t <= profile.n and bounds[t][0] != bounds[t][1]
 
-    return sum(slot.lo for s, slot in enumerate(slots) if slot.known and any(
+    return sum(dim for s, dim in profile.known.items() if any(
         opened(s - r * maslov + 1) or opened(s + r * maslov - 1) for r in range(1, nu + 1)))
 
 
@@ -421,10 +407,9 @@ def test_uncapped_decider_matches_brute_force_over_the_completions(case):
 def test_a_cap_past_the_exit_classes_decides_as_no_cap(case, extra):
     # room = cap - used >= E: the pool is E or E - 1 classes either way
     profile, maslov, nu = case
-    used = sum(slot.lo for slot in profile.slots if slot.known)
+    used = sum(profile.known.values())
     cap = used + exit_classes(profile, maslov, nu) + extra
-    capped = make_partial_profile(profile.n, [(s, slot.lo) for s, slot in
-                                              enumerate(profile.slots) if slot.known], cap)
+    capped = make_partial_profile(profile.n, profile.known.items(), cap)
     v = oracle_narrow_feasible(capped, maslov, nu)
     assert v == oracle_narrow_feasible(profile, maslov, nu)
     assert replay_witness(v, capped, maslov, nu)
@@ -505,7 +490,7 @@ def test_feasible_replay_refuses_an_open_pair_past_the_cap(case):
     assert v.kind == FEASIBLE and replay_witness(v, profile, maslov, nu)
     t, pairs = s + r * maslov - 1, {(a, b): c for a, b, c in v.witness.pairs}
     total = 2 * sum(pairs.values())
-    used = sum(slot.lo for slot in profile.slots if slot.known)
+    used = sum(profile.known.values())
     paired = {u: sum(c for (a, b), c in pairs.items() if u in (a, a + b * maslov - 1))
               for u in (s, t)}
     # the fewest added classes that pass the cap, if both slots can take them
