@@ -17,10 +17,10 @@ sequence, and the g = 3 Gauss-image homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homology import (
+    MAX_TOP_DEGREE,
     BettiProfile,
+    Record,
     make_partial_profile,
     make_profile,
     profile_from_json,  # unused here; perfbench/worker.py patches this name
@@ -46,11 +46,13 @@ G3_MULTIPLICITIES = (1, 2, 4, 8)
 G6_MULTIPLICITIES = (1, 2)
 
 
-@dataclass(frozen=True)
-class IsoparametricFamily:
-    g: int
-    m1: int
-    m2: int
+class IsoparametricFamily(Record):
+    __slots__ = ("g", "m1", "m2")
+
+    def __init__(self, g: int, m1: int, m2: int) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
 
     @property
     def n(self) -> int:
@@ -151,12 +153,14 @@ def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:
     return make_profile(n, [(0, 1), (m, middle), (2 * m, middle), (n, 1)])
 
 
-@dataclass(frozen=True)
-class CitedFact:
+class CitedFact(Record):
     """A statement this package does not rederive, with its attribution."""
 
-    statement: str
-    source: str
+    __slots__ = ("statement", "source")
+
+    def __init__(self, statement: str, source: str) -> None:
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "source", source)
 
 
 REAL_FORM_WIDE = CitedFact(
@@ -180,9 +184,17 @@ def cited_facts(family: IsoparametricFamily) -> tuple[CitedFact, ...]:
 
 
 def enumerate_families(bound: int) -> list[IsoparametricFamily]:
-    """All valid families with m1 + m2 <= bound, in (g, m1, m2) order."""
+    """All valid families with m1 + m2 <= bound, in (g, m1, m2) order.
+
+    The widest bound is the one at which every g = 4 table, n = 2(m1 + m2),
+    still fits ``MAX_TOP_DEGREE``; a wider one is refused before any family
+    is built.
+    """
     if bound < 2:
         raise FamilyError(f"bound must be >= 2 to admit any family, got {bound}")
+    if bound > MAX_TOP_DEGREE // 2:
+        raise FamilyError(f"bound must be <= {MAX_TOP_DEGREE // 2}, where every g=4 table "
+                          f"fits the top degree {MAX_TOP_DEGREE}, got {bound}")
     families: list[IsoparametricFamily] = []
     for g in VALID_G:
         if g == 1:

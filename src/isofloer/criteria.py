@@ -19,7 +19,6 @@ tagged computed (this package derived it) or cited (external input).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .catalog import (
     IsoparametricFamily,
@@ -30,7 +29,7 @@ from .catalog import (
     minimal_maslov,
     munzner_betti_N,
 )
-from .homology import BettiProfile, ProfileError
+from .homology import BettiProfile, ProfileError, Record
 from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
@@ -92,8 +91,7 @@ def volume_lower_bound(n: int) -> float:
     return math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
-@dataclass(frozen=True)
-class JustificationStep:
+class JustificationStep(Record):
     """One link of a report's reasoning chain.
 
     ``rule`` is a stable machine-readable label; ``kind`` is "computed"
@@ -101,19 +99,27 @@ class JustificationStep:
     step is a spectral-sequence fact.
     """
 
-    rule: str
-    kind: str
-    claim: str
-    source: str | None = None
-    verdict: NarrownessVerdict | None = None
+    __slots__ = ("rule", "kind", "claim", "source", "verdict")
+
+    def __init__(self, rule: str, kind: str, claim: str, source: str | None = None,
+                 verdict: NarrownessVerdict | None = None) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    family: IsoparametricFamily
-    status: str
-    justification: tuple[JustificationStep, ...]
-    volume_lower_bound: float | None
+class CaseReport(Record):
+    __slots__ = ("family", "status", "justification", "volume_lower_bound")
+
+    def __init__(self, family: IsoparametricFamily, status: str,
+                 justification: tuple[JustificationStep, ...],
+                 volume_lower_bound: float | None) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "justification", justification)
+        object.__setattr__(self, "volume_lower_bound", volume_lower_bound)
 
     @property
     def intersects_real_form(self) -> bool:

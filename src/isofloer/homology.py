@@ -15,8 +15,8 @@ Everything here is pure, and a profile's support is never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from operator import attrgetter
 
 
 class ProfileError(ValueError):
@@ -45,14 +45,55 @@ def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") 
     return value
 
 
+class Record:
+    """A read-only value, the base of the package's value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``; any later assignment or
+    deletion raises AttributeError.  Two records are equal when they are of
+    the same class and their ``_key()`` is equal, every field unless the
+    class says otherwise, and they hash alike then.  ``__reduce__`` gives the
+    constructor and its arguments, the fields in order, which is how pickle
+    and copy rebuild a record and what ``repr`` names.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)  # reads every field in one call
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def _key(self):
+        return self._values(self)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = zip(self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in args)})"
+
+
 # Widest profile, from a file or a family's table: 8x the widest family at
 # classify-all --bound 256.  Verdict witnesses and the JSON form list every
 # degree, so a few bytes of input could otherwise ask for gigabytes of output.
 MAX_TOP_DEGREE = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class BettiProfile:
+class BettiProfile(Record):
     """Z2 Betti numbers over degrees 0..n, listed ones exact.
 
     ``known`` maps listed degrees to their exact dims.  Every unlisted degree
@@ -67,11 +108,15 @@ class BettiProfile:
     ``room`` is 0.
     """
 
-    n: int
-    known: Mapping[int, int]
-    cap: int | None = None
-    open_rest: bool = False
-    room: int | None = field(init=False, repr=False)
+    __slots__ = ("n", "known", "cap", "open_rest", "room")
+
+    def __init__(self, n: int, known: Mapping[int, int], cap: int | None = None,
+                 open_rest: bool = False) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "known", known)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "open_rest", open_rest)
+        self.__post_init__()  # looked up on the class, where a tracer may wrap it
 
     def __post_init__(self) -> None:
         for dim in self.known.values():
@@ -99,19 +144,14 @@ class BettiProfile:
             raise ProfileError("profile has unknown slots")
         return tuple(self.known.get(s, 0) for s in range(self.n + 1))
 
+    def __reduce__(self) -> tuple:
+        return BettiProfile, (self.n, self.known, self.cap, self.open_rest)
+
     def _key(self) -> tuple:
         items = self.known.items()
         if self.room == 0:
             items = [(degree, dim) for degree, dim in items if dim]
         return self.n, self.cap, self.room, frozenset(items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BettiProfile):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _exact_entries(entries: Iterable[Sequence[int]]) -> dict[int, int]:

@@ -62,11 +62,10 @@ produced it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate
 
-from .homology import BettiProfile, as_int, as_list
+from .homology import BettiProfile, Record, as_int, as_list
 
 
 class EngineError(ValueError):
@@ -109,42 +108,49 @@ def require_maslov(maslov: int) -> None:
 # --- verdicts and witnesses -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     """One page of the exact-sequence bound at a fixed slot.
 
     Exactness of V[left] -> V[s] -> V[right] under a vanishing final page
     gives lower_after = max(0, lower_before - left_hi - right_hi).
     """
 
-    page: int
-    shift: int
-    left: int
-    left_hi: int
-    right: int
-    right_hi: int
-    lower_before: int
-    lower_after: int
+    __slots__ = ("page", "shift", "left", "left_hi", "right", "right_hi",
+                 "lower_before", "lower_after")
+
+    def __init__(self, page: int, shift: int, left: int, left_hi: int, right: int,
+                 right_hi: int, lower_before: int, lower_after: int) -> None:
+        object.__setattr__(self, "page", page)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "left_hi", left_hi)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "right_hi", right_hi)
+        object.__setattr__(self, "lower_before", lower_before)
+        object.__setattr__(self, "lower_after", lower_after)
 
 
-@dataclass(frozen=True)
-class ContradictionWitness:
+class ContradictionWitness(Record):
     kind = CONTRADICTION
-    slot: int
-    bound: int
-    chain: tuple[ChainStep, ...]
+    __slots__ = ("slot", "bound", "chain")
+
+    def __init__(self, slot: int, bound: int, chain: tuple[ChainStep, ...]) -> None:
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "chain", chain)
 
 
-@dataclass(frozen=True)
-class FinalPageWitness:
+class FinalPageWitness(Record):
     """``(lo, hi)`` per slot 0..n of the final page; ``hi`` None is unbounded."""
 
     kind = NO_CONTRADICTION
-    slots: tuple[tuple[int, int | None], ...]
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: tuple[tuple[int, int | None], ...]) -> None:
+        object.__setattr__(self, "slots", slots)
 
 
-@dataclass(frozen=True)
-class FeasibleWitness:
+class FeasibleWitness(Record):
     """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
     cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
     to its value in the completion they pair off.  Valid iff 1 <= r <= nu,
@@ -152,24 +158,31 @@ class FeasibleWitness:
     and cap."""
 
     kind = FEASIBLE
-    pairs: tuple[tuple[int, int, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class InfeasibleWitness:
+class InfeasibleWitness(Record):
     """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
     pool); the trees grown, ``states_explored``, stay off the wire and out of
     equality, and one matching decides a profile, so ``completions_tried``
     is 1."""
 
     kind = INFEASIBLE
-    barrier: tuple[int, ...]
-    states_explored: int = field(default=0, compare=False)
     completions_tried = 1
+    __slots__ = ("barrier", "states_explored")
+
+    def __init__(self, barrier: tuple[int, ...], states_explored: int = 0) -> None:
+        object.__setattr__(self, "barrier", barrier)
+        object.__setattr__(self, "states_explored", states_explored)
+
+    def _key(self) -> tuple:
+        return (self.barrier,)
 
 
-@dataclass(frozen=True)
-class NarrownessVerdict:
+class NarrownessVerdict(Record):
     """A final page and the witness that carries the rest.
 
     ``kind`` is the witness class's kind; ``slot`` and ``bound`` are read
@@ -177,8 +190,11 @@ class NarrownessVerdict:
     headline cannot disagree with its witness.
     """
 
-    page: int | None
-    witness: object
+    __slots__ = ("page", "witness")
+
+    def __init__(self, page: int | None, witness: object) -> None:
+        object.__setattr__(self, "page", page)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def kind(self) -> str:
@@ -512,7 +528,8 @@ def verdict_to_json(verdict: NarrownessVerdict) -> dict:
             "type": "contradiction-chain",
             "slot": witness.slot,
             "bound": witness.bound,
-            "chain": [dict(vars(c)) for c in witness.chain],  # the fields in order
+            "chain": [dict(zip(ChainStep.__slots__, ChainStep._values(c)))
+                      for c in witness.chain],
         }
     elif isinstance(witness, FinalPageWitness):
         payload = {
@@ -570,7 +587,7 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         witness: object = None
         if wtype == "contradiction-chain":
             chain = tuple(
-                ChainStep(*(_as_int(c[f.name]) for f in fields(ChainStep)))
+                ChainStep(*(_as_int(c[name]) for name in ChainStep.__slots__))
                 for c in _as_list(payload["chain"], what="witness field 'chain'")
             )
             witness = ContradictionWitness(

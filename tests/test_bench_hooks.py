@@ -11,6 +11,7 @@ from collections import Counter
 
 from isofloer import cli, criteria, specseq
 from isofloer.catalog import munzner_betti_N, validate_family
+from isofloer.homology import BettiProfile
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,6 +30,23 @@ def test_traced_run_finds_every_attribute_it_patches(monkeypatch):
         recorder.restore()
     assert (cli.propagate_narrow, criteria.verdict_from_json, specseq.propagate_narrow) == originals
     assert isinstance(specseq.InfeasibleWitness, type)
+
+
+def test_building_a_profile_feeds_the_slot_counter(monkeypatch):
+    # the constructor reaches __post_init__ through the class, where the tracer wraps it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import worker
+
+    recorder = tracer.Tracer()
+    try:
+        worker.instrument(recorder)
+        BettiProfile(4, {0: 1, 4: 1})
+    finally:
+        recorder.restore()
+    assert recorder.counts["homology.slots_built"] == 5
+    BettiProfile(4, {0: 1, 4: 1})
+    assert recorder.counts["homology.slots_built"] == 5
 
 
 def test_infeasible_witness_carries_the_traced_counters(monkeypatch):

@@ -201,6 +201,13 @@ class TestEnumeration:
         with pytest.raises(FamilyError):
             enumerate_families(1)
 
+    def test_bound_beyond_the_widest_table_rejected(self):
+        # at 2048 the widest g=4 table, n = 4096, fits; the refusal comes
+        # before any of the ~10^8 families of bound 20000 is built
+        for bound in (2049, 20000):
+            with pytest.raises(FamilyError, match="bound must be <= 2048"):
+                enumerate_families(bound)
+
 
 class TestGaussImageData:
     def test_g3_record_has_both_profiles(self):

@@ -136,6 +136,14 @@ class TestClassifyAll:
         assert code == 1
         assert "bound" in err
 
+    @pytest.mark.parametrize("command", ["classify-all", "catalog"])
+    def test_huge_bound_exits_1_before_building_families(self, capsys, command):
+        # without the limit both commands build ~2*10^8 families before
+        # printing, and under a memory limit end in a MemoryError traceback
+        code, out, err = run(capsys, [command, "--bound", "20000"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bound must be <= 2048") and err.count("\n") == 1
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, ["classify-all", "--bound", "10", "--format", "json"])
         _, second, _ = run(capsys, ["classify-all", "--bound", "10", "--format", "json"])

@@ -677,7 +677,8 @@ class TestReplay:
 
     def test_states_explored_stays_out_of_equality(self):
         v = oracle_narrow_feasible(G4_22, 4, 2)
-        assert v.witness == InfeasibleWitness(v.witness.barrier, v.witness.states_explored + 1)
+        other = InfeasibleWitness(v.witness.barrier, v.witness.states_explored + 1)
+        assert v.witness == other and hash(v.witness) == hash(other)
 
     def test_corrupted_bound_fails(self):
         v = propagate_narrow(G4_22, 4, 8, 2)
