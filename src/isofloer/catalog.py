@@ -17,6 +17,8 @@ sequence, and the g = 3 Gauss-image homology.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .homology import (
     MAX_TOP_DEGREE,
     BettiProfile,
@@ -48,11 +50,6 @@ G6_MULTIPLICITIES = (1, 2)
 
 class IsoparametricFamily(Record):
     __slots__ = ("g", "m1", "m2")
-
-    def __init__(self, g: int, m1: int, m2: int) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
 
     @property
     def n(self) -> int:
@@ -158,10 +155,6 @@ class CitedFact(Record):
 
     __slots__ = ("statement", "source")
 
-    def __init__(self, statement: str, source: str) -> None:
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "source", source)
-
 
 REAL_FORM_WIDE = CitedFact(
     statement="the Gauss image is a real form of the complex hyperquadric, and real forms are wide",
@@ -183,31 +176,36 @@ def cited_facts(family: IsoparametricFamily) -> tuple[CitedFact, ...]:
     return ()
 
 
-def enumerate_families(bound: int) -> list[IsoparametricFamily]:
-    """All valid families with m1 + m2 <= bound, in (g, m1, m2) order.
+def iter_families(bound: int) -> Iterator[IsoparametricFamily]:
+    """All valid families with m1 + m2 <= bound, in (g, m1, m2) order, one at a time.
 
     The widest bound is the one at which every g = 4 table, n = 2(m1 + m2),
-    still fits ``MAX_TOP_DEGREE``; a wider one is refused before any family
-    is built.
+    still fits ``MAX_TOP_DEGREE``; a bad bound is refused here, before any
+    family is built.  The loops make only valid triples with m1 <= m2, so
+    they build each family without ``validate_family``.
     """
     if bound < 2:
         raise FamilyError(f"bound must be >= 2 to admit any family, got {bound}")
     if bound > MAX_TOP_DEGREE // 2:
         raise FamilyError(f"bound must be <= {MAX_TOP_DEGREE // 2}, where every g=4 table "
                           f"fits the top degree {MAX_TOP_DEGREE}, got {bound}")
-    families: list[IsoparametricFamily] = []
+    return _families(bound)
+
+
+def _families(bound: int) -> Iterator[IsoparametricFamily]:
+    equal = {1: range(1, bound // 2 + 1), 3: G3_MULTIPLICITIES, 6: G6_MULTIPLICITIES}
     for g in VALID_G:
-        if g == 1:
-            families += [validate_family(1, m, m) for m in range(1, bound // 2 + 1)]
-        elif g == 3:
-            families += [validate_family(3, m, m) for m in G3_MULTIPLICITIES if 2 * m <= bound]
-        elif g == 6:
-            families += [validate_family(6, m, m) for m in G6_MULTIPLICITIES if 2 * m <= bound]
-        else:
-            for m1 in range(1, bound):
-                for m2 in range(m1, bound - m1 + 1):
-                    families.append(validate_family(g, m1, m2))
-    return families
+        if g in equal:
+            yield from (IsoparametricFamily(g, m, m) for m in equal[g] if 2 * m <= bound)
+            continue
+        for m1 in range(1, bound // 2 + 1):
+            for m2 in range(m1, bound - m1 + 1):
+                yield IsoparametricFamily(g, m1, m2)
+
+
+def enumerate_families(bound: int) -> list[IsoparametricFamily]:
+    """``iter_families(bound)`` as a list."""
+    return list(iter_families(bound))
 
 
 def family_to_json(family: IsoparametricFamily) -> dict:

@@ -27,6 +27,7 @@ from .catalog import (
     collapse_step,
     data_to_json,
     enumerate_families,
+    iter_families,
     minimal_maslov,
     orientable,
     validate_family,
@@ -518,13 +519,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    families = enumerate_families(args.bound)
     if args.format == "json":
-        with _ordered_map(_data_json, families) as texts:
+        with _ordered_map(_data_json, enumerate_families(args.bound)) as texts:
             _emit_json_list(texts)
         return EXIT_OK
+    families = iter_families(args.bound)  # refuses a bad bound before the header
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")
-    # three small calls per family: forked workers gain nothing here
+    # three small calls per family: forked workers gain nothing here, and
+    # one family at a time keeps the table in constant memory
     for f in families:
         print(
             f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4} {minimal_maslov(f):>7} {collapse_step(f):>3} "

@@ -34,7 +34,6 @@ from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
     MaslovTooSmallError,
-    NarrownessVerdict,
     propagate_narrow,
     require_maslov,
     verdict_from_json,  # unused here; perfbench/worker.py patches this name
@@ -100,26 +99,11 @@ class JustificationStep(Record):
     """
 
     __slots__ = ("rule", "kind", "claim", "source", "verdict")
-
-    def __init__(self, rule: str, kind: str, claim: str, source: str | None = None,
-                 verdict: NarrownessVerdict | None = None) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "verdict", verdict)
+    _defaults = {"source": None, "verdict": None}
 
 
 class CaseReport(Record):
     __slots__ = ("family", "status", "justification", "volume_lower_bound")
-
-    def __init__(self, family: IsoparametricFamily, status: str,
-                 justification: tuple[JustificationStep, ...],
-                 volume_lower_bound: float | None) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "justification", justification)
-        object.__setattr__(self, "volume_lower_bound", volume_lower_bound)
 
     @property
     def intersects_real_form(self) -> bool:

@@ -15,7 +15,7 @@ Everything here is pure, and a profile's support is never mutated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
 
@@ -48,22 +48,30 @@ def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") 
 class Record:
     """A read-only value, the base of the package's value classes.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``; any later assignment or
-    deletion raises AttributeError.  Two records are equal when they are of
-    the same class and their ``_key()`` is equal, every field unless the
-    class says otherwise, and they hash alike then.  ``__reduce__`` gives the
-    constructor and its arguments, the fields in order, which is how pickle
-    and copy rebuild a record and what ``repr`` names.
+    A subclass names its fields in ``__slots__``, or in ``_fields`` when a
+    slot is derived, and the defaults of its trailing fields in
+    ``_defaults``.  Unless it writes its own, the subclass gets an
+    ``__init__`` compiled once, when the class is created, from those names:
+    it takes the fields in order, positionally or by keyword, sets each with
+    ``object.__setattr__`` and then calls ``self.__post_init__()`` if the
+    class has one.  Any later assignment or deletion raises AttributeError.
+    Two records are equal when they are of the same class and their
+    ``_key()`` is equal, every field unless the class says otherwise, and
+    they hash alike then.  ``__reduce__`` gives the class and the fields in
+    order, which is how pickle and copy rebuild a record and what ``repr``
+    names.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._values = attrgetter(*cls.__slots__)  # reads every field in one call
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._values = attrgetter(*fields)  # reads every field in one call
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _compile_init(cls, fields, cls.__dict__.get("_defaults", {}))
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def _key(self):
         return self._values(self)
@@ -83,8 +91,28 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        args = zip(self.__slots__, self.__reduce__()[1])
+        args = zip(self._fields, self.__reduce__()[1])
         return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in args)})"
+
+
+def _compile_init(cls: type, fields: tuple[str, ...], defaults: dict):
+    """``def __init__(self, <fields>)`` for ``cls``, the bytecode of a hand-written one.
+
+    The names come from the class body, never from input.
+    """
+    if tuple(defaults) != fields[len(fields) - len(defaults):]:
+        raise TypeError(f"{cls.__name__}: defaults must be for the trailing fields, in order")
+    name = f"{cls.__qualname__}.__init__"
+    lines = [f"def __init__(self, {', '.join(fields)}):"]
+    lines += [f"    _set(self, {field!r}, {field})" for field in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")  # through the instance, where a tracer may wrap it
+    namespace = {"_set": object.__setattr__}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults.values())
+    init.__qualname__, init.__module__ = name, cls.__module__
+    return init
 
 
 # Widest profile, from a file or a family's table: 8x the widest family at
@@ -109,14 +137,8 @@ class BettiProfile(Record):
     """
 
     __slots__ = ("n", "known", "cap", "open_rest", "room")
-
-    def __init__(self, n: int, known: Mapping[int, int], cap: int | None = None,
-                 open_rest: bool = False) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "known", known)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "open_rest", open_rest)
-        self.__post_init__()  # looked up on the class, where a tracer may wrap it
+    _fields = ("n", "known", "cap", "open_rest")  # room is derived
+    _defaults = {"cap": None, "open_rest": False}
 
     def __post_init__(self) -> None:
         for dim in self.known.values():
@@ -138,14 +160,6 @@ class BettiProfile(Record):
     @property
     def fully_known(self) -> bool:
         return self.room == 0
-
-    def dims(self) -> tuple[int, ...]:
-        if not self.fully_known:
-            raise ProfileError("profile has unknown slots")
-        return tuple(self.known.get(s, 0) for s in range(self.n + 1))
-
-    def __reduce__(self) -> tuple:
-        return BettiProfile, (self.n, self.known, self.cap, self.open_rest)
 
     def _key(self) -> tuple:
         items = self.known.items()

@@ -118,26 +118,10 @@ class ChainStep(Record):
     __slots__ = ("page", "shift", "left", "left_hi", "right", "right_hi",
                  "lower_before", "lower_after")
 
-    def __init__(self, page: int, shift: int, left: int, left_hi: int, right: int,
-                 right_hi: int, lower_before: int, lower_after: int) -> None:
-        object.__setattr__(self, "page", page)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "left_hi", left_hi)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "right_hi", right_hi)
-        object.__setattr__(self, "lower_before", lower_before)
-        object.__setattr__(self, "lower_after", lower_after)
-
 
 class ContradictionWitness(Record):
     kind = CONTRADICTION
     __slots__ = ("slot", "bound", "chain")
-
-    def __init__(self, slot: int, bound: int, chain: tuple[ChainStep, ...]) -> None:
-        object.__setattr__(self, "slot", slot)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "chain", chain)
 
 
 class FinalPageWitness(Record):
@@ -145,9 +129,6 @@ class FinalPageWitness(Record):
 
     kind = NO_CONTRADICTION
     __slots__ = ("slots",)
-
-    def __init__(self, slots: tuple[tuple[int, int | None], ...]) -> None:
-        object.__setattr__(self, "slots", slots)
 
 
 class FeasibleWitness(Record):
@@ -160,9 +141,6 @@ class FeasibleWitness(Record):
     kind = FEASIBLE
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[int, int, int], ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
-
 
 class InfeasibleWitness(Record):
     """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
@@ -173,10 +151,7 @@ class InfeasibleWitness(Record):
     kind = INFEASIBLE
     completions_tried = 1
     __slots__ = ("barrier", "states_explored")
-
-    def __init__(self, barrier: tuple[int, ...], states_explored: int = 0) -> None:
-        object.__setattr__(self, "barrier", barrier)
-        object.__setattr__(self, "states_explored", states_explored)
+    _defaults = {"states_explored": 0}
 
     def _key(self) -> tuple:
         return (self.barrier,)
@@ -191,10 +166,6 @@ class NarrownessVerdict(Record):
     """
 
     __slots__ = ("page", "witness")
-
-    def __init__(self, page: int | None, witness: object) -> None:
-        object.__setattr__(self, "page", page)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def kind(self) -> str:

@@ -5,15 +5,16 @@ a page of known slot dimensions with one rank vector and checks every
 linear-algebra constraint of that turn.  ``brute_feasible`` walks every
 legal rank vector on every page and is the exact decider's reference.
 ``euler_char`` and ``check_poincare`` are sanity checks of a table, and
-``slot_bounds`` is a profile's first page written out degree by degree.  None
-of them shares decision logic with ``isofloer.specseq``; ``step_page``
-takes only its Maslov precondition from there.
+``dims`` and ``slot_bounds`` write a profile's first page out degree by
+degree, ``dims`` only for a fully known one.  None of them shares
+decision logic with ``isofloer.specseq``; ``step_page`` takes only its
+Maslov precondition from there.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from isofloer.homology import BettiProfile
+from isofloer.homology import BettiProfile, ProfileError
 from isofloer.specseq import EngineError, require_maslov
 
 
@@ -116,16 +117,22 @@ def brute_feasible(dims, maslov, nu):
     return walk(tuple(dims), 1)
 
 
+def dims(profile: BettiProfile) -> tuple[int, ...]:
+    """The dimension at every degree 0..n of a fully known profile."""
+    if not profile.fully_known:
+        raise ProfileError("profile has unknown slots")
+    return tuple(profile.known.get(s, 0) for s in range(profile.n + 1))
+
+
 def euler_char(profile: BettiProfile) -> int:
     """Alternating sum of the dimensions; every slot must be known."""
-    dims = profile.dims()
-    return sum(dim if s % 2 == 0 else -dim for s, dim in enumerate(dims))
+    return sum(dim if s % 2 == 0 else -dim for s, dim in enumerate(dims(profile)))
 
 
 def check_poincare(profile: BettiProfile) -> bool:
     """Z2 Poincare symmetry dim[s] == dim[n-s], a closed-manifold sanity check."""
-    dims = profile.dims()
-    return all(dims[s] == dims[profile.n - s] for s in range(profile.n + 1))
+    page = dims(profile)
+    return all(page[s] == page[profile.n - s] for s in range(profile.n + 1))
 
 
 def slot_bounds(profile: BettiProfile) -> list[tuple[int, int | None]]:

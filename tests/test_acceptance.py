@@ -43,7 +43,7 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
-from page_model import RankVector, check_poincare, step_page
+from page_model import RankVector, check_poincare, dims, step_page
 
 
 @contextlib.contextmanager
@@ -117,7 +117,7 @@ def test_a4_g3_wideness_split(capsys):
         for m in (2, 4, 8):
             family = validate_family(3, m, m)
             profile = gauss_image_betti_g3(family)
-            assert profile.dims()[0] == profile.dims()[family.n] == 1
+            assert dims(profile)[0] == dims(profile)[family.n] == 1
             assert wide_check_biran_cornea(profile, minimal_maslov(family)), m
         family = validate_family(3, 1, 1)
         profile = gauss_image_betti_g3(family)
@@ -174,7 +174,7 @@ def test_a7_covering_table_sanity(capsys):
             if f.g == 6:
                 continue
             table = munzner_betti_N(f)
-            assert sum(table.dims()) == 2 * f.g, f
+            assert sum(dims(table)) == 2 * f.g, f
             assert check_poincare(table), f
 
 
@@ -215,27 +215,27 @@ def test_a8_randomized_property_battery(capsys):
         }
 
         for _ in range(2500):
-            dims, maslov = random_known_profile(rng).dims(), rng.randint(3, 6)
-            nxt = step_page(dims, maslov, random_legal_ranks(rng, dims, maslov - 1))
-            assert all(b <= a for a, b in zip(dims, nxt))
+            page, maslov = dims(random_known_profile(rng)), rng.randint(3, 6)
+            nxt = step_page(page, maslov, random_legal_ranks(rng, page, maslov - 1))
+            assert all(b <= a for a, b in zip(page, nxt))
             trials["monotonicity"] += 1
 
         for _ in range(2500):
-            dims, maslov = random_known_profile(rng).dims(), rng.randint(3, 6)
+            page, maslov = dims(random_known_profile(rng)), rng.randint(3, 6)
             shift = maslov - 1
-            nxt = step_page(dims, maslov, random_legal_ranks(rng, dims, shift))
-            d = lambda s: dims[s] if 0 <= s < len(dims) else 0
+            nxt = step_page(page, maslov, random_legal_ranks(rng, page, shift))
+            d = lambda s: page[s] if 0 <= s < len(page) else 0
             assert all(
-                nxt[s] >= dims[s] - d(s - shift) - d(s + shift)
-                for s in range(len(dims))
+                nxt[s] >= page[s] - d(s - shift) - d(s + shift)
+                for s in range(len(page))
             )
             trials["exactness"] += 1
 
         for _ in range(2000):
-            dims, maslov = random_known_profile(rng).dims(), rng.choice((4, 6))
-            alt = lambda dims: sum(x if s % 2 == 0 else -x for s, x in enumerate(dims))
-            nxt = step_page(dims, maslov, random_legal_ranks(rng, dims, maslov - 1))
-            assert alt(nxt) == alt(dims)
+            page, maslov = dims(random_known_profile(rng)), rng.choice((4, 6))
+            alt = lambda page: sum(x if s % 2 == 0 else -x for s, x in enumerate(page))
+            nxt = step_page(page, maslov, random_legal_ranks(rng, page, maslov - 1))
+            assert alt(nxt) == alt(page)
             trials["parity"] += 1
 
         for _ in range(1500):

@@ -14,6 +14,7 @@ from isofloer.catalog import (
     enumerate_families,
     family_to_json,
     gauss_image_betti_g3,
+    iter_families,
     minimal_maslov,
     munzner_betti_N,
     orientable,
@@ -22,7 +23,7 @@ from isofloer.catalog import (
 )
 from isofloer.homology import profile_from_json
 
-from page_model import check_poincare
+from page_model import check_poincare, dims
 
 
 def munzner_degrees_by_g(family: IsoparametricFamily) -> list[int]:
@@ -108,26 +109,26 @@ class TestInvariants:
 class TestCoveringTables:
     def test_g4_12_table(self):
         p = munzner_betti_N(validate_family(4, 1, 2))
-        assert p.dims() == (1, 1, 1, 2, 1, 1, 1)
+        assert dims(p) == (1, 1, 1, 2, 1, 1, 1)
 
     def test_g4_22_table(self):
         p = munzner_betti_N(validate_family(4, 2, 2))
-        assert p.dims() == (1, 0, 2, 0, 2, 0, 2, 0, 1)
+        assert dims(p) == (1, 0, 2, 0, 2, 0, 2, 0, 1)
 
     def test_g2_equal_multiplicities_merge(self):
         # m1 = m2 = 1 puts two classes in the middle degree
         p = munzner_betti_N(validate_family(2, 1, 1))
-        assert p.dims() == (1, 2, 1)
+        assert dims(p) == (1, 2, 1)
 
     def test_g1_sphere(self):
         p = munzner_betti_N(validate_family(1, 3, 3))
-        assert p.dims() == (1, 0, 0, 1)
+        assert dims(p) == (1, 0, 0, 1)
 
     def test_total_betti_is_2g_below_g6(self):
         for f in enumerate_families(10):
             if f.g == 6:
                 continue
-            assert sum(munzner_betti_N(f).dims()) == 2 * f.g
+            assert sum(dims(munzner_betti_N(f))) == 2 * f.g
 
     def test_one_formula_gives_each_g_its_old_branch(self):
         # partial sums 0, m1, m1 + m2, ... and n minus each, degree by degree
@@ -159,15 +160,15 @@ class TestGaussImageHomology:
     def test_m1_is_cited_sphere(self):
         family = validate_family(3, 1, 1)
         assert cited_facts(family)
-        assert gauss_image_betti_g3(family).dims() == (1, 0, 0, 1)
+        assert dims(gauss_image_betti_g3(family)) == (1, 0, 0, 1)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_even_m_computed_sphere(self, m):
         family = validate_family(3, m, m)
         assert not cited_facts(family)
-        dims = gauss_image_betti_g3(family).dims()
-        assert dims[0] == dims[3 * m] == 1
-        assert sum(dims) == 2
+        betti = dims(gauss_image_betti_g3(family))
+        assert betti[0] == betti[3 * m] == 1
+        assert sum(betti) == 2
 
     def test_rejects_other_g(self):
         with pytest.raises(FamilyError):
@@ -197,16 +198,33 @@ class TestEnumeration:
     def test_all_normalized(self):
         assert all(f.m1 <= f.m2 for f in enumerate_families(16))
 
+    @pytest.mark.parametrize("bound", [2, 9, 17])
+    def test_every_valid_triple_once(self, bound):
+        # the loops build families without validate_family, which stays the reference
+        valid = []
+        for g in (1, 2, 3, 4, 6):
+            for m1 in range(1, bound):
+                for m2 in range(m1, bound - m1 + 1):
+                    try:
+                        valid.append(validate_family(g, m1, m2))
+                    except FamilyError:
+                        pass
+        assert enumerate_families(bound) == valid
+        assert list(iter_families(bound)) == valid
+
     def test_bound_below_2_rejected(self):
-        with pytest.raises(FamilyError):
-            enumerate_families(1)
+        for families in (enumerate_families, iter_families):
+            with pytest.raises(FamilyError):
+                families(1)
 
     def test_bound_beyond_the_widest_table_rejected(self):
         # at 2048 the widest g=4 table, n = 4096, fits; the refusal comes
-        # before any of the ~10^8 families of bound 20000 is built
-        for bound in (2049, 20000):
-            with pytest.raises(FamilyError, match="bound must be <= 2048"):
-                enumerate_families(bound)
+        # before any of the ~10^8 families of bound 20000 is built, and
+        # before the first family is asked of the generator
+        for families in (enumerate_families, iter_families):
+            for bound in (2049, 20000):
+                with pytest.raises(FamilyError, match="bound must be <= 2048"):
+                    families(bound)
 
 
 class TestGaussImageData:
@@ -214,7 +232,7 @@ class TestGaussImageData:
         rec = data_to_json(validate_family(3, 2, 2))
         assert rec["covering_degree"] == 3
         assert profile_from_json(rec["betti_N"]).fully_known
-        assert profile_from_json(rec["betti_L"]).dims() == (1, 0, 0, 0, 0, 0, 1)
+        assert dims(profile_from_json(rec["betti_L"])) == (1, 0, 0, 0, 0, 0, 1)
 
     def test_g6_m1_record_has_no_tables(self):
         rec = data_to_json(validate_family(6, 1, 1))

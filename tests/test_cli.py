@@ -132,8 +132,8 @@ class TestClassifyAll:
         assert "bound" in err
 
     def test_catalog_bound_below_2_exits_1(self, capsys):
-        code, _, err = run(capsys, ["catalog", "--bound", "1"])
-        assert code == 1
+        code, out, err = run(capsys, ["catalog", "--bound", "1"])
+        assert (code, out) == (1, "")  # refused before the header
         assert "bound" in err
 
     @pytest.mark.parametrize("command", ["classify-all", "catalog"])
@@ -1239,6 +1239,13 @@ def test_text_table_streams_in_constant_memory(command):
     # holding every row of the bound-256 table costs 40 to 50 MB above one classify
     reference = peak_rss_mb(["classify", "--g", "1", "--m1", "1", "--m2", "1"])
     assert peak_rss_mb([command, "--bound", "256"]) - reference < 15
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kilobytes")
+def test_catalog_text_holds_one_family_at_a_time():
+    # the list of all 131,000 families of bound 512 costs about 11 MB above one classify
+    reference = peak_rss_mb(["classify", "--g", "1", "--m1", "1", "--m2", "1"])
+    assert peak_rss_mb(["catalog", "--bound", "512"]) - reference < 3
 
 
 # --- the JSON writer ----------------------------------------------------------

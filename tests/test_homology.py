@@ -14,13 +14,13 @@ from isofloer.homology import (
 
 from isofloer.specseq import _upper
 
-from page_model import check_poincare, euler_char
+from page_model import check_poincare, dims, euler_char
 
 
 class TestConstruction:
     def test_make_profile_fills_zeros(self):
         p = make_profile(4, [(0, 1), (4, 1)])
-        assert p.dims() == (1, 0, 0, 0, 1)
+        assert dims(p) == (1, 0, 0, 0, 1)
         assert p.fully_known
         assert p.cap is None
 
@@ -103,12 +103,12 @@ class TestConstruction:
         for cap in (None, 2, 9):
             p = make_partial_profile(2, [(0, 1), (1, 0), (2, 1)], cap)
             assert p.room == 0 and p.fully_known
-            assert p.dims() == (1, 0, 1)
+            assert dims(p) == (1, 0, 1)
 
     def test_cap_equal_to_known_sum_forces_zeros(self):
         p = make_partial_profile(2, [(0, 1), (2, 1)], cap=2)
         assert p.fully_known
-        assert p.dims() == (1, 0, 1)
+        assert dims(p) == (1, 0, 1)
 
     def test_cap_below_known_sum_rejected(self):
         with pytest.raises(ProfileError):
@@ -123,7 +123,7 @@ class TestConstruction:
     def test_dims_refuses_unknown_slots(self):
         p = make_partial_profile(3, [(0, 1)])
         with pytest.raises(ProfileError):
-            p.dims()
+            dims(p)
 
 
 class TestQueries:

@@ -1,6 +1,7 @@
 """The package's public names, its value classes, and what importing it loads."""
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import isofloer
 from isofloer.catalog import CitedFact, IsoparametricFamily
 from isofloer.criteria import CaseReport, JustificationStep
-from isofloer.homology import BettiProfile
+from isofloer.homology import BettiProfile, Record
 from isofloer.specseq import (
     ChainStep,
     ContradictionWitness,
@@ -85,6 +86,45 @@ def test_value_semantics(cls, kwargs, field, value):
         assert pickle.loads(pickle.dumps(record, protocol)) == record
     assert copy.deepcopy(record) == record and copy.copy(record) == record
     assert repr(record).startswith(f"{cls.__name__}({next(iter(kwargs))}=")
+
+
+def test_every_value_class_is_tested():
+    classes, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            classes.add(cls)
+            todo.append(cls)
+    assert {cls for cls in classes if cls.__module__.startswith("isofloer.")} == {
+        cls for cls, *_ in RECORDS}
+
+
+DEFAULTS = {
+    BettiProfile: {"cap": None, "open_rest": False},
+    JustificationStep: {"source": None, "verdict": None},
+    InfeasibleWitness: {"states_explored": 0},
+}
+
+
+@pytest.mark.parametrize("cls,kwargs,field,value", RECORDS,
+                         ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_constructor_takes_the_fields_in_order(cls, kwargs, field, value):
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == list(kwargs)
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not p.empty} == DEFAULTS.get(cls, {})
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    first, *rest = kwargs
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+        cls(**{name: kwargs[name] for name in rest})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**kwargs, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(kwargs[first], **kwargs)
+
+
+def test_defaults_must_be_for_the_trailing_fields():
+    with pytest.raises(TypeError, match="trailing fields"):
+        type("Misordered", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 0}})
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

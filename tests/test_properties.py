@@ -21,7 +21,7 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
-from page_model import RankVector, euler_char, slot_bounds, step_page
+from page_model import RankVector, dims, euler_char, slot_bounds, step_page
 
 
 @st.composite
@@ -47,16 +47,16 @@ def partial_profiles(draw, max_n=8, max_dim=4):
 @st.composite
 def pages_with_ranks(draw, max_n=8, max_dim=4):
     """A page of known dims, its Maslov number and one legal rank vector for it."""
-    dims = draw(known_profiles(max_n, max_dim)).dims()
+    page = dims(draw(known_profiles(max_n, max_dim)))
     maslov = draw(st.integers(3, 6))
     r = draw(st.integers(1, 2))
     shift = r * maslov - 1
     acc = []
-    for s in range(len(dims)):
-        cap = dims[s] - (acc[s - shift] if s - shift >= 0 else 0)
-        cap = min(cap, dims[s + shift] if s + shift < len(dims) else 0)
+    for s in range(len(page)):
+        cap = page[s] - (acc[s - shift] if s - shift >= 0 else 0)
+        cap = min(cap, page[s + shift] if s + shift < len(page) else 0)
         acc.append(draw(st.integers(0, max(cap, 0))))
-    return dims, maslov, RankVector(r, tuple(acc))
+    return page, maslov, RankVector(r, tuple(acc))
 
 
 @given(pages_with_ranks())
@@ -114,10 +114,10 @@ def test_padding_with_zero_slots_changes_nothing(profile, maslov, extra):
 def test_listing_every_degree_changes_nothing(profile, maslov, capped):
     # the nonzero degrees alone, closed, and every degree with its zeros,
     # open and so with no room left, are one profile
-    dims = profile.dims()
-    cap = sum(dims) if capped else None
-    sparse = BettiProfile(profile.n, {s: dim for s, dim in enumerate(dims) if dim}, cap)
-    listed = make_partial_profile(profile.n, enumerate(dims), cap)
+    page = dims(profile)
+    cap = sum(page) if capped else None
+    sparse = BettiProfile(profile.n, {s: dim for s, dim in enumerate(page) if dim}, cap)
+    listed = make_partial_profile(profile.n, enumerate(page), cap)
     assert listed == sparse and hash(listed) == hash(sparse)
     nu = (profile.n + 1) // maslov
     assert propagate_narrow(listed, maslov, profile.n, nu) == propagate_narrow(
@@ -186,7 +186,7 @@ def sparse_profiles(draw):
 def dense_brief(profile):
     """The claim text as read off the dense view, degree by degree."""
     if profile.fully_known:
-        return f"dims {list(profile.dims())}"
+        return f"dims {list(dims(profile))}"
     known = {s: lo for s, (lo, hi) in enumerate(slot_bounds(profile)) if lo == hi}
     return f"known slots {known}, other degrees unknown"
 

@@ -42,7 +42,14 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
-from page_model import RankVector, RankViolationError, brute_feasible, slot_bounds, step_page
+from page_model import (
+    RankVector,
+    RankViolationError,
+    brute_feasible,
+    dims,
+    slot_bounds,
+    step_page,
+)
 
 G4_12 = munzner_betti_N(validate_family(4, 1, 2))    # dims (1,1,1,2,1,1,1), maslov 3
 G4_22 = munzner_betti_N(validate_family(4, 2, 2))    # dims (1,0,2,0,2,0,2,0,1), maslov 4
@@ -54,7 +61,7 @@ G4_12_DIMS = (1, 1, 1, 2, 1, 1, 1)
 
 class TestPages:
     def test_first_page_is_profile_dims(self):
-        assert G4_12.dims() == G4_12_DIMS
+        assert dims(G4_12) == G4_12_DIMS
 
     def test_shift_grows_with_page(self):
         # page 1 shifts by 3*1 - 1 = 2, page 2 by 3*2 - 1 = 5
@@ -75,7 +82,7 @@ class TestPages:
     def test_unknown_slots_block_dims(self):
         # a partial profile has no first page of known dimensions
         with pytest.raises(ProfileError):
-            G6_PARTIAL.dims()
+            dims(G6_PARTIAL)
 
 
 class TestStepPage:
@@ -111,7 +118,7 @@ class TestStepPage:
     def test_rank_beyond_codomain_rejected(self):
         # (2,2) has zero slots two steps above every nonzero one
         with pytest.raises(RankViolationError):
-            step_page(G4_22.dims(), 4, RankVector(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
+            step_page(dims(G4_22), 4, RankVector(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
 
     def test_composition_constraint_rejected(self):
         with pytest.raises(RankViolationError) as err:
