@@ -41,9 +41,6 @@ from .criteria import (
 )
 from .homology import ProfileError, as_int, profile_from_json, profile_to_json
 from .specseq import (
-    CONTRADICTION,
-    FEASIBLE,
-    INFEASIBLE,
     EngineError,
     SearchCapError,
     WitnessError,
@@ -61,7 +58,18 @@ EXIT_FORMAT = 2
 
 
 class InputError(Exception):
-    """An input file that cannot be read, is not JSON, or does not parse."""
+    """An input file that cannot be read, is too large, is not JSON, or does not parse."""
+
+
+# Largest input file read, in bytes.  The widest envelope the CLI writes,
+# narrow-check --oracle at n = 4096 with every dim 10^9, is 429,364 bytes, so
+# 4 MiB leaves about a tenfold margin, and a larger file is refused before json
+# builds it in memory.  Reading whole classify-all reports (ROADMAP item 6)
+# will need this limit looked at again.
+MAX_INPUT_BYTES = 4 * 1024 * 1024
+# read(n) allocates n bytes before it reads, so _read reads the first
+# FIRST_READ bytes, which hold most inputs, and reads on only if they fill it
+FIRST_READ = 64 * 1024
 
 
 @functools.cache
@@ -124,12 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str, parse, what: str):
-    """``parse`` the JSON file at ``path``; every way that fails is an InputError."""
+    """``parse`` the JSON file at ``path``, at most ``MAX_INPUT_BYTES`` long;
+    every way that fails is an InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read(FIRST_READ)
+            if len(raw) == FIRST_READ:
+                raw += handle.read(MAX_INPUT_BYTES + 1 - FIRST_READ)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if len(raw) > MAX_INPUT_BYTES:
+        raise InputError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
+    try:  # decoded as a text-mode read decodes it, with universal newlines
+        data = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
@@ -367,49 +382,13 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
     for step in report.justification:
         print(f"  [{step.kind}] {step.claim}" + (f"  ({step.source})" if step.source else ""))
         if verbose and step.verdict is not None:
-            for line in _verdict_text_lines(step.verdict):
+            witness = step.verdict.witness
+            for line in [witness.summary(step.verdict.page), *witness.details(None, None)]:
                 print(f"      {line}")
     if report.intersects_real_form:
         print("  intersects the real form: yes")
     if report.volume_lower_bound is not None:
         print(f"  sweep-volume lower bound: {report.volume_lower_bound:.6f}")
-
-
-def _verdict_text_lines(verdict, maslov: int | None = None, n: int | None = None) -> list[str]:
-    """The summary, then the chain, each cancellation (which needs ``maslov``)
-    or the barrier (which needs ``n``: slot n + 1 is the pool)."""
-    lines = [_verdict_summary(verdict)]
-    if verdict.kind == CONTRADICTION:
-        for c in verdict.witness.chain:
-            lines.append(
-                f"page {c.page}: slot bound {c.lower_before} -> {c.lower_after} "
-                f"(neighbours {c.left} hi={c.left_hi}, {c.right} hi={c.right_hi})"
-            )
-    elif verdict.kind == FEASIBLE:
-        for s, r, count in verdict.witness.pairs:
-            classes = "1 class of slot" if count == 1 else f"{count} classes of slot"
-            verb = "cancels" if count == 1 else "cancel"
-            lines.append(f"page {r}: {classes} {s} {verb} slot {s + r * maslov - 1}")
-    elif verdict.kind == INFEASIBLE:
-        barrier = verdict.witness.barrier
-        if not barrier:
-            lines.append("barrier: empty (with no slot removed, a class is left unpaired)")
-        else:
-            slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in barrier)
-            lines.append(f"barrier: {slots} (more parts are odd without the barrier "
-                         "than it holds classes)")
-    return lines
-
-
-def _verdict_summary(verdict) -> str:
-    if verdict.kind == CONTRADICTION:
-        return (
-            f"Contradiction at slot {verdict.slot} "
-            f"(final page {verdict.page}, forced lower bound {verdict.bound})"
-        )
-    if verdict.kind == FEASIBLE:
-        return "Feasible: a legal rank assignment reaches the zero page"
-    return verdict.kind
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -470,16 +449,13 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
             "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
         })
         return EXIT_OK
-    print(f"propagation: {_verdict_summary(verdict)}")
-    if args.verbose:
-        for line in _verdict_text_lines(verdict)[1:]:
-            print(f"  {line}")
-    if oracle_verdict is not None:
-        print(f"oracle: {_verdict_summary(oracle_verdict)}")
-        if args.verbose:
-            for line in _verdict_text_lines(oracle_verdict, args.maslov, profile.n)[1:]:
+    for label, shown in (("propagation", verdict), ("oracle", oracle_verdict)):
+        if shown is not None:
+            print(f"{label}: {shown.witness.summary(shown.page)}")
+            # a cancellation needs the Maslov number, a barrier n: slot n + 1 is the pool
+            for line in shown.witness.details(args.maslov, profile.n) if args.verbose else ():
                 print(f"  {line}")
-    elif oracle_note is not None:
+    if oracle_note is not None:
         print(f"oracle skipped: {oracle_note}")
     return EXIT_OK
 

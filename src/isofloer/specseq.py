@@ -53,10 +53,13 @@ profile.
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
 the tests' page model, a walk over every rank vector, is the oracle's
-reference.  Each verdict is its final page and a witness; its kind, and a
-Contradiction's slot and bound, are read off the witness, and
-``replay_witness`` re-derives any witness without trusting the run that
-produced it.
+reference.  Each verdict is its final page and a witness, whose class holds
+all that is particular to its kind: the kind, the wire tag, the payload
+writer ``to_json`` and strict reader ``from_json``, the ``replay``, and the
+text, a ``summary`` line and the ``details`` that ``--verbose`` prints.
+``WITNESS_TYPES`` maps each tag to its class, and ``verdict_to_json``,
+``verdict_from_json`` and ``replay_witness``, which re-derives a witness
+without trusting the run that produced it, look the class up there.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from itertools import accumulate
+from operator import attrgetter
 
 from .homology import BettiProfile, Record, as_int, as_list
 
@@ -119,36 +123,148 @@ class ChainStep(Record):
                  "lower_before", "lower_after")
 
 
-class ContradictionWitness(Record):
-    kind = CONTRADICTION
+_as_int = partial(as_int, error=WitnessError, what="witness field")
+_as_list = partial(as_list, error=WitnessError, what="witness entry")
+
+
+def _rows(payload: dict, key: str, entry=_as_list) -> list:
+    """The list under ``key``, with ``entry`` applied to each of its entries."""
+    return [entry(row) for row in _as_list(payload[key], what=f"witness field {key!r}")]
+
+
+def _as_opt_int(value) -> int | None:
+    return None if value is None else _as_int(value)
+
+
+def _slot_bound(lo, hi) -> tuple[int, int | None]:
+    """A final-page slot: a nonempty interval of dims, ``hi`` None for unbounded."""
+    lo, hi = _as_int(lo), _as_opt_int(hi)
+    if lo < 0:
+        raise WitnessError(f"dimension lower bound must be >= 0, got {lo}")
+    if hi is not None and hi < lo:
+        raise WitnessError(f"empty dimension interval [{lo}, {hi}]")
+    return lo, hi
+
+
+class _Witness:
+    """What the witness kinds share: no headline slot or bound, a summary that
+    is the kind, and no ``--verbose`` lines, unless the kind says otherwise."""
+
+    __slots__ = ()
+    slot = bound = None
+
+    def summary(self, page: int) -> str:
+        return self.kind
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        return []
+
+
+class ContradictionWitness(_Witness, Record):
+    """A vanishing final page would force ``bound`` > 0 classes into ``slot``:
+    ``chain`` is that bound page by page.  Replay re-walks the chain against
+    the profile, without the propagator."""
+
+    kind, tag = CONTRADICTION, "contradiction-chain"
     __slots__ = ("slot", "bound", "chain")
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "slot": self.slot, "bound": self.bound,
+                "chain": [dict(zip(ChainStep.__slots__, ChainStep._values(c))) for c in self.chain]}
 
-class FinalPageWitness(Record):
-    """``(lo, hi)`` per slot 0..n of the final page; ``hi`` None is unbounded."""
+    @classmethod
+    def from_json(cls, payload: dict) -> ContradictionWitness:
+        chain = tuple(ChainStep(*(_as_int(c[name]) for name in ChainStep.__slots__))
+                      for c in _as_list(payload["chain"], what="witness field 'chain'"))
+        return cls(_as_int(payload["slot"]), _as_int(payload["bound"]), chain)
 
-    kind = NO_CONTRADICTION
+    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
+        chain = _chain(profile, self.slot, maslov, nu)
+        if chain is None:
+            return False
+        lower = chain[-1].lower_after if chain else profile.known.get(self.slot, 0)
+        return 0 < self.bound == lower and self.chain == chain
+
+    def summary(self, page: int) -> str:
+        return (f"Contradiction at slot {self.slot} "
+                f"(final page {page}, forced lower bound {self.bound})")
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        return [f"page {c.page}: slot bound {c.lower_before} -> {c.lower_after} "
+                f"(neighbours {c.left} hi={c.left_hi}, {c.right} hi={c.right_hi})"
+                for c in self.chain]
+
+
+class FinalPageWitness(_Witness, Record):
+    """``(lo, hi)`` per slot 0..n of the final page; ``hi`` None is unbounded.
+    Replay recomputes it with ``propagate_narrow``."""
+
+    kind, tag = NO_CONTRADICTION, "final-page"
     __slots__ = ("slots",)
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "slots": [list(slot) for slot in self.slots]}
 
-class FeasibleWitness(Record):
+    @classmethod
+    def from_json(cls, payload: dict) -> FinalPageWitness:
+        return cls(tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots")))
+
+    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
+        return propagate_narrow(profile, maslov, profile.n, nu).witness == self
+
+
+class FeasibleWitness(_Witness, Record):
     """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
     cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
     to its value in the completion they pair off.  Valid iff 1 <= r <= nu,
     both slots exist, and that completion lies within the profile's bounds
     and cap."""
 
-    kind = FEASIBLE
+    kind, tag = FEASIBLE, "cancellation-pairs"
     __slots__ = ("pairs",)
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "pairs": [list(pair) for pair in self.pairs]}
 
-class InfeasibleWitness(Record):
+    @classmethod
+    def from_json(cls, payload: dict) -> FeasibleWitness:
+        return cls(tuple((_as_int(s), _as_int(r), _as_int(c))
+                         for s, r, c in _rows(payload, "pairs")))
+
+    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
+        # each slot's counts add up to its value in the completion that the
+        # pairs pair off; pairs must ascend strictly in (s, r), and above
+        # (0, 0) rules out s < 0
+        paired, last = Counter(), (0, 0)
+        for s, r, count in self.pairs:
+            t = s + r * maslov - 1
+            if not (last < (s, r) and 1 <= r <= nu and count >= 1 and t <= profile.n):
+                return False
+            paired[s] += count
+            paired[t] += count
+            last = (s, r)
+        if profile.cap is not None and sum(paired.values()) > profile.cap:
+            return False
+        known, room = profile.known, profile.room
+        return all(paired[s] == dim for s, dim in known.items()) and (
+            room is None or all(count <= room for s, count in paired.items() if s not in known))
+
+    def summary(self, page: int) -> str:
+        return "Feasible: a legal rank assignment reaches the zero page"
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        return [f"page {r}: " + (f"1 class of slot {s} cancels" if count == 1 else
+                                 f"{count} classes of slot {s} cancel")
+                + f" slot {s + r * maslov - 1}" for s, r, count in self.pairs]
+
+
+class InfeasibleWitness(_Witness, Record):
     """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
-    pool); the trees grown, ``states_explored``, stay off the wire and out of
-    equality, and one matching decides a profile, so ``completions_tried``
-    is 1."""
+    pool), checked by ``is_tutte_barrier`` without the decider; the trees
+    grown, ``states_explored``, stay off the wire and out of equality, and one
+    matching decides a profile, so ``completions_tried`` is 1."""
 
-    kind = INFEASIBLE
+    kind, tag = INFEASIBLE, "tutte-barrier"
     completions_tried = 1
     __slots__ = ("barrier", "states_explored")
     _defaults = {"states_explored": 0}
@@ -156,28 +272,40 @@ class InfeasibleWitness(Record):
     def _key(self) -> tuple:
         return (self.barrier,)
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "barrier": list(self.barrier)}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> InfeasibleWitness:
+        return cls(tuple(_rows(payload, "barrier", _as_int)))
+
+    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
+        return is_tutte_barrier(profile, maslov, nu, self.barrier)
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        if not self.barrier:
+            return ["barrier: empty (with no slot removed, a class is left unpaired)"]
+        slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in self.barrier)
+        return [f"barrier: {slots} (more parts are odd without the barrier than it holds "
+                "classes)"]
+
+
+WITNESS_TYPES = {cls.tag: cls for cls in (ContradictionWitness, FinalPageWitness,
+                                          FeasibleWitness, InfeasibleWitness)}
+
 
 class NarrownessVerdict(Record):
     """A final page and the witness that carries the rest.
 
-    ``kind`` is the witness class's kind; ``slot`` and ``bound`` are read
-    off a ``ContradictionWitness`` and are None for every other kind, so a
-    headline cannot disagree with its witness.
+    ``kind``, ``slot`` and ``bound`` are read off the witness (slot and bound
+    are None but for a Contradiction), so a headline cannot disagree with
+    its witness.
     """
 
     __slots__ = ("page", "witness")
-
-    @property
-    def kind(self) -> str:
-        return self.witness.kind
-
-    @property
-    def slot(self) -> int | None:
-        return self.witness.slot if isinstance(self.witness, ContradictionWitness) else None
-
-    @property
-    def bound(self) -> int | None:
-        return self.witness.bound if isinstance(self.witness, ContradictionWitness) else None
+    kind = property(attrgetter("witness.kind"))
+    slot = property(attrgetter("witness.slot"))
+    bound = property(attrgetter("witness.bound"))
 
 
 def propagate_narrow(
@@ -424,128 +552,40 @@ def is_tutte_barrier(profile: BettiProfile, maslov: int, nu: int, barrier) -> bo
     return odd > sum(dims[s] for s in removed)
 
 
-# --- replay -----------------------------------------------------------------
+# --- replay and serialization ----------------------------------------------
+
+
+def _witness(verdict: NarrownessVerdict, refusal: str):
+    """The verdict's witness, if ``WITNESS_TYPES`` holds its class under its
+    tag; otherwise WitnessError, ``refusal`` and the type's name."""
+    witness = verdict.witness
+    if WITNESS_TYPES.get(getattr(witness, "tag", None)) is not type(witness):
+        raise WitnessError(refusal + type(witness).__name__)
+    return witness
 
 
 def replay_witness(
     verdict: NarrownessVerdict, profile: BettiProfile, maslov: int, nu: int
 ) -> bool:
-    """Re-derive a verdict's witness from scratch; True iff it checks out.
+    """Re-derive a verdict's witness from scratch with its class's ``replay``;
+    True iff it checks out and the verdict names the final page nu + 1.
 
-    Contradiction chains are re-walked arithmetically against the profile
-    (no call into the propagator); Feasible pairs are added up slot by slot
-    into the completion they pair off, which must lie within the profile;
-    an Infeasible witness's barrier is checked with ``is_tutte_barrier``,
-    without calling the decider; NoContradiction is checked by
-    recomputation.  Every verdict names the final page nu + 1.  Malformed
-    structure raises; wrong values return False; a profile beyond the
-    oracle's limits raises SearchCapError for a barrier.
+    Malformed structure raises; wrong values return False; a profile beyond
+    the oracle's limits raises SearchCapError for a barrier.
     """
-    witness = verdict.witness
-    final = verdict.page == nu + 1
+    witness = _witness(verdict, "not a witness: ")
     try:
-        if isinstance(witness, ContradictionWitness):
-            return final and _replay_contradiction(witness, profile, maslov, nu)
-        if isinstance(witness, FinalPageWitness):
-            return final and propagate_narrow(profile, maslov, profile.n, nu).witness == witness
-        if isinstance(witness, FeasibleWitness):
-            return final and _replay_feasible(witness, profile, maslov, nu)
-        if isinstance(witness, InfeasibleWitness):
-            return final and is_tutte_barrier(profile, maslov, nu, witness.barrier)
+        return verdict.page == nu + 1 and witness.replay(profile, maslov, nu)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
-    raise WitnessError(f"not a witness: {type(witness).__name__}")
-
-
-def _replay_contradiction(
-    witness: ContradictionWitness, profile: BettiProfile, maslov: int, nu: int
-) -> bool:
-    chain = _chain(profile, witness.slot, maslov, nu)
-    if chain is None:
-        return False
-    lower = chain[-1].lower_after if chain else profile.known.get(witness.slot, 0)
-    return 0 < witness.bound == lower and witness.chain == chain
-
-
-def _replay_feasible(
-    witness: FeasibleWitness, profile: BettiProfile, maslov: int, nu: int
-) -> bool:
-    # each slot's counts add up to its value in the completion that the pairs
-    # pair off; pairs must ascend strictly in (s, r), and above (0, 0) rules
-    # out s < 0
-    paired, last = Counter(), (0, 0)
-    for s, r, count in witness.pairs:
-        t = s + r * maslov - 1
-        if not (last < (s, r) and 1 <= r <= nu and count >= 1 and t <= profile.n):
-            return False
-        paired[s] += count
-        paired[t] += count
-        last = (s, r)
-    if profile.cap is not None and sum(paired.values()) > profile.cap:
-        return False
-    known, room = profile.known, profile.room
-    return all(paired[s] == dim for s, dim in known.items()) and (
-        room is None or all(count <= room for s, count in paired.items() if s not in known))
-
-
-# --- serialization ----------------------------------------------------------
 
 
 def verdict_to_json(verdict: NarrownessVerdict) -> dict:
-    """Stable wire form: {"kind", "slot", "page", "bound", "witness"}."""
-    witness = verdict.witness
-    if isinstance(witness, ContradictionWitness):
-        payload = {
-            "type": "contradiction-chain",
-            "slot": witness.slot,
-            "bound": witness.bound,
-            "chain": [dict(zip(ChainStep.__slots__, ChainStep._values(c)))
-                      for c in witness.chain],
-        }
-    elif isinstance(witness, FinalPageWitness):
-        payload = {
-            "type": "final-page",
-            "slots": [list(slot) for slot in witness.slots],
-        }
-    elif isinstance(witness, FeasibleWitness):
-        payload = {
-            "type": "cancellation-pairs",
-            "pairs": [list(pair) for pair in witness.pairs],
-        }
-    elif isinstance(witness, InfeasibleWitness):
-        payload = {"type": "tutte-barrier", "barrier": list(witness.barrier)}
-    else:
-        raise WitnessError(f"unserializable witness type {type(witness).__name__}")
-    return {
-        "kind": verdict.kind,
-        "slot": verdict.slot,
-        "page": verdict.page,
-        "bound": verdict.bound,
-        "witness": payload,
-    }
-
-
-_as_int = partial(as_int, error=WitnessError, what="witness field")
-_as_list = partial(as_list, error=WitnessError, what="witness entry")
-
-
-def _rows(payload: dict, key: str, entry=_as_list) -> list:
-    """The list under ``key``, with ``entry`` applied to each of its entries."""
-    return [entry(row) for row in _as_list(payload[key], what=f"witness field {key!r}")]
-
-
-def _as_opt_int(value) -> int | None:
-    return None if value is None else _as_int(value)
-
-
-def _slot_bound(lo, hi) -> tuple[int, int | None]:
-    """A final-page slot: a nonempty interval of dims, ``hi`` None for unbounded."""
-    lo, hi = _as_int(lo), _as_opt_int(hi)
-    if lo < 0:
-        raise WitnessError(f"dimension lower bound must be >= 0, got {lo}")
-    if hi is not None and hi < lo:
-        raise WitnessError(f"empty dimension interval [{lo}, {hi}]")
-    return lo, hi
+    """Stable wire form: {"kind", "slot", "page", "bound", "witness"}, the
+    witness written by its class, its tag under "type"."""
+    witness = _witness(verdict, "unserializable witness type ")
+    return {"kind": witness.kind, "slot": witness.slot, "page": verdict.page,
+            "bound": witness.bound, "witness": witness.to_json()}
 
 
 def verdict_from_json(data: dict) -> NarrownessVerdict:
@@ -555,25 +595,8 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         kind = data["kind"]
         payload = data["witness"]
         wtype = payload["type"]
-        witness: object = None
-        if wtype == "contradiction-chain":
-            chain = tuple(
-                ChainStep(*(_as_int(c[name]) for name in ChainStep.__slots__))
-                for c in _as_list(payload["chain"], what="witness field 'chain'")
-            )
-            witness = ContradictionWitness(
-                _as_int(payload["slot"]), _as_int(payload["bound"]), chain
-            )
-        elif wtype == "final-page":
-            witness = FinalPageWitness(
-                tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots"))
-            )
-        elif wtype == "cancellation-pairs":
-            witness = FeasibleWitness(
-                tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in _rows(payload, "pairs"))
-            )
-        elif wtype == "tutte-barrier":
-            witness = InfeasibleWitness(tuple(_rows(payload, "barrier", _as_int)))
+        cls = WITNESS_TYPES.get(wtype if isinstance(wtype, str) else None)
+        witness = None if cls is None else cls.from_json(payload)
         if witness is None or kind != witness.kind:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
         verdict = NarrownessVerdict(_as_opt_int(data["page"]), witness)

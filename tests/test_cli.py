@@ -76,9 +76,31 @@ class TestClassify:
             capsys, ["classify", "--g", "4", "--m1", "2", "--m2", "2", "--verbose"]
         )
         assert code == 0
-        assert "Contradiction at slot 4" in out
-        assert "page 1:" in out
+        assert out.splitlines() == [
+            "g=4 m1=2 m2=2 n=8: NonDisplaceable",
+            "  [cited] Z2 Betti numbers of the covering N^8: dims [1, 0, 2, 0, 2, 0, 2, 0, 1]  "
+            "(Muenzner: Z2 homology of isoparametric hypersurfaces)",
+            "  [computed] a vanishing lifted Floer homology would force dimension >= 2 in slot 4 "
+            "of the final page; contradiction, so the lifted Floer homology is nonzero  "
+            "(lifted Floer spectral sequence of the covering N -> L)",
+            "      Contradiction at slot 4 (final page 3, forced lower bound 2)",
+            "      page 1: slot bound 2 -> 2 (neighbours 1 hi=0, 7 hi=0)",
+            "      page 2: slot bound 2 -> 2 (neighbours -3 hi=0, 11 hi=0)",
+        ]
 
+    def test_verbose_prints_the_final_page_kind(self, capsys):
+        code, out, _ = run(
+            capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "2", "--verbose"]
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "g=4 m1=1 m2=2 n=6: Unresolved",
+            "  [cited] Z2 Betti numbers of the covering N^6: dims [1, 1, 1, 2, 1, 1, 1]  "
+            "(Muenzner: Z2 homology of isoparametric hypersurfaces)",
+            "  [computed] interval propagation derives no contradiction from a vanishing "
+            "lifted Floer homology  (lifted Floer spectral sequence of the covering N -> L)",
+            "      NoContradiction",
+        ]
 
     def test_family_wider_than_the_profile_limit_exits_1(self, capsys):
         # g = 4 tables list every degree up to n = 2(m1 + m2)
@@ -273,13 +295,15 @@ class TestNarrowCheck:
         witness.write_text(out, encoding="utf-8")
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
 
-    @pytest.mark.parametrize("extra,cap", [(0, 3), (900, 904)],
-                             ids=["one-class", "900-more-classes"])
+    @pytest.mark.parametrize("extra,cap", [(0, 3), (900, 904), (0, None), (0, 10**9)],
+                             ids=["one-class", "900-more-classes", "one-class-uncapped",
+                                  "one-class-huge-cap"])
     def test_oracle_time_is_bounded_on_a_wide_capped_profile(self, capsys, tmp_path, extra,
                                                                cap):
         # slot 0's one class has no exact partner and no open one, so no
-        # completion pairs off; enumerating the completions within the cap
-        # took half a minute on the first profile, hours on the second
+        # completion pairs off, whatever the cap; enumerating the completions
+        # within the cap took half a minute on the first profile, hours on
+        # the second
         path = tmp_path / "recipe.json"
         path.write_text(json.dumps(wide_capped_recipe(extra, cap)), encoding="utf-8")
         start = time.perf_counter()
@@ -321,7 +345,8 @@ class TestNarrowCheck:
         code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov", "3",
                                     "--oracle", "--verbose"])
         assert code == 0
-        assert out.splitlines()[-3:] == [
+        assert out.splitlines() == [
+            "propagation: NoContradiction",
             "oracle: Feasible: a legal rank assignment reaches the zero page",
             "  page 1: 2 classes of slot 0 cancel slot 2",
             "  page 1: 1 class of slot 3 cancels slot 5",
@@ -341,8 +366,10 @@ class TestNarrowCheck:
         assert code == 0
         tail = "" if barrier.startswith("empty") else (
             " (more parts are odd without the barrier than it holds classes)")
-        assert out.splitlines()[-2:] == ["oracle: Infeasible", f"  barrier: {barrier}{tail}"]
-        assert run(capsys, argv)[1].splitlines()[-1] == "oracle: Infeasible"
+        assert out.splitlines() == ["propagation: NoContradiction", "oracle: Infeasible",
+                                    f"  barrier: {barrier}{tail}"]
+        assert run(capsys, argv)[1].splitlines() == ["propagation: NoContradiction",
+                                                     "oracle: Infeasible"]
 
     def test_feasible_pool_envelope_round_trip(self, capsys, tmp_path):
         # slot 0's one class is matched into the pool: the pair (0, 1, 1) with
@@ -798,6 +825,15 @@ TUTTE_BARRIERS = {
 NARROW = ["narrow-check", "--profile", "input.json", "--maslov"]
 REPLAY = ["replay", "input.json"]
 
+
+def padded(payload: dict, size: int) -> bytes:
+    """``payload`` as JSON, padded with spaces to ``size`` bytes."""
+    return json.dumps(payload).encode().ljust(size)
+
+
+OVER_THE_LIMIT = f"larger than the input limit of {cli.MAX_INPUT_BYTES} bytes"
+OVERSIZED_PROFILE = padded(G4_22_PROFILE, cli.MAX_INPUT_BYTES + 1)
+
 # one row per failure source: argv, the content of input.json (None: no file,
 # bytes: the raw file, else a JSON payload), exit code, a piece of the error line
 FAILURES = [
@@ -809,6 +845,9 @@ FAILURES = [
     pytest.param(NARROW + ["4"], None, 2, "cannot read", id="unreadable-file"),
     pytest.param(NARROW + ["4"], b"{not json", 2, "not valid JSON", id="not-json"),
     pytest.param(NARROW + ["4"], b"\xff\xfe{", 2, "not valid JSON", id="not-utf-8"),
+    # the offset counts a CRLF line end as one character, as a text-mode read does
+    pytest.param(NARROW + ["4"], b'{"n": 3,\r\n "cap": nul}', 2, "line 2 column 9 (char 17)",
+                 id="crlf-json-error"),
     pytest.param(NARROW + ["4"], b"[" * 100_000 + b"]" * 100_000, 2, "not valid JSON",
                  id="nested-too-deep"),
     pytest.param(NARROW + ["4"], {"n": 3, "known": [[1.7, 2], ["2", True]], "cap": None}, 2,
@@ -823,6 +862,12 @@ FAILURES = [
     pytest.param(REPLAY, envelope(ONES, 3, FORGED_ONES_INFEASIBLE), 1,
                  "4097 exact classes, above the matching's limit of 1000",
                  id="replay-over-the-limit"),
+    pytest.param(NARROW + ["4"], OVERSIZED_PROFILE, 2, OVER_THE_LIMIT,
+                 id="narrow-check-over-the-size-limit"),
+    pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], OVERSIZED_PROFILE, 2,
+                 OVER_THE_LIMIT, id="wide-check-over-the-size-limit"),
+    pytest.param(REPLAY, padded(envelope(G4_22_PROFILE, 4), cli.MAX_INPUT_BYTES + 1), 2,
+                 OVER_THE_LIMIT, id="replay-over-the-size-limit"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": {}}, 2, "'known' must be a list, got dict",
                  id="known-object"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": ""}, 2, "'known' must be a list, got str",
@@ -860,6 +905,18 @@ FAILURES = [
     pytest.param(REPLAY, envelope(G4_22_PROFILE, 4, TUTTE_BARRIERS), 2,
                  "does not match witness type 'tutte-barriers'", id="tutte-barriers"),
 ]
+
+
+@pytest.mark.parametrize("argv,content", [
+    (NARROW + ["4"], G4_22_PROFILE),
+    (["wide-check", "--profile", "input.json", "--maslov", "4"], G4_22_PROFILE),
+    (REPLAY, envelope(G4_22_PROFILE, 4)),
+], ids=["narrow-check", "wide-check", "replay"])
+def test_input_at_the_size_limit_is_read(capsys, tmp_path, monkeypatch, argv, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_bytes(padded(content, cli.MAX_INPUT_BYTES))
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv,content,code,message", FAILURES)

@@ -26,6 +26,7 @@ from isofloer.specseq import (
     EngineError,
     FEASIBLE,
     FeasibleWitness,
+    FinalPageWitness,
     INFEASIBLE,
     InfeasibleWitness,
     MAX_CLASSES,
@@ -743,20 +744,26 @@ class TestReplay:
 
 class TestVerdictJson:
     def all_verdicts(self):
+        # each verdict with the profile, Maslov number and page turns it replays against
         return [
-            propagate_narrow(G4_22, 4, 8, 2),
-            propagate_narrow(G6_PARTIAL, 4, 12, 3),
-            propagate_narrow(G4_12, 3, 6, 2),
-            oracle_narrow_feasible(G4_12, 3, 2),
-            oracle_narrow_feasible(G4_22, 4, 2),
+            (propagate_narrow(G4_22, 4, 8, 2), G4_22, 4, 2),
+            (propagate_narrow(G6_PARTIAL, 4, 12, 3), G6_PARTIAL, 4, 3),
+            (propagate_narrow(G4_12, 3, 6, 2), G4_12, 3, 2),
+            (oracle_narrow_feasible(G4_12, 3, 2), G4_12, 3, 2),
+            (oracle_narrow_feasible(G4_22, 4, 2), G4_22, 4, 2),
         ]
 
     def test_round_trip_all_kinds(self):
-        for v in self.all_verdicts():
-            assert verdict_from_json(verdict_to_json(v)) == v
+        kinds = set()
+        for v, profile, maslov, nu in self.all_verdicts():
+            back = verdict_from_json(verdict_to_json(v))
+            assert back == v
+            assert replay_witness(back, profile, maslov, nu)
+            kinds.add(back.kind)
+        assert kinds == {CONTRADICTION, NO_CONTRADICTION, FEASIBLE, INFEASIBLE}
 
     def test_witness_type_tags(self):
-        tags = [verdict_to_json(v)["witness"]["type"] for v in self.all_verdicts()]
+        tags = [verdict_to_json(v)["witness"]["type"] for v, *_ in self.all_verdicts()]
         assert tags == [
             "contradiction-chain",
             "contradiction-chain",
@@ -764,6 +771,15 @@ class TestVerdictJson:
             "cancellation-pairs",
             "tutte-barrier",
         ]
+        # four distinct tags, each the key of its own class, and four distinct kinds
+        assert specseq.WITNESS_TYPES == {
+            "contradiction-chain": ContradictionWitness,
+            "final-page": FinalPageWitness,
+            "cancellation-pairs": FeasibleWitness,
+            "tutte-barrier": InfeasibleWitness,
+        }
+        assert all(cls.tag == tag for tag, cls in specseq.WITNESS_TYPES.items())
+        assert len({cls.kind for cls in specseq.WITNESS_TYPES.values()}) == 4
 
     def test_kind_witness_mismatch_rejected(self):
         payload = verdict_to_json(propagate_narrow(G4_22, 4, 8, 2))
