@@ -7,9 +7,9 @@ failure prints one ``error:`` line on stderr, except an output pipe closed
 by its reader, which exits 1 silently.
 
 ``classify-all`` and ``catalog --format json`` render their families
-through ``_ordered_map``, which spreads them over forked worker processes,
-one per CPU the process may run on, and prints the results in order: the
-bytes are those of one process.
+through ``_ordered_map``, which spreads them over the process and forked
+workers, one process per CPU it may run on, and prints the results in
+order, one write per chunk: the bytes are those of one process.
 """
 
 from __future__ import annotations
@@ -236,24 +236,22 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json_text(payload) + "\n")  # looked up per call: capsys swaps it
 
 
-def _emit_json_list(texts) -> None:
-    """Print the list of the items that ``texts`` render as ``json.dumps(items,
-    indent=2)`` would, plus a newline.
-
-    Each text is ``json_text`` of one item, indented as a list element.  The
-    texts are written as they come, so they are never held together.
-    """
-    out = sys.stdout
-    opener = "[\n  "
-    for text in texts:
-        out.write(opener + text)
-        opener = ",\n  "
+def _emit_json_list(chunks) -> None:
+    """Print the items of ``chunks``, lists of ``json_text(item, "\\n  ")``, as
+    ``json.dumps(items, indent=2)`` prints their list, plus a newline; each
+    chunk is written with one ``write`` as it comes."""
+    out, opener = sys.stdout, "[\n  "
+    for texts in chunks:
+        if texts:
+            out.write(opener + ",\n  ".join(texts))
+            opener = ",\n  "
     out.write("[]\n" if opener == "[\n  " else "\n]\n")
 
 
-# families per unit of work of a worker process; at most this many are
-# rendered in process
-CHUNK = 256
+# families per chunk: a worker's pickled chunk, on average 12 KB of classify-all or
+# 52 KB of catalog json, mostly fits a 64 KiB pipe, so a worker seldom waits
+CHUNK = 8
+SERIAL = 256  # at most this many families are rendered in one process
 
 
 def _cpus() -> int:
@@ -264,33 +262,27 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
 def _ordered_map(fn, items: list):
-    """Give an iterator of ``fn(item)`` for every item, in order.
+    """Give ``[fn(item) for item in chunk]`` for the chunks of ``CHUNK`` items, in order.
 
-    With one CPU, no ``os.fork`` or at most ``CHUNK`` items this is ``map``.
-    Otherwise the items are cut into chunks of ``CHUNK``, and k forked
-    workers, one per CPU but no more than chunks, share them: worker w
-    takes chunks w, w + k, w + 2k, ...  It sends each chunk's results as
-    one length-prefixed pickle on its own pipe, and the iterator reads the
-    chunks back in order.  Where a pipe or a process cannot be had, the
-    workers already started are stopped and this is ``map`` again.
+    k processes, one per CPU, render the chunks: the parent, renderer 0,
+    forks k - 1 workers, and renderer w takes chunks w, w + k, w + 2k, ...
+    A worker sends each chunk as one length-prefixed pickle on its own pipe.
+    k is 1 with one CPU, no ``os.fork`` or at most ``SERIAL`` items, and where
+    a pipe or a process cannot be had (the workers started are stopped).
 
-    When ``fn`` raises, the iterator gives the results before that item and
+    When ``fn`` raises, the generator gives the results before that item and
     then raises the same exception, as ``map`` would; a worker's exception
-    has the worker's traceback as its cause.  On leaving the block, however
-    it is left, the workers are killed and reaped.  A worker whose parent
-    died meets a closed pipe on its next write and exits.
+    has the worker's traceback as its cause.  Once the generator ends or is
+    closed (``contextlib.closing``), the workers are killed and reaped.  A
+    worker whose parent died meets a closed pipe on its next write and exits.
     """
     chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
-    workers = min(_cpus(), len(chunks)) if hasattr(os, "fork") else 1
-    if workers < 2:
-        yield map(fn, items)
-        return
+    k = min(_cpus(), len(chunks)) if hasattr(os, "fork") and len(items) > SERIAL else 1
     sources, pids = [], []
     try:
         try:
-            for w in range(workers):
+            for w in range(1, k):
                 read, write = os.pipe()
                 sources.append(open(read, "rb"))
                 try:
@@ -299,20 +291,48 @@ def _ordered_map(fn, items: list):
                     os.close(write)
                     raise
                 if pid == 0:
-                    _work(fn, chunks[w::workers], write, [s.fileno() for s in sources])
+                    _work(fn, chunks[w::k], write, [s.fileno() for s in sources])
                 os.close(write)
                 pids.append(pid)
         except OSError:  # EAGAIN, ENOMEM, EMFILE, ...: one process does the work
             _stop(sources, pids)
-        yield _read_chunks(sources, len(chunks)) if pids else map(fn, items)
+            k = 1
+        for i, chunk in enumerate(chunks):
+            if i % k == 0:
+                values, error = _render(fn, chunk)
+            else:
+                import pickle
+
+                source = sources[i % k - 1]
+                size = int.from_bytes(source.read(8), "little")
+                frame = source.read(size)
+                if not frame or len(frame) < size:
+                    raise EngineError(f"a worker process ended before it sent chunk {i}")
+                values, error, trace = pickle.loads(frame)
+                if error is not None:
+                    error.__cause__ = RuntimeError(f"in a worker process:\n{trace}")
+            yield values
+            if error is not None:
+                raise error
     finally:
         _stop(sources, pids)
 
 
+def _render(fn, chunk: list) -> tuple[list, Exception | None]:
+    """``fn`` of each item of ``chunk`` up to the first that raises, and that exception."""
+    values = []
+    try:
+        for item in chunk:
+            values.append(fn(item))
+    except Exception as exc:  # the parent raises it after the values
+        return values, exc
+    return values, None
+
+
 def _stop(sources: list, pids: list[int]) -> None:
     """Close the read ends, then kill and reap the workers; empties both lists."""
-    # imported here, as _work and _read_chunks import pickle: about 3 ms that
-    # a command which never forks, such as a single classify, does not pay
+    # imported here, as pickle is, so that a command which renders no chunks,
+    # such as a single classify, does not import it
     import signal
 
     for source in sources:
@@ -327,10 +347,8 @@ def _stop(sources: list, pids: list[int]) -> None:
 def _work(fn, chunks: list, write: int, others: list[int]):
     """A worker, right after ``fork``: send each chunk's results, then exit.
 
-    It keeps no pipe end but ``write``, prints nothing to the parent's
-    stdout, and leaves through ``os._exit``, so no exit handler or test
-    teardown of the parent runs in it.
-    """
+    It keeps no pipe end but ``write``, prints nothing to the parent's stdout,
+    and leaves through ``os._exit``: no exit handler or test teardown runs in it."""
     try:
         import pickle
 
@@ -339,18 +357,16 @@ def _work(fn, chunks: list, write: int, others: list[int]):
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         with open(write, "wb") as out:
             for chunk in chunks:
-                values, error, trace = [], None, None
-                try:
-                    for item in chunk:
-                        values.append(fn(item))
-                except Exception as exc:  # the parent raises it after the values
+                values, error = _render(fn, chunk)
+                trace = None
+                if error is not None:
                     import traceback
 
-                    error, trace = exc, traceback.format_exc()
+                    trace = "".join(traceback.format_exception(error))
                     try:
                         pickle.loads(pickle.dumps(error))
                     except Exception:  # it does not cross a pipe: its type and message do
-                        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                        error = RuntimeError(f"{type(error).__name__}: {error}")
                 frame = pickle.dumps((values, error, trace), pickle.HIGHEST_PROTOCOL)
                 out.write(len(frame).to_bytes(8, "little") + frame)
                 out.flush()
@@ -358,22 +374,6 @@ def _work(fn, chunks: list, write: int, others: list[int]):
                     break
     finally:
         os._exit(0)
-
-
-def _read_chunks(sources: list, count: int):
-    """The results of chunks 0..count-1; chunk i comes from ``sources[i % len(sources)]``."""
-    import pickle
-
-    for i in range(count):
-        source = sources[i % len(sources)]
-        size = int.from_bytes(source.read(8), "little")
-        frame = source.read(size)
-        if not frame or len(frame) < size:
-            raise EngineError(f"a worker process ended before it sent chunk {i}")
-        values, error, trace = pickle.loads(frame)
-        yield from values
-        if error is not None:
-            raise error from RuntimeError(f"in a worker process:\n{trace}")
 
 
 def _print_report_text(report: CaseReport, verbose: bool) -> None:
@@ -403,17 +403,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_classify_all(args: argparse.Namespace) -> int:
     families = enumerate_families(args.bound)
     if args.format == "json":
-        with _ordered_map(_report_json, families) as texts:
-            _emit_json_list(texts)
+        with contextlib.closing(_ordered_map(_report_json, families)) as chunks:
+            _emit_json_list(chunks)
         return EXIT_OK
-    print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification")
+    sys.stdout.write(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification\n")
     unresolved = []
-    with _ordered_map(_report_row, families) as rows:
-        for row, name in rows:
-            print(row)
-            if name is not None:
-                unresolved.append(name)
-    print(f"unresolved: {', '.join(unresolved) or 'none'}")
+    with contextlib.closing(_ordered_map(_report_row, families)) as chunks:
+        for rows in chunks:  # one write per chunk
+            sys.stdout.write("".join(row for row, _ in rows))
+            unresolved += [name for _, name in rows if name is not None]
+    sys.stdout.write(f"unresolved: {', '.join(unresolved) or 'none'}\n")
     return EXIT_OK
 
 
@@ -422,10 +421,10 @@ def _report_json(family) -> str:
 
 
 def _report_row(family) -> tuple[str, str | None]:
-    """A ``classify-all`` text row, and the family's name if it is Unresolved."""
+    """A ``classify-all`` text row with its newline, and the family's name if it is Unresolved."""
     f, report = family, classify(family)
     trail = " -> ".join(step.rule for step in report.justification)
-    row = f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}"
+    row = f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}\n"
     return row, f"({f.g},{f.m1},{f.m2})" if report.status == UNRESOLVED else None
 
 
@@ -496,8 +495,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "json":
-        with _ordered_map(_data_json, enumerate_families(args.bound)) as texts:
-            _emit_json_list(texts)
+        families = enumerate_families(args.bound)
+        with contextlib.closing(_ordered_map(_data_json, families)) as chunks:
+            _emit_json_list(chunks)
         return EXIT_OK
     families = iter_families(args.bound)  # refuses a bad bound before the header
     print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")

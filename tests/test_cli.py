@@ -1076,13 +1076,14 @@ def run_on_cpus(capsys, monkeypatch, cpus, argv):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("command", ["classify-all", "catalog"])
 def test_workers_print_the_bytes_of_one_process(capsys, monkeypatch, command, fmt):
-    # 4 workers share the 9 chunks unevenly, and outnumber two cores; the
-    # catalog text table is three small calls per family and never forks
+    # with 4 CPUs the parent and 3 workers share the 261 chunks unevenly, and
+    # outnumber two cores; the catalog text table is three small calls per
+    # family and never forks
     argv = [command, "--bound", "64", "--format", fmt]
     (serial, forks_1), (forked, forks_2), (more, forks_4) = (
         run_on_cpus(capsys, monkeypatch, cpus, argv) for cpus in (1, 2, 4))
     forking = (command, fmt) != ("catalog", "text")
-    assert (forks_1, forks_2, forks_4) == ((0, 2, 4) if forking else (0, 0, 0))
+    assert (forks_1, forks_2, forks_4) == ((0, 1, 3) if forking else (0, 0, 0))
     assert serial == forked == more
     code, out, err = forked
     assert (code, err) == (0, "")
@@ -1092,11 +1093,14 @@ def test_workers_print_the_bytes_of_one_process(capsys, monkeypatch, command, fm
         assert out == json.dumps(records, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_workers_stop_where_one_process_stops(capsys, monkeypatch, fmt):
-    # a family in the third chunk raises: the families before it are printed,
-    # then the error line, as by one process
-    index = 2 * cli.CHUNK + 7
+# on 2 CPUs the parent renders the even chunks and its one worker the odd ones
+WORKER_OWNED = 3 * cli.CHUNK + 7
+PARENT_OWNED = 2 * cli.CHUNK + 7
+
+
+def assert_stops_as_one_process(capsys, monkeypatch, fmt, index):
+    """The family at ``index`` raises: on 1 and on 2 CPUs the families before it
+    are printed, then the error line, as by one process."""
     bad = catalog.enumerate_families(64)[index]
     classify = cli.classify
 
@@ -1109,7 +1113,7 @@ def test_workers_stop_where_one_process_stops(capsys, monkeypatch, fmt):
     argv = ["classify-all", "--bound", "64", "--format", fmt]
     (serial, forks_1), (forked, forks_2) = (run_on_cpus(capsys, monkeypatch, cpus, argv)
                                             for cpus in (1, 2))
-    assert (forks_1, forks_2) == (0, 2)
+    assert (forks_1, forks_2) == (0, 1)
     assert serial == forked
     code, out, err = forked
     assert (code, err) == (1, f"error: no verdict for {bad}\n")
@@ -1119,22 +1123,56 @@ def test_workers_stop_where_one_process_stops(capsys, monkeypatch, fmt):
         assert out.count("\n") == 1 + index  # the header, then one row per family
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_workers_stop_where_one_process_stops(capsys, monkeypatch, fmt):
+    assert_stops_as_one_process(capsys, monkeypatch, fmt, WORKER_OWNED)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_the_parent_stops_where_one_process_stops(capsys, monkeypatch, fmt):
+    assert_stops_as_one_process(capsys, monkeypatch, fmt, PARENT_OWNED)
+
+
 def test_a_worker_that_dies_is_an_error(capsys, monkeypatch):
     # a worker that exits without its chunk, as one killed from outside would
-    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    bad = catalog.enumerate_families(64)[WORKER_OWNED]
     classify = cli.classify
     monkeypatch.setattr(cli, "classify", lambda f: os._exit(3) if f == bad else classify(f))
     (code, out, err), forks = run_on_cpus(
         capsys, monkeypatch, 2, ["classify-all", "--bound", "64", "--format", "json"])
-    assert forks == 2
-    assert (code, err) == (1, "error: a worker process ended before it sent chunk 2\n")
-    assert out.count("\n  {") == 2 * cli.CHUNK
+    assert forks == 1
+    assert (code, err) == (1, "error: a worker process ended before it sent chunk 3\n")
+    assert out.count("\n  {") == 3 * cli.CHUNK
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_classify_all_writes_once_per_chunk(monkeypatch, fmt, cpus):
+    # the header and the closing line, and one write per chunk between them
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["classify-all", "--bound", "64", "--format", fmt]) == 0
+    chunks = math.ceil(len(catalog.enumerate_families(64)) / cli.CHUNK)
+    assert out.writes <= chunks + 2
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == BOUND_64_GOLDEN["classify-all", fmt]
 
 
 @pytest.mark.parametrize("failing", ["fork", "pipe"])
 def test_no_process_to_be_had_means_one_process(capsys, monkeypatch, failing):
-    # the second pipe or fork fails, as under a pids, memory or open-file
-    # limit: the first worker is stopped and the parent does the work
+    # on 3 CPUs the second pipe or fork fails, as under a pids, memory or
+    # open-file limit: the first worker is stopped and the parent does the work
     calls, pids = [], []
     real = {"fork": os.fork, "pipe": os.pipe}[failing]
 
@@ -1148,7 +1186,7 @@ def test_no_process_to_be_had_means_one_process(capsys, monkeypatch, failing):
         return result
 
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
     monkeypatch.setattr(os, failing, second_fails)
     code, out, err = run(capsys, ["classify-all", "--bound", "64", "--format", "json"])
     assert (code, err, len(calls)) == (0, "", 2)
@@ -1163,7 +1201,7 @@ def test_no_process_to_be_had_means_one_process(capsys, monkeypatch, failing):
 def test_a_worker_bug_keeps_its_traceback(monkeypatch):
     # an exception that main does not turn into an exit code escapes it,
     # with the worker's traceback as its cause
-    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    bad = catalog.enumerate_families(64)[WORKER_OWNED]
     classify = cli.classify
 
     def classify_with_a_bug(family):
@@ -1184,7 +1222,7 @@ def test_an_unpicklable_worker_error_keeps_its_type_and_message(monkeypatch):
     class Unpicklable(Exception):  # a local class: pickle cannot find it by name
         pass
 
-    bad = catalog.enumerate_families(64)[2 * cli.CHUNK + 7]
+    bad = catalog.enumerate_families(64)[WORKER_OWNED]
     classify = cli.classify
 
     def classify_or_raise(family):
@@ -1199,7 +1237,7 @@ def test_an_unpicklable_worker_error_keeps_its_type_and_message(monkeypatch):
         cli.main(["classify-all", "--bound", "64", "--format", "json"])
     assert str(caught.value) == "Unpicklable: not for a pipe"
     assert "in classify_or_raise" in str(caught.value.__cause__)
-    assert out.getvalue().count("\n  {") == 2 * cli.CHUNK + 7
+    assert out.getvalue().count("\n  {") == WORKER_OWNED
 
 
 def assert_group_gone(pgid: int, timeout: float = 5.0) -> None:
@@ -1250,12 +1288,12 @@ def test_no_worker_outlives_a_killed_parent():
              "--format", "json"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, start_new_session=True)
         try:
-            # the first bytes come from a worker's first chunk: the workers run
+            # the workers are forked before the first byte is printed
             assert len(proc.stdout.read(1 << 16)) == 1 << 16
             children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-            workers = min(cli._cpus(), 9)  # 2086 families, 9 chunks
-            if children.exists():
-                assert len(children.read_text().split()) == (workers if workers > 1 else 0)
+            processes = min(cli._cpus(), 261)  # 2086 families, 261 chunks
+            if children.exists():  # the parent is one of them
+                assert len(children.read_text().split()) == processes - 1
         finally:
             os.kill(proc.pid, signal.SIGKILL)
         fd, deadline = proc.stdout.fileno(), time.monotonic() + 5
@@ -1331,15 +1369,17 @@ json_trees = st.recursive(
 )
 
 
-def emitted(payload) -> str:
-    """A dict through ``_emit_json``; a list or iterable rendered element by
-    element, as the workers do, and written by ``_emit_json_list``."""
+def emitted(payload, size: int = 2) -> str:
+    """A dict through ``_emit_json``; the items of a list or iterable rendered
+    one by one, as ``_ordered_map`` renders them, and written by
+    ``_emit_json_list`` from a generator of chunks of ``size`` items."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if isinstance(payload, dict):
             cli._emit_json(payload)
         else:
-            cli._emit_json_list(cli.json_text(item, "\n  ") for item in payload)
+            texts = [cli.json_text(item, "\n  ") for item in payload]
+            cli._emit_json_list(texts[i:i + size] for i in range(0, len(texts), size))
     return out.getvalue()
 
 
@@ -1357,10 +1397,19 @@ class TestJsonWriter:
         expected = json.dumps(items, indent=2) + "\n"
         assert emitted(items) == expected
         assert emitted(iter(items)) == expected
+        assert emitted(items, size=1) == emitted(items, size=3) == expected
         assert emitted(record) == json.dumps(record, indent=2) + "\n"
 
     def test_empty_generator_is_an_empty_list(self):
         assert emitted(x for x in ()) == "[]\n"
+
+    def test_empty_chunks_print_nothing(self):
+        # the values before a family that raises may be an empty chunk
+        for chunks in ([[]], [[], ["1"], []], [["1"], []]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._emit_json_list(iter(chunks))
+            assert out.getvalue() == ("[]\n" if chunks == [[]] else "[\n  1\n]\n")
 
     @settings(max_examples=50, deadline=None)
     @given(json_trees)
