@@ -9,7 +9,9 @@ by its reader, which exits 1 silently.
 ``classify-all`` and ``catalog --format json`` render their families
 through ``_ordered_map``, which spreads them over the process and forked
 workers, one process per CPU it may run on, and prints the results in
-order, one write per chunk: the bytes are those of one process.
+order, one write per chunk: the bytes are those of one process.  The
+parent renders every chunk that no worker sent, so a worker that cannot be
+started, raises, dies or is killed costs time, not bytes.
 """
 
 from __future__ import annotations
@@ -268,69 +270,56 @@ def _ordered_map(fn, items: list):
     k processes, one per CPU, render the chunks: the parent, renderer 0,
     forks k - 1 workers, and renderer w takes chunks w, w + k, w + 2k, ...
     A worker sends each chunk as one length-prefixed pickle on its own pipe.
-    k is 1 with one CPU, no ``os.fork`` or at most ``SERIAL`` items, and where
-    a pipe or a process cannot be had (the workers started are stopped).
+    k is 1 with one CPU, no ``os.fork`` or at most ``SERIAL`` items.
 
-    When ``fn`` raises, the generator gives the results before that item and
-    then raises the same exception, as ``map`` would; a worker's exception
-    has the worker's traceback as its cause.  Once the generator ends or is
-    closed (``contextlib.closing``), the workers are killed and reaped.  A
-    worker whose parent died meets a closed pipe on its next write and exits.
+    One rule covers every failure: the parent renders, in order, every chunk
+    that no worker sent, its own and those of a worker that could not be
+    started (no pipe or process to be had), raised, died or was killed.  So
+    when ``fn`` raises, the parent raises it from its own call, after giving
+    the results before that item, as ``map`` would.  Once the generator ends
+    or is closed (``contextlib.closing``), the workers are killed and reaped.
+    A worker whose parent died meets a closed pipe on its next write and exits.
     """
     chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
     k = min(_cpus(), len(chunks)) if hasattr(os, "fork") and len(items) > SERIAL else 1
-    sources, pids = [], []
+    sources, pids = {}, []
     try:
-        try:
+        with contextlib.suppress(OSError):  # EAGAIN, ENOMEM, EMFILE, ...: fewer workers
             for w in range(1, k):
                 read, write = os.pipe()
-                sources.append(open(read, "rb"))
+                sources[w] = open(read, "rb")
                 try:
                     pid = os.fork()
-                except OSError:
+                    if pid == 0:  # the worker never returns from _work
+                        _work(fn, chunks[w::k], write, [s.fileno() for s in sources.values()])
+                    pids.append(pid)
+                finally:
                     os.close(write)
-                    raise
-                if pid == 0:
-                    _work(fn, chunks[w::k], write, [s.fileno() for s in sources])
-                os.close(write)
-                pids.append(pid)
-        except OSError:  # EAGAIN, ENOMEM, EMFILE, ...: one process does the work
-            _stop(sources, pids)
-            k = 1
         for i, chunk in enumerate(chunks):
-            if i % k == 0:
-                values, error = _render(fn, chunk)
-            else:
+            source = sources.get(i % k)
+            if source is not None:
                 import pickle
 
-                source = sources[i % k - 1]
+                # a size cut short reads low bytes first, so no larger than the frame
                 size = int.from_bytes(source.read(8), "little")
                 frame = source.read(size)
-                if not frame or len(frame) < size:
-                    raise EngineError(f"a worker process ended before it sent chunk {i}")
-                values, error, trace = pickle.loads(frame)
-                if error is not None:
-                    error.__cause__ = RuntimeError(f"in a worker process:\n{trace}")
+                if frame and len(frame) == size:
+                    yield pickle.loads(frame)
+                    continue
+            values = []  # the parent's own chunk, or one that no worker sent
+            try:
+                for item in chunk:
+                    values.append(fn(item))
+            except Exception:
+                yield values
+                raise
             yield values
-            if error is not None:
-                raise error
     finally:
-        _stop(sources, pids)
+        _stop(sources.values(), pids)
 
 
-def _render(fn, chunk: list) -> tuple[list, Exception | None]:
-    """``fn`` of each item of ``chunk`` up to the first that raises, and that exception."""
-    values = []
-    try:
-        for item in chunk:
-            values.append(fn(item))
-    except Exception as exc:  # the parent raises it after the values
-        return values, exc
-    return values, None
-
-
-def _stop(sources: list, pids: list[int]) -> None:
-    """Close the read ends, then kill and reap the workers; empties both lists."""
+def _stop(sources, pids: list[int]) -> None:
+    """Close the read ends, then kill and reap the workers."""
     # imported here, as pickle is, so that a command which renders no chunks,
     # such as a single classify, does not import it
     import signal
@@ -340,15 +329,15 @@ def _stop(sources: list, pids: list[int]) -> None:
     for pid in pids:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    sources.clear()
-    pids.clear()
 
 
 def _work(fn, chunks: list, write: int, others: list[int]):
-    """A worker, right after ``fork``: send each chunk's results, then exit.
+    """A worker, right after ``fork``: send each chunk's list of results, then exit.
 
     It keeps no pipe end but ``write``, prints nothing to the parent's stdout,
-    and leaves through ``os._exit``: no exit handler or test teardown runs in it."""
+    and leaves through ``os._exit``: no exit handler or test teardown runs in it.
+    When ``fn`` raises, it leaves at once and sends nothing more; the parent
+    renders that chunk and the rest of the worker's share."""
     try:
         import pickle
 
@@ -357,21 +346,9 @@ def _work(fn, chunks: list, write: int, others: list[int]):
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         with open(write, "wb") as out:
             for chunk in chunks:
-                values, error = _render(fn, chunk)
-                trace = None
-                if error is not None:
-                    import traceback
-
-                    trace = "".join(traceback.format_exception(error))
-                    try:
-                        pickle.loads(pickle.dumps(error))
-                    except Exception:  # it does not cross a pipe: its type and message do
-                        error = RuntimeError(f"{type(error).__name__}: {error}")
-                frame = pickle.dumps((values, error, trace), pickle.HIGHEST_PROTOCOL)
+                frame = pickle.dumps([fn(item) for item in chunk], pickle.HIGHEST_PROTOCOL)
                 out.write(len(frame).to_bytes(8, "little") + frame)
                 out.flush()
-                if error is not None:
-                    break
     finally:
         os._exit(0)
 
