@@ -753,6 +753,77 @@ class TestDispatch:
             cli.build_parser.cache_clear()
         assert len(built) == one_build > 0
 
+    def test_a_command_argv_makes_one_argparse_pass(self, capsys, tmp_path, monkeypatch):
+        profile = write_profile(tmp_path, "g4.json", validate_family(4, 2, 2))
+        narrow = ["narrow-check", "--profile", profile, "--maslov", "4", "--oracle"]
+        code, witness, _ = run(capsys, [*narrow, "--format", "json"])
+        assert code == 0
+        (tmp_path / "witness.json").write_text(witness, encoding="utf-8")
+        passes, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        classify = ["classify", "--g", "4", "--m1", "2", "--m2", "2"]
+        # on Python 3.11 argparse refuses "--" as a command name, at the top level
+        for argv, exit_code, prog in [
+            (classify, 0, "isofloer classify"),
+            (narrow, 0, "isofloer narrow-check"),
+            (["replay", str(tmp_path / "witness.json")], 0, "isofloer replay"),
+            ([], 1, "isofloer"),
+            (["--help"], 0, "isofloer"),
+            (["frobnicate"], 1, "isofloer"),
+            (["--", *classify], 1, "isofloer"),
+        ]:
+            passes.clear()
+            assert run(capsys, argv)[0] == exit_code, argv
+            assert passes == [prog], argv
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--g", "4", "--m1", "2", "--m2", "2", "--format", "json", "--verbose"],
+        ["classify", "--g", "4", "--m1", "2", "--m2", "2"],
+        ["classify", "--g=4", "--m1=2", "--m2=2", "--format=json"],
+        ["classify", "--g", "-4", "--m1", "-2", "--m2", "-1"],
+        ["classify-all", "--bound", "8", "--format", "json"],
+        ["classify-all"],
+        ["classify-all", "--bound=8", "--format=text"],
+        ["classify-all", "--bound", "-8"],
+        ["narrow-check", "--profile", "p.json", "--maslov", "4", "--oracle", "--format", "json",
+         "--verbose"],
+        ["narrow-check", "--profile", "p.json", "--maslov", "4"],
+        ["narrow-check", "--profile=p.json", "--maslov=4", "--format=json"],
+        ["narrow-check", "--profile", "p.json", "--maslov", "-3"],
+        ["wide-check", "--profile", "p.json", "--maslov", "4", "--format", "json"],
+        ["wide-check", "--profile", "p.json", "--maslov", "4"],
+        ["wide-check", "--profile=p.json", "--maslov=4", "--format=json"],
+        ["wide-check", "--profile", "p.json", "--maslov", "-3"],
+        ["replay", "w.json", "--format", "json"],
+        ["replay", "w.json"],
+        ["replay", "w.json", "--format=json"],
+        ["catalog", "--bound", "8", "--format", "json"],
+        ["catalog"],
+        ["catalog", "--bound=8", "--format=text"],
+        ["catalog", "--bound", "-8"],
+    ])
+    def test_each_command_parses_the_same_namespace(self, argv):
+        parser = cli.build_parser()
+        full = vars(parser.parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(parser.commands[argv[0]].parse_args(argv[1:])) == full
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["classify", "--g", "4", "--m1", "1", "--m2", "1", "extra"], "extra"),
+        (["classify-all", "--bound", "4", "--verbose"], "--verbose"),
+    ])
+    def test_an_unrecognized_argument_is_worded_by_its_command(self, capsys, argv, extra):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: isofloer {argv[0]} ")
+        assert lines[-1] == f"isofloer {argv[0]}: error: unrecognized arguments: {extra}"
+
 
 # --- the failure policy -------------------------------------------------------
 
