@@ -23,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .catalog import (
     FamilyError,
@@ -39,10 +38,10 @@ from .criteria import (
     CaseReport,
     UNRESOLVED,
     classify,
-    report_to_json,
+    report_to_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
     wide_check_biran_cornea,
 )
-from .homology import ProfileError, as_int, profile_from_json, profile_to_json
+from .homology import ProfileError, as_int, json_text, profile_from_json, profile_to_json
 from .specseq import (
     EngineError,
     SearchCapError,
@@ -156,84 +155,6 @@ def _read(path: str, parse, what: str):
         return parse(data)
     except (KeyError, TypeError, ProfileError, WitnessError) as exc:
         raise InputError(f"malformed {what} file: {exc}") from exc
-
-
-def json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for JSON-shaped values, written directly.
-
-    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
-    this writer makes the same bytes in about half the time.  ``indent`` is
-    the newline plus the indentation of the line ``value`` starts on.
-    Scalars must be exactly str, int, float, bool or None, containers dicts
-    with str keys, lists or tuples; anything else raises TypeError.
-    """
-    chunks: list[str] = []
-    _write(value, indent, chunks)
-    return "".join(chunks)
-
-
-_INF = float("inf")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _write(value, indent: str, chunks: list[str]) -> None:
-    # JSON strings hold no raw newline, so an element nested one level
-    # deeper starts on ``indent`` plus two spaces
-    append, scalar_text = chunks.append, _SCALAR_TEXT.get
-    scalar = scalar_text(type(value))
-    if scalar is not None:
-        append(scalar(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
-        inner = indent + "  "
-        opener, comma = "[" + inner, "," + inner
-        for item in value:
-            scalar = scalar_text(type(item))
-            if scalar is not None:
-                append(opener + scalar(item))
-            else:
-                append(opener)
-                _write(item, inner, chunks)
-            opener = comma
-        append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = indent + "  "
-        opener, comma = "{" + inner, "," + inner
-        for key, item in value.items():
-            head = opener + encode_basestring_ascii(key) + ": "
-            scalar = scalar_text(type(item))
-            if scalar is not None:
-                append(head + scalar(item))
-            else:
-                append(head)
-                _write(item, inner, chunks)
-            opener = comma
-        append(indent + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(payload: dict) -> None:
@@ -374,7 +295,7 @@ def _print_report_text(report: CaseReport, verbose: bool) -> None:
 def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(validate_family(args.g, args.m1, args.m2))
     if args.format == "json":
-        _emit_json(report_to_json(report))
+        sys.stdout.write(report.json_text() + "\n")
     else:
         _print_report_text(report, args.verbose)
     return EXIT_OK
@@ -397,7 +318,7 @@ def _cmd_classify_all(args: argparse.Namespace) -> int:
 
 
 def _report_json(family) -> str:
-    return json_text(report_to_json(classify(family)), "\n  ")
+    return classify(family).json_text("\n  ")
 
 
 def _report_row(family) -> tuple[str, str | None]:
@@ -413,20 +334,18 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     require_maslov(args.maslov)
     nu = (profile.n + 1) // args.maslov
     verdict = propagate_narrow(profile, args.maslov, profile.n, nu)
-    oracle_verdict = None
-    oracle_note = None
+    oracle_verdict = oracle_note = None
     if args.oracle:
         try:
             oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu)
         except SearchCapError as exc:
             oracle_note = str(exc)
-    if args.format == "json":
-        _emit_json({
-            "profile": profile_to_json(profile),
-            "maslov": args.maslov,
-            "verdict": verdict_to_json(verdict),
-            "oracle": verdict_to_json(oracle_verdict) if oracle_verdict is not None else None,
-        })
+    if args.format == "json":  # the envelope {"profile", "maslov", "verdict", "oracle"}
+        inner = "\n  "
+        oracle = "null" if oracle_verdict is None else oracle_verdict.json_text(inner)
+        sys.stdout.write(f'{{{inner}"profile": {json_text(profile_to_json(profile), inner)},'
+                         f'{inner}"maslov": {args.maslov},{inner}"verdict": '
+                         f'{verdict.json_text(inner)},{inner}"oracle": {oracle}\n}}\n')
         return EXIT_OK
     for label, shown in (("propagation", verdict), ("oracle", oracle_verdict)):
         if shown is not None:

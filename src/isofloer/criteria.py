@@ -19,6 +19,8 @@ tagged computed (this package derived it) or cited (external input).
 from __future__ import annotations
 
 import math
+from json import loads
+from json.encoder import encode_basestring_ascii as quote
 
 from .catalog import (
     IsoparametricFamily,
@@ -29,14 +31,14 @@ from .catalog import (
     minimal_maslov,
     munzner_betti_N,
 )
-from .homology import BettiProfile, ProfileError, Record
+from .homology import BettiProfile, ProfileError, Record, json_list, json_text, scalar_text
 from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
     MaslovTooSmallError,
     propagate_narrow,
     require_maslov,
-    verdict_from_json,  # unused here; perfbench/worker.py patches this name
+    verdict_from_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
     verdict_to_json,
 )
 
@@ -101,6 +103,14 @@ class JustificationStep(Record):
     __slots__ = ("rule", "kind", "claim", "source", "verdict")
     _defaults = {"source": None, "verdict": None}
 
+    def json_text(self, indent: str) -> str:
+        """The step's wire form: {"rule", "kind", "claim", "source", "verdict"}."""
+        inner = indent + "  "
+        verdict = "null" if self.verdict is None else self.verdict.json_text(inner)
+        return (f'{{{inner}"rule": {quote(self.rule)},{inner}"kind": {quote(self.kind)},'
+                f'{inner}"claim": {quote(self.claim)},{inner}"source": {scalar_text(self.source)},'
+                f'{inner}"verdict": {verdict}{indent}}}')
+
 
 class CaseReport(Record):
     __slots__ = ("family", "status", "justification", "volume_lower_bound")
@@ -109,6 +119,20 @@ class CaseReport(Record):
     def intersects_real_form(self) -> bool:
         """A wide Gauss image keeps meeting the real form under Hamiltonian motion."""
         return self.status == WIDE
+
+    def json_text(self, indent: str = "\n") -> str:
+        """The report's wire form: {"family", "status", "justification", ...}."""
+        inner = indent + "  "
+        steps = json_list([step.json_text(inner + "  ") for step in self.justification], inner)
+        return (f'{{{inner}"family": {json_text(family_to_json(self.family), inner)},'
+                f'{inner}"status": {quote(self.status)},{inner}"justification": {steps},'
+                f'{inner}"intersects_real_form": {scalar_text(self.intersects_real_form)},'
+                f'{inner}"volume_lower_bound": {scalar_text(self.volume_lower_bound)}{indent}}}')
+
+
+def report_to_json(report: CaseReport) -> dict:
+    """The report as a dict: the parse of ``report.json_text()``."""
+    return loads(report.json_text())
 
 
 def _profile_brief(profile: BettiProfile) -> str:
@@ -238,25 +262,3 @@ def classify(family: IsoparametricFamily) -> CaseReport:
     )
     return CaseReport(family, UNRESOLVED, tuple(steps), None)
 
-
-# --- serialization ----------------------------------------------------------
-
-
-def _step_to_json(step: JustificationStep) -> dict:
-    return {
-        "rule": step.rule,
-        "kind": step.kind,
-        "claim": step.claim,
-        "source": step.source,
-        "verdict": verdict_to_json(step.verdict) if step.verdict is not None else None,
-    }
-
-
-def report_to_json(report: CaseReport) -> dict:
-    return {
-        "family": family_to_json(report.family),
-        "status": report.status,
-        "justification": [_step_to_json(s) for s in report.justification],
-        "intersects_real_form": report.intersects_real_form,
-        "volume_lower_bound": report.volume_lower_bound,
-    }

@@ -16,6 +16,8 @@ Everything here is pure, and a profile's support is never mutated.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from json import dumps
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 
@@ -45,6 +47,85 @@ def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") 
     return value
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for JSON-shaped values, written directly.
+
+    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
+    for the profiles, ``catalog`` records and envelopes this writes the same
+    bytes in about half the time (reports and verdicts write their own text).
+    ``indent`` is the newline plus the indentation of the line ``value`` starts on.
+    Scalars must be exactly str, int, float, bool or None, containers dicts
+    with str keys, lists or tuples; anything else raises TypeError.
+    """
+    chunks: list[str] = []
+    _write(value, indent, chunks)
+    return "".join(chunks)
+
+
+def json_list(texts: list[str], indent: str) -> str:
+    """A JSON list at ``indent`` whose items, written at ``indent + "  "``, are ``texts``."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: dumps,  # NaN and the infinities as json writes them
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def scalar_text(value) -> str:
+    """A str, int, float, bool or None as JSON text."""
+    return _SCALAR_TEXT[type(value)](value)
+
+
+def _write(value, indent: str, chunks: list[str]) -> None:
+    # JSON strings hold no raw newline, so an element nested one level
+    # deeper starts on ``indent`` plus two spaces
+    append, scalar_of = chunks.append, _SCALAR_TEXT.get
+    scalar = scalar_of(type(value))
+    if scalar is not None:
+        append(scalar(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        opener, comma = "[" + inner, "," + inner
+        for item in value:
+            scalar = scalar_of(type(item))
+            if scalar is not None:
+                append(opener + scalar(item))
+            else:
+                append(opener)
+                _write(item, inner, chunks)
+            opener = comma
+        append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        opener, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            head = opener + encode_basestring_ascii(key) + ": "
+            scalar = scalar_of(type(item))
+            if scalar is not None:
+                append(head + scalar(item))
+            else:
+                append(head)
+                _write(item, inner, chunks)
+            opener = comma
+        append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 class Record:
     """A read-only value, the base of the package's value classes.
 
@@ -59,7 +140,9 @@ class Record:
     ``_key()`` is equal, every field unless the class says otherwise, and
     they hash alike then.  ``__reduce__`` gives the class and the fields in
     order, which is how pickle and copy rebuild a record and what ``repr``
-    names.
+    names.  A record the CLI prints has ``json_text(indent)``: its wire form as
+    ``json.dumps(indent=2)`` writes it on a line indented ``indent`` (a newline
+    and spaces), an int field as an int and any other as ``scalar_text`` does.
     """
 
     __slots__ = ()

@@ -54,10 +54,10 @@ They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
 the tests' page model, a walk over every rank vector, is the oracle's
 reference.  Each verdict is its final page and a witness, whose class holds
-all that is particular to its kind: the kind, the wire tag, the payload
-writer ``to_json`` and strict reader ``from_json``, the ``replay``, and the
+all that is particular to its kind: the kind, the wire tag, the JSON text
+writer ``json_text`` and strict reader ``from_json``, the ``replay``, and the
 text, a ``summary`` line and the ``details`` that ``--verbose`` prints.
-``WITNESS_TYPES`` maps each tag to its class, and ``verdict_to_json``,
+``WITNESS_TYPES`` maps each tag to its class; the verdict's ``json_text``,
 ``verdict_from_json`` and ``replay_witness``, which re-derives a witness
 without trusting the run that produced it, look the class up there.
 """
@@ -67,9 +67,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from itertools import accumulate
+from json import loads
+from json.encoder import encode_basestring_ascii as quote
 from operator import attrgetter
 
-from .homology import BettiProfile, Record, as_int, as_list
+from .homology import BettiProfile, Record, as_int, as_list, json_list, scalar_text
 
 
 class EngineError(ValueError):
@@ -159,6 +161,11 @@ class _Witness:
     def details(self, maslov: int | None, n: int | None) -> list[str]:
         return []
 
+    def json_text(self, indent: str) -> str:
+        """The payload: {"type": tag} and the fields of the kind."""
+        inner = indent + "  "
+        return f'{{{inner}"type": {quote(self.tag)},{inner}{self._fields_text(inner)}{indent}}}'
+
 
 class ContradictionWitness(_Witness, Record):
     """A vanishing final page would force ``bound`` > 0 classes into ``slot``:
@@ -168,9 +175,13 @@ class ContradictionWitness(_Witness, Record):
     kind, tag = CONTRADICTION, "contradiction-chain"
     __slots__ = ("slot", "bound", "chain")
 
-    def to_json(self) -> dict:
-        return {"type": self.tag, "slot": self.slot, "bound": self.bound,
-                "chain": [dict(zip(ChainStep.__slots__, ChainStep._values(c))) for c in self.chain]}
+    # a chain step, its fields ints, on a line indented "\n"
+    _step = "{" + ",".join(f'\n  "{name}": %d' for name in ChainStep.__slots__) + "\n}"
+
+    def _fields_text(self, inner: str) -> str:
+        step = self._step.replace("\n", inner + "  ")
+        chain = json_list([step % ChainStep._values(c) for c in self.chain], inner)
+        return f'"slot": {self.slot},{inner}"bound": {self.bound},{inner}"chain": {chain}'
 
     @classmethod
     def from_json(cls, payload: dict) -> ContradictionWitness:
@@ -202,8 +213,10 @@ class FinalPageWitness(_Witness, Record):
     kind, tag = NO_CONTRADICTION, "final-page"
     __slots__ = ("slots",)
 
-    def to_json(self) -> dict:
-        return {"type": self.tag, "slots": [list(slot) for slot in self.slots]}
+    def _fields_text(self, inner: str) -> str:
+        row, cell = inner + "  ", inner + "    "
+        return '"slots": ' + json_list([f"[{cell}{lo},{cell}{scalar_text(hi)}{row}]"
+                                         for lo, hi in self.slots], inner)
 
     @classmethod
     def from_json(cls, payload: dict) -> FinalPageWitness:
@@ -223,8 +236,10 @@ class FeasibleWitness(_Witness, Record):
     kind, tag = FEASIBLE, "cancellation-pairs"
     __slots__ = ("pairs",)
 
-    def to_json(self) -> dict:
-        return {"type": self.tag, "pairs": [list(pair) for pair in self.pairs]}
+    def _fields_text(self, inner: str) -> str:
+        row, cell = inner + "  ", inner + "    "
+        return '"pairs": ' + json_list([f"[{cell}{s},{cell}{r},{cell}{count}{row}]"
+                                         for s, r, count in self.pairs], inner)
 
     @classmethod
     def from_json(cls, payload: dict) -> FeasibleWitness:
@@ -272,8 +287,8 @@ class InfeasibleWitness(_Witness, Record):
     def _key(self) -> tuple:
         return (self.barrier,)
 
-    def to_json(self) -> dict:
-        return {"type": self.tag, "barrier": list(self.barrier)}
+    def _fields_text(self, inner: str) -> str:
+        return '"barrier": ' + json_list([f"{s}" for s in self.barrier], inner)
 
     @classmethod
     def from_json(cls, payload: dict) -> InfeasibleWitness:
@@ -306,6 +321,14 @@ class NarrownessVerdict(Record):
     kind = property(attrgetter("witness.kind"))
     slot = property(attrgetter("witness.slot"))
     bound = property(attrgetter("witness.bound"))
+
+    def json_text(self, indent: str = "\n") -> str:
+        """{"kind", "slot", "page", "bound", "witness"}; the witness writes itself."""
+        witness, inner = _witness(self, "unserializable witness type "), indent + "  "
+        slot, page, bound = map(scalar_text, (witness.slot, self.page, witness.bound))
+        return (f'{{{inner}"kind": {quote(witness.kind)},{inner}"slot": {slot},'
+                f'{inner}"page": {page},{inner}"bound": {bound},'
+                f'{inner}"witness": {witness.json_text(inner)}{indent}}}')
 
 
 def propagate_narrow(
@@ -581,11 +604,8 @@ def replay_witness(
 
 
 def verdict_to_json(verdict: NarrownessVerdict) -> dict:
-    """Stable wire form: {"kind", "slot", "page", "bound", "witness"}, the
-    witness written by its class, its tag under "type"."""
-    witness = _witness(verdict, "unserializable witness type ")
-    return {"kind": witness.kind, "slot": witness.slot, "page": verdict.page,
-            "bound": witness.bound, "witness": witness.to_json()}
+    """The wire form as a dict: the parse of ``verdict.json_text()``."""
+    return loads(verdict.json_text())
 
 
 def verdict_from_json(data: dict) -> NarrownessVerdict:
@@ -599,7 +619,7 @@ def verdict_from_json(data: dict) -> NarrownessVerdict:
         witness = None if cls is None else cls.from_json(payload)
         if witness is None or kind != witness.kind:
             raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
-        verdict = NarrownessVerdict(_as_opt_int(data["page"]), witness)
+        verdict = NarrownessVerdict(_as_int(data["page"]), witness)
         headline = (_as_opt_int(data["slot"]), _as_opt_int(data["bound"]))
         if headline != (verdict.slot, verdict.bound):
             raise WitnessError(

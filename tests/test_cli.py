@@ -628,6 +628,18 @@ class TestReplay:
         assert out == ""
         assert "headline" in err
 
+    @pytest.mark.parametrize("key", ["verdict", "oracle"])
+    def test_null_final_page_is_malformed(self, capsys, tmp_path, key):
+        # every verdict names its final page, so null is a malformed file, not a mismatch
+        witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4,
+                                    extra=["--oracle"])
+        payload = json.loads(witness.read_text(encoding="utf-8"))
+        payload[key]["page"] = None
+        witness.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, ["replay", str(witness)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed witness file: ") and err.count("\n") == 1
+
     def test_wrong_final_page_exits_1(self, capsys, tmp_path):
         witness = self.make_witness(capsys, tmp_path, validate_family(4, 2, 2), 4)
         payload = json.loads(witness.read_text(encoding="utf-8"))
@@ -1062,6 +1074,47 @@ class TestGolden:
         assert hashlib.sha256(data).hexdigest() == (
             "ae261f76ee7e68c466d47d056a634be332d96388683ca522e75e45d22b1fef4b"
         )
+
+    @pytest.mark.parametrize(
+        "family,size,digest",
+        [
+            # a contradiction chain at the top-level indent
+            ((4, 2, 2), 1_532, "e0b4834f3e26cd84283d17ec7ab1b4a7cf28e93fd92bfd83d57d42129d3058c4"),
+            # a float volume_lower_bound
+            ((3, 2, 2), 813, "0165e768cf6b6fa266f9fc1c66d04487dcda37c44177baa16f0e5ed39c7771e2"),
+        ],
+    )
+    def test_classify_json_bytes(self, capsys, family, size, digest):
+        g, m1, m2 = map(str, family)
+        code, out, _ = run(capsys, ["classify", "--g", g, "--m1", m1, "--m2", m2,
+                                    "--format", "json"])
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "profile,maslov,kinds,size,digest",
+        [
+            (G4_22_PROFILE, 4, ("Contradiction", "Infeasible"), 1_240,
+             "fc940f4c9dbf83259eba9be0d38dde304d69e9546f8ce4a6ad35ed467e371f9d"),
+            # uncapped and open: the final page has null upper bounds
+            ({"n": 6, "known": [[0, 1], [3, 2], [6, 1]]}, 3, ("NoContradiction", "Feasible"),
+             1_068, "61dcf42d267e0e6db6c18cbf4758ef96bff4a602c1d8230dfb5ce351f95d867e"),
+        ],
+        ids=["contradiction-infeasible", "open-final-page"],
+    )
+    def test_oracle_json_bytes(self, capsys, tmp_path, profile, maslov, kinds, size, digest):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(path), "--maslov",
+                                    str(maslov), "--oracle", "--format", "json"])
+        assert code == 0
+        envelope = json.loads(out)
+        assert (envelope["verdict"]["kind"], envelope["oracle"]["kind"]) == kinds
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_profile_listing_order_leaves_the_bytes_alone(self, capsys, tmp_path):
         # the envelope lists the known degrees in ascending order, whatever the file's order

@@ -1,0 +1,94 @@
+"""Each record writes the text that ``json.dumps(indent=2)`` writes for its
+reference dict (``tests/json_reference.py``), and ``report_to_json`` and
+``verdict_to_json`` give that dict."""
+
+import json
+
+import pytest
+
+import json_reference as reference
+from isofloer import report_to_json, verdict_to_json
+from isofloer.catalog import enumerate_families, munzner_betti_N, validate_family
+from isofloer.criteria import CaseReport, JustificationStep, classify
+from isofloer.homology import make_partial_profile, make_profile
+from isofloer.specseq import (
+    CONTRADICTION,
+    FEASIBLE,
+    INFEASIBLE,
+    NO_CONTRADICTION,
+    oracle_narrow_feasible,
+    propagate_narrow,
+)
+
+
+def assert_text(record, expected: dict) -> None:
+    """The record's text at the top level and as an item of a top-level list."""
+    assert record.json_text("\n") == json.dumps(expected, indent=2)
+    assert "[\n  " + record.json_text("\n  ") + "\n]" == json.dumps([expected], indent=2)
+
+
+def test_every_report_at_bound_64():
+    verdicts = 0
+    for family in enumerate_families(64):
+        report = classify(family)
+        expected = reference.report_to_json(report)
+        assert_text(report, expected)
+        assert report_to_json(report) == expected
+        for step in report.justification:
+            assert_text(step, reference.step_to_json(step))
+            if step.verdict is not None:
+                verdicts += 1
+                assert_text(step.verdict, reference.verdict_to_json(step.verdict))
+    assert verdicts > 500
+
+
+G4_12 = munzner_betti_N(validate_family(4, 1, 2))  # Maslov 3
+G4_22 = munzner_betti_N(validate_family(4, 2, 2))  # Maslov 4
+OPEN = make_partial_profile(6, [(0, 1), (3, 2), (6, 1)])  # uncapped
+
+
+@pytest.mark.parametrize(
+    "verdict,kind",
+    [
+        (propagate_narrow(G4_22, 4, 8, 2), CONTRADICTION),
+        # nu = 0: a listed slot is its own bound, with no page to walk
+        (propagate_narrow(make_profile(2, [(0, 1)]), 3, 2, 0), CONTRADICTION),
+        (propagate_narrow(G4_12, 3, 6, 2), NO_CONTRADICTION),
+        # the open slots have no upper bound: null
+        (propagate_narrow(OPEN, 3, 6, 2), NO_CONTRADICTION),
+        (oracle_narrow_feasible(G4_12, 3, 2), FEASIBLE),
+        # a class paired with the pool
+        (oracle_narrow_feasible(OPEN, 3, 2), FEASIBLE),
+        (oracle_narrow_feasible(G4_22, 4, 2), INFEASIBLE),
+        # the empty barrier
+        (oracle_narrow_feasible(make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3, 1),
+         INFEASIBLE),
+        # the pool, slot 7, is the barrier
+        (oracle_narrow_feasible(make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3, 2),
+         INFEASIBLE),
+    ],
+    ids=["chain", "empty-chain", "final-page", "open-final-page", "pairs", "pool-pairs",
+         "barrier", "empty-barrier", "pool-barrier"],
+)
+def test_every_witness_kind(verdict, kind):
+    assert verdict.kind == kind
+    expected = reference.verdict_to_json(verdict)
+    assert_text(verdict, expected)
+    assert_text(verdict.witness, expected["witness"])
+    assert verdict_to_json(verdict) == expected
+
+
+def test_the_cases_above_hold_their_edge():
+    assert propagate_narrow(make_profile(2, [(0, 1)]), 3, 2, 0).witness.chain == ()
+    assert (0, None) in propagate_narrow(OPEN, 3, 6, 2).witness.slots
+    assert oracle_narrow_feasible(
+        make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3, 1).witness.barrier == ()
+    assert oracle_narrow_feasible(
+        make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3, 2).witness.barrier == (7,)
+
+
+@pytest.mark.parametrize("volume", [float("nan"), float("inf"), -0.0, 5e-324, None])
+def test_strings_and_floats_are_written_as_json_writes_them(volume):
+    step = JustificationStep("rule", "cited", 'a "quoted"\né ☃ \U0001f600 claim\\', None)
+    report = CaseReport(validate_family(4, 2, 2), "Wide", (step,), volume)
+    assert_text(report, reference.report_to_json(report))
