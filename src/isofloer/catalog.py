@@ -18,15 +18,17 @@ sequence, and the g = 3 Gauss-image homology.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as quote
 
 from .homology import (
     MAX_TOP_DEGREE,
     BettiProfile,
     Record,
+    json_list,
     make_partial_profile,
     make_profile,
     profile_from_json,  # unused here; perfbench/worker.py patches this name
-    profile_to_json,
+    scalar_text,
 )
 
 
@@ -55,6 +57,12 @@ class IsoparametricFamily(Record):
     def n(self) -> int:
         """Dimension g(m1 + m2)/2 of N, whole because odd g forces m1 = m2."""
         return self.g * (self.m1 + self.m2) // 2
+
+    def json_text(self, indent: str = "\n") -> str:
+        """The wire form {"g", "m1", "m2", "n"}."""
+        inner = indent + "  "
+        return (f'{{{inner}"g": {self.g},{inner}"m1": {self.m1},{inner}"m2": {self.m2},'
+                f'{inner}"n": {self.n}{indent}}}')
 
 
 def validate_family(g: int, m1: int, m2: int) -> IsoparametricFamily:
@@ -155,6 +163,12 @@ class CitedFact(Record):
 
     __slots__ = ("statement", "source")
 
+    def json_text(self, indent: str) -> str:
+        """The wire form {"statement", "source"}."""
+        inner = indent + "  "
+        return (f'{{{inner}"statement": {quote(self.statement)},'
+                f'{inner}"source": {quote(self.source)}{indent}}}')
+
 
 REAL_FORM_WIDE = CitedFact(
     statement="the Gauss image is a real form of the complex hyperquadric, and real forms are wide",
@@ -208,29 +222,23 @@ def enumerate_families(bound: int) -> list[IsoparametricFamily]:
     return list(iter_families(bound))
 
 
-def family_to_json(family: IsoparametricFamily) -> dict:
-    return {"g": family.g, "m1": family.m1, "m2": family.m2, "n": family.n}
-
-
-def data_to_json(family: IsoparametricFamily) -> dict:
-    """Everything the analysis knows about one family's Gauss image.
+def data_text(family: IsoparametricFamily, indent: str = "\n") -> str:
+    """Everything the analysis knows about one family's Gauss image, as ``catalog
+    --format json`` prints it: {"family", "maslov", "nu", "orientable", ..., "cited"}.
 
     ``covering_degree`` is g, the degree of the deck covering N -> L;
-    ``betti_N`` is None exactly when no table is on record (g=6, m=1);
+    ``betti_N`` is null exactly when no table is on record (g=6, m=1);
     ``betti_L`` is populated only where the package derives it (g=3).
     """
+    inner = indent + "  "
     try:
-        betti_n = profile_to_json(munzner_betti_N(family))
+        betti_n = munzner_betti_N(family).json_text(inner)
     except MissingTableError:
-        betti_n = None
-    return {
-        "family": family_to_json(family),
-        "maslov": minimal_maslov(family),
-        "nu": collapse_step(family),
-        "orientable": orientable(family),
-        "covering_degree": family.g,
-        "betti_N": betti_n,
-        "betti_L": (profile_to_json(gauss_image_betti_g3(family))
-                    if family.g == 3 else None),
-        "cited": [{"statement": c.statement, "source": c.source} for c in cited_facts(family)],
-    }
+        betti_n = "null"
+    betti_l = gauss_image_betti_g3(family).json_text(inner) if family.g == 3 else "null"
+    cited = json_list([fact.json_text(inner + "  ") for fact in cited_facts(family)], inner)
+    return (f'{{{inner}"family": {family.json_text(inner)},'
+            f'{inner}"maslov": {minimal_maslov(family)},{inner}"nu": {collapse_step(family)},'
+            f'{inner}"orientable": {scalar_text(orientable(family))},'
+            f'{inner}"covering_degree": {family.g},{inner}"betti_N": {betti_n},'
+            f'{inner}"betti_L": {betti_l},{inner}"cited": {cited}{indent}}}')

@@ -7,7 +7,9 @@ usage error prints argparse's usage line and ``isofloer <command>: error:
 ...`` on stderr and exits 1; every other failure prints one ``error:`` line,
 except an output pipe closed by its reader, which exits 1 silently.
 
-``classify-all`` and ``catalog --format json`` render their families
+``--format json`` prints the text of each record's own ``json_text``;
+the envelopes of ``narrow-check``, ``wide-check`` and ``replay`` are written
+here.  ``classify-all`` and ``catalog --format json`` render their families
 through ``_ordered_map``, which spreads them over the process and forked
 workers, one process per CPU it may run on, and prints the results in
 order, one write per chunk: the bytes are those of one process.  The
@@ -27,7 +29,7 @@ import sys
 from .catalog import (
     FamilyError,
     collapse_step,
-    data_to_json,
+    data_text,
     enumerate_families,
     iter_families,
     minimal_maslov,
@@ -41,7 +43,7 @@ from .criteria import (
     report_to_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
     wide_check_biran_cornea,
 )
-from .homology import ProfileError, as_int, json_text, profile_from_json, profile_to_json
+from .homology import ProfileError, as_int, json_list, profile_from_json, scalar_text
 from .specseq import (
     EngineError,
     SearchCapError,
@@ -157,16 +159,11 @@ def _read(path: str, parse, what: str):
         raise InputError(f"malformed {what} file: {exc}") from exc
 
 
-def _emit_json(payload: dict) -> None:
-    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would, plus a newline."""
-    sys.stdout.write(json_text(payload) + "\n")  # looked up per call: capsys swaps it
-
-
 def _emit_json_list(chunks) -> None:
-    """Print the items of ``chunks``, lists of ``json_text(item, "\\n  ")``, as
-    ``json.dumps(items, indent=2)`` prints their list, plus a newline; each
-    chunk is written with one ``write`` as it comes."""
-    out, opener = sys.stdout, "[\n  "
+    """Print the items of ``chunks``, lists of JSON texts written at the indent
+    ``"\\n  "``, as ``json.dumps(items, indent=2)`` prints their list, plus a
+    newline; each chunk is written with one ``write`` as it comes."""
+    out, opener = sys.stdout, "[\n  "  # looked up per call: capsys swaps it
     for texts in chunks:
         if texts:
             out.write(opener + ",\n  ".join(texts))
@@ -343,7 +340,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     if args.format == "json":  # the envelope {"profile", "maslov", "verdict", "oracle"}
         inner = "\n  "
         oracle = "null" if oracle_verdict is None else oracle_verdict.json_text(inner)
-        sys.stdout.write(f'{{{inner}"profile": {json_text(profile_to_json(profile), inner)},'
+        sys.stdout.write(f'{{{inner}"profile": {profile.json_text(inner)},'
                          f'{inner}"maslov": {args.maslov},{inner}"verdict": '
                          f'{verdict.json_text(inner)},{inner}"oracle": {oracle}\n}}\n')
         return EXIT_OK
@@ -363,7 +360,10 @@ def _cmd_wide_check(args: argparse.Namespace) -> int:
     wide = wide_check_biran_cornea(profile, args.maslov)
     tested = list(range(args.maslov - 1, profile.n + 1, args.maslov))
     if args.format == "json":
-        _emit_json({"wide": wide, "maslov": args.maslov, "tested_degrees": tested})
+        inner = "\n  "
+        degrees = json_list([str(degree) for degree in tested], inner)
+        sys.stdout.write(f'{{{inner}"wide": {scalar_text(wide)},{inner}"maslov": '
+                         f'{args.maslov},{inner}"tested_degrees": {degrees}\n}}\n')
     else:
         print(f"wide: {'yes' if wide else 'no'} (degrees tested: {tested})")
     return EXIT_OK
@@ -386,7 +386,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     nu = (profile.n + 1) // maslov
     ok = all(replay_witness(v, profile, maslov, nu) for v in verdicts)
     if args.format == "json":
-        _emit_json({"replayed": ok, "verdicts": len(verdicts)})
+        sys.stdout.write(f'{{\n  "replayed": {scalar_text(ok)},'
+                         f'\n  "verdicts": {len(verdicts)}\n}}\n')
     else:
         print("witness replay: " + ("ok" if ok else "MISMATCH"))
     return EXIT_OK if ok else EXIT_DOMAIN
@@ -395,7 +396,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "json":
         families = enumerate_families(args.bound)
-        with contextlib.closing(_ordered_map(_data_json, families)) as chunks:
+        records = functools.partial(data_text, indent="\n  ")
+        with contextlib.closing(_ordered_map(records, families)) as chunks:
             _emit_json_list(chunks)
         return EXIT_OK
     families = iter_families(args.bound)  # refuses a bad bound before the header
@@ -408,10 +410,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             f"{'yes' if orientable(f) else 'no':>7}"
         )
     return EXIT_OK
-
-
-def _data_json(family) -> str:
-    return json_text(data_to_json(family), "\n  ")
 
 
 def main(argv: list[str] | None = None) -> int:

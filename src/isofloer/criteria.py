@@ -26,12 +26,11 @@ from .catalog import (
     IsoparametricFamily,
     cited_facts,
     collapse_step,
-    family_to_json,
     gauss_image_betti_g3,
     minimal_maslov,
     munzner_betti_N,
 )
-from .homology import BettiProfile, ProfileError, Record, json_list, json_text, scalar_text
+from .homology import BettiProfile, ProfileError, Record, json_list, scalar_text
 from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
@@ -124,7 +123,7 @@ class CaseReport(Record):
         """The report's wire form: {"family", "status", "justification", ...}."""
         inner = indent + "  "
         steps = json_list([step.json_text(inner + "  ") for step in self.justification], inner)
-        return (f'{{{inner}"family": {json_text(family_to_json(self.family), inner)},'
+        return (f'{{{inner}"family": {self.family.json_text(inner)},'
                 f'{inner}"status": {quote(self.status)},{inner}"justification": {steps},'
                 f'{inner}"intersects_real_form": {scalar_text(self.intersects_real_form)},'
                 f'{inner}"volume_lower_bound": {scalar_text(self.volume_lower_bound)}{indent}}}')

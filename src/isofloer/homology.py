@@ -11,12 +11,15 @@ Profiles are sparse: a Muenzner table lists at most 2g degrees, so it costs
 O(support), not O(n), to build, compare and query.
 
 Everything here is pure, and a profile's support is never mutated.
+
+Each JSON shape the package prints has one writer, its record's
+``json_text(indent)``, built from the pieces ``json_list`` and ``scalar_text``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from json import dumps
+from json import dumps, loads
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -47,21 +50,6 @@ def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") 
     return value
 
 
-def json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for JSON-shaped values, written directly.
-
-    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
-    for the profiles, ``catalog`` records and envelopes this writes the same
-    bytes in about half the time (reports and verdicts write their own text).
-    ``indent`` is the newline plus the indentation of the line ``value`` starts on.
-    Scalars must be exactly str, int, float, bool or None, containers dicts
-    with str keys, lists or tuples; anything else raises TypeError.
-    """
-    chunks: list[str] = []
-    _write(value, indent, chunks)
-    return "".join(chunks)
-
-
 def json_list(texts: list[str], indent: str) -> str:
     """A JSON list at ``indent`` whose items, written at ``indent + "  "``, are ``texts``."""
     if not texts:
@@ -84,48 +72,6 @@ def scalar_text(value) -> str:
     return _SCALAR_TEXT[type(value)](value)
 
 
-def _write(value, indent: str, chunks: list[str]) -> None:
-    # JSON strings hold no raw newline, so an element nested one level
-    # deeper starts on ``indent`` plus two spaces
-    append, scalar_of = chunks.append, _SCALAR_TEXT.get
-    scalar = scalar_of(type(value))
-    if scalar is not None:
-        append(scalar(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
-        inner = indent + "  "
-        opener, comma = "[" + inner, "," + inner
-        for item in value:
-            scalar = scalar_of(type(item))
-            if scalar is not None:
-                append(opener + scalar(item))
-            else:
-                append(opener)
-                _write(item, inner, chunks)
-            opener = comma
-        append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = indent + "  "
-        opener, comma = "{" + inner, "," + inner
-        for key, item in value.items():
-            head = opener + encode_basestring_ascii(key) + ": "
-            scalar = scalar_of(type(item))
-            if scalar is not None:
-                append(head + scalar(item))
-            else:
-                append(head)
-                _write(item, inner, chunks)
-            opener = comma
-        append(indent + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 class Record:
     """A read-only value, the base of the package's value classes.
 
@@ -140,9 +86,10 @@ class Record:
     ``_key()`` is equal, every field unless the class says otherwise, and
     they hash alike then.  ``__reduce__`` gives the class and the fields in
     order, which is how pickle and copy rebuild a record and what ``repr``
-    names.  A record the CLI prints has ``json_text(indent)``: its wire form as
-    ``json.dumps(indent=2)`` writes it on a line indented ``indent`` (a newline
-    and spaces), an int field as an int and any other as ``scalar_text`` does.
+    names.  A record the CLI prints has ``json_text(indent)``, the one writer
+    of its wire form: the text ``json.dumps(indent=2)`` writes for that form on
+    a line indented ``indent`` (a newline and spaces), an int field as an int
+    and any other as ``scalar_text`` does.
     """
 
     __slots__ = ()
@@ -244,6 +191,18 @@ class BettiProfile(Record):
     def fully_known(self) -> bool:
         return self.room == 0
 
+    def json_text(self, indent: str = "\n") -> str:
+        """The wire form {"n", "known": [[degree, dim], ...], "cap"}: every degree of a
+        fully known profile, else its known degrees in ascending order, which parsing
+        reopens under the cap, so constructor-built profiles round-trip exactly."""
+        inner, entry = indent + "  ", indent + "    "
+        opener, comma, closer = "[" + entry + "  ", "," + entry + "  ", entry + "]"
+        get = self.known.get
+        degrees = range(self.n + 1) if self.fully_known else sorted(self.known)
+        known = json_list([f"{opener}{s}{comma}{get(s, 0)}{closer}" for s in degrees], inner)
+        return (f'{{{inner}"n": {self.n},{inner}"known": {known},'
+                f'{inner}"cap": {scalar_text(self.cap)}{indent}}}')
+
     def _key(self) -> tuple:
         items = self.known.items()
         if self.room == 0:
@@ -279,15 +238,8 @@ def make_partial_profile(
 
 
 def profile_to_json(profile: BettiProfile) -> dict:
-    """Render as {"n": int, "known": [[degree, dim], ...], "cap": int|null}.
-
-    A fully known profile lists every degree; any other lists its known
-    degrees in ascending order, and parsing reopens the rest under the cap,
-    so constructor-built profiles round-trip exactly.
-    """
-    get = profile.known.get
-    degrees = range(profile.n + 1) if profile.fully_known else sorted(profile.known)
-    return {"n": profile.n, "known": [[s, get(s, 0)] for s in degrees], "cap": profile.cap}
+    """The profile's wire form as a dict: the parse of ``profile.json_text()``."""
+    return loads(profile.json_text())
 
 
 def profile_from_json(data: dict) -> BettiProfile:

@@ -1,12 +1,22 @@
-"""The tests' reference for the wire forms of reports and verdicts, as dicts.
+"""The tests' reference for every wire form the package prints, as dicts.
 
-The package writes each record's JSON text directly (``json_text``); these
-are the dict builders it used before, kept here so that the tests can
-require ``json.dumps(reference, indent=2)`` byte for byte.  The package
-never calls them.
+The package writes each record's JSON text directly (``json_text``, and
+``catalog.data_text`` for a catalog record); these are the dict builders it
+used before, kept here so that the tests can require
+``json.dumps(reference, indent=2)`` byte for byte.  They cover families,
+profiles, cited facts, catalog records, witnesses, verdicts, steps and
+reports.  The package never calls them.
 """
 
-from isofloer.catalog import family_to_json
+from isofloer.catalog import (
+    MissingTableError,
+    cited_facts,
+    collapse_step,
+    gauss_image_betti_g3,
+    minimal_maslov,
+    munzner_betti_N,
+    orientable,
+)
 from isofloer.specseq import (
     ChainStep,
     ContradictionWitness,
@@ -14,6 +24,42 @@ from isofloer.specseq import (
     FinalPageWitness,
     InfeasibleWitness,
 )
+
+
+def family_to_json(family) -> dict:
+    return {"g": family.g, "m1": family.m1, "m2": family.m2, "n": family.n}
+
+
+def profile_to_json(profile) -> dict:
+    """{"n", "known", "cap"}: every degree of a fully known profile, else the
+    known degrees in ascending order."""
+    get = profile.known.get
+    degrees = range(profile.n + 1) if profile.fully_known else sorted(profile.known)
+    return {"n": profile.n, "known": [[s, get(s, 0)] for s in degrees], "cap": profile.cap}
+
+
+def cited_to_json(fact) -> dict:
+    return {"statement": fact.statement, "source": fact.source}
+
+
+def data_to_json(family) -> dict:
+    """A ``catalog`` record: betti_N is None where no table is on record,
+    betti_L is set only for g = 3."""
+    try:
+        betti_n = profile_to_json(munzner_betti_N(family))
+    except MissingTableError:
+        betti_n = None
+    return {
+        "family": family_to_json(family),
+        "maslov": minimal_maslov(family),
+        "nu": collapse_step(family),
+        "orientable": orientable(family),
+        "covering_degree": family.g,
+        "betti_N": betti_n,
+        "betti_L": (profile_to_json(gauss_image_betti_g3(family))
+                    if family.g == 3 else None),
+        "cited": [cited_to_json(c) for c in cited_facts(family)],
+    }
 
 
 def witness_to_json(witness) -> dict:

@@ -10,9 +10,8 @@ from isofloer.catalog import (
     MissingTableError,
     cited_facts,
     collapse_step,
-    data_to_json,
+    data_text,
     enumerate_families,
-    family_to_json,
     gauss_image_betti_g3,
     iter_families,
     minimal_maslov,
@@ -227,21 +226,26 @@ class TestEnumeration:
                     families(bound)
 
 
+def record(family) -> dict:
+    """The family's ``catalog --format json`` record, parsed."""
+    return json.loads(data_text(family))
+
+
 class TestGaussImageData:
     def test_g3_record_has_both_profiles(self):
-        rec = data_to_json(validate_family(3, 2, 2))
+        rec = record(validate_family(3, 2, 2))
         assert rec["covering_degree"] == 3
         assert profile_from_json(rec["betti_N"]).fully_known
         assert dims(profile_from_json(rec["betti_L"])) == (1, 0, 0, 0, 0, 0, 1)
 
     def test_g6_m1_record_has_no_tables(self):
-        rec = data_to_json(validate_family(6, 1, 1))
+        rec = record(validate_family(6, 1, 1))
         assert rec["betti_N"] is None
         assert rec["betti_L"] is None
         assert rec["maslov"] == 2 and rec["nu"] == 3
 
     def test_g4_record(self):
-        rec = data_to_json(validate_family(4, 1, 3))
+        rec = record(validate_family(4, 1, 3))
         assert rec["betti_L"] is None
         assert rec["maslov"] == 4
         assert rec["orientable"] is True
@@ -250,7 +254,7 @@ class TestGaussImageData:
         # a record's profiles read back through the one profile reader
         for g, m1, m2 in [(1, 2, 2), (2, 1, 3), (3, 2, 2), (4, 1, 2), (6, 1, 1), (6, 2, 2)]:
             family = validate_family(g, m1, m2)
-            rec = data_to_json(family)
+            rec = record(family)
             data = json.loads(json.dumps(rec))
             assert data == rec
             betti_n = None if (g, m1) == (6, 1) else munzner_betti_N(family)
@@ -260,6 +264,6 @@ class TestGaussImageData:
 
     def test_family_json_round_trip(self):
         f = validate_family(4, 3, 5)
-        data = family_to_json(f)
+        data = json.loads(f.json_text())
         assert validate_family(data["g"], data["m1"], data["m2"]) == f
         assert data["n"] == f.n

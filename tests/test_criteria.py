@@ -8,7 +8,7 @@ import pytest
 
 from isofloer import criteria
 from isofloer.catalog import (
-    data_to_json,
+    data_text,
     enumerate_families,
     gauss_image_betti_g3,
     munzner_betti_N,
@@ -193,7 +193,7 @@ class TestClassifier:
     def test_cited_steps_match_the_catalog(self):
         # what the catalog cites for a family is what its report leans on
         for f in enumerate_families(16):
-            cited = {fact["source"] for fact in data_to_json(f)["cited"]}
+            cited = {fact["source"] for fact in json.loads(data_text(f))["cited"]}
             used = {step.source for step in classify(f).justification if step.kind == "cited"}
             assert cited <= used, f
             if f.g <= 3:

@@ -1,14 +1,21 @@
 """Each record writes the text that ``json.dumps(indent=2)`` writes for its
-reference dict (``tests/json_reference.py``), and ``report_to_json`` and
-``verdict_to_json`` give that dict."""
+reference dict (``tests/json_reference.py``), and ``profile_to_json``,
+``report_to_json`` and ``verdict_to_json`` give that dict."""
 
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import json_reference as reference
-from isofloer import report_to_json, verdict_to_json
-from isofloer.catalog import enumerate_families, munzner_betti_N, validate_family
+from isofloer import catalog, profile_to_json, report_to_json, verdict_to_json
+from isofloer.catalog import (
+    CitedFact,
+    data_text,
+    enumerate_families,
+    munzner_betti_N,
+    validate_family,
+)
 from isofloer.criteria import CaseReport, JustificationStep, classify
 from isofloer.homology import make_partial_profile, make_profile
 from isofloer.specseq import (
@@ -21,10 +28,61 @@ from isofloer.specseq import (
 )
 
 
+def assert_written(write, expected: dict) -> None:
+    """``write(indent)`` at the top level and as an item of a top-level list."""
+    assert write("\n") == json.dumps(expected, indent=2)
+    assert "[\n  " + write("\n  ") + "\n]" == json.dumps([expected], indent=2)
+
+
 def assert_text(record, expected: dict) -> None:
     """The record's text at the top level and as an item of a top-level list."""
-    assert record.json_text("\n") == json.dumps(expected, indent=2)
-    assert "[\n  " + record.json_text("\n  ") + "\n]" == json.dumps([expected], indent=2)
+    assert_written(record.json_text, expected)
+
+
+def test_every_family_and_catalog_record_at_bound_64():
+    records = {}
+    for family in enumerate_families(64):
+        assert_text(family, reference.family_to_json(family))
+        expected = records[family.g, family.m1, family.m2] = reference.data_to_json(family)
+        assert_written(lambda indent: data_text(family, indent), expected)
+    # a null table, a partial one, and the g = 3 betti_L, all among them
+    assert records[6, 1, 1]["betti_N"] is None
+    assert records[6, 2, 2]["betti_N"]["known"] == [[0, 1], [3, 0], [6, 2], [9, 0], [12, 1]]
+    assert [key for key, record in records.items() if record["betti_L"]] == [
+        (3, 1, 1), (3, 2, 2), (3, 4, 4), (3, 8, 8)]
+
+
+def test_every_cited_fact():
+    facts = [value for value in vars(catalog).values() if isinstance(value, CitedFact)]
+    assert len(facts) == 2
+    facts.append(CitedFact('a "quoted"\né ☃ \U0001f600 statement\\', "\u2028 \x00 source"))
+    for fact in facts:
+        assert_text(fact, reference.cited_to_json(fact))
+
+
+@st.composite
+def profiles(draw):
+    """Fully known, capped or uncapped, a listed dim often 0."""
+    n = draw(st.integers(0, 12))
+    known = draw(st.dictionaries(st.integers(0, n), st.integers(0, 3), max_size=n + 1))
+    shape = draw(st.sampled_from(["full", "capped", "uncapped"]))
+    if shape == "full":
+        return make_profile(n, known.items())
+    cap = sum(known.values()) + draw(st.integers(0, 4)) if shape == "capped" else None
+    return make_partial_profile(n, known.items(), cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+@example(make_profile(0, []))
+@example(make_profile(4, [(0, 1), (2, 0), (4, 1)]))
+@example(make_partial_profile(4, [(0, 1), (2, 0), (4, 1)], cap=3))
+@example(make_partial_profile(4, [(0, 1), (2, 0), (4, 1)], cap=2))  # room 0: fully known
+@example(make_partial_profile(4, [(0, 1), (2, 0), (4, 1)]))
+def test_every_profile_shape(profile):
+    expected = reference.profile_to_json(profile)
+    assert_text(profile, expected)
+    assert profile_to_json(profile) == expected
 
 
 def test_every_report_at_bound_64():
