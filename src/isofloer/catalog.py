@@ -118,7 +118,7 @@ def munzner_betti_N(family: IsoparametricFamily) -> BettiProfile:
     counts: dict[int, int] = {}
     for degree in _munzner_degrees(family):
         counts[degree] = counts.get(degree, 0) + 1
-    return make_profile(family.n, sorted(counts.items()))
+    return BettiProfile(family.n, counts)
 
 
 def _munzner_degrees(family: IsoparametricFamily) -> list[int]:

@@ -137,6 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; json keeps the last of a repeated key, this refuses it."""
+    data = dict(pairs)
+    if len(data) < len(pairs):  # the first key to pop a second time is repeated
+        key = next(key for key, _ in pairs if data.pop(key, pairs) is pairs)
+        raise ValueError(f"key {key!r} repeated in one object")
+    return data
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads builds one per call
+
+
 def _read(path: str, parse, what: str):
     """``parse`` the JSON file at ``path``, at most ``MAX_INPUT_BYTES`` long;
     every way that fails is an InputError."""
@@ -150,8 +162,8 @@ def _read(path: str, parse, what: str):
     if len(raw) > MAX_INPUT_BYTES:
         raise InputError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
     try:  # decoded as a text-mode read decodes it, with universal newlines
-        data = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        data = _DECODER.decode(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a repeated key, or too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(data)

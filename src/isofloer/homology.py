@@ -22,6 +22,7 @@ from collections.abc import Iterable, Sequence
 from json import dumps, loads
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from types import MemberDescriptorType
 
 
 class ProfileError(ValueError):
@@ -75,21 +76,21 @@ def scalar_text(value) -> str:
 class Record:
     """A read-only value, the base of the package's value classes.
 
-    A subclass names its fields in ``__slots__``, or in ``_fields`` when a
-    slot is derived, and the defaults of its trailing fields in
-    ``_defaults``.  Unless it writes its own, the subclass gets an
-    ``__init__`` compiled once, when the class is created, from those names:
-    it takes the fields in order, positionally or by keyword, sets each with
-    ``object.__setattr__`` and then calls ``self.__post_init__()`` if the
-    class has one.  Any later assignment or deletion raises AttributeError.
-    Two records are equal when they are of the same class and their
-    ``_key()`` is equal, every field unless the class says otherwise, and
-    they hash alike then.  ``__reduce__`` gives the class and the fields in
-    order, which is how pickle and copy rebuild a record and what ``repr``
-    names.  A record the CLI prints has ``json_text(indent)``, the one writer
-    of its wire form: the text ``json.dumps(indent=2)`` writes for that form on
-    a line indented ``indent`` (a newline and spaces), an int field as an int
-    and any other as ``scalar_text`` does.
+    A subclass names its fields in ``__slots__``, or in ``_fields`` when a slot
+    is derived, and the defaults of its trailing fields in ``_defaults``.
+    Unless it writes its own, the subclass gets an ``__init__`` compiled once,
+    when the class is created, from those names: it takes the fields in order,
+    positionally or by keyword, sets each with its slot's descriptor, a third
+    cheaper than ``object.__setattr__``, which looks the slot up first, then
+    calls ``self.__post_init__()`` if the class has one.  Any later assignment
+    or deletion raises AttributeError.  Two records are equal when they are of
+    the same class and their ``_key()`` is equal, every field unless the class
+    says otherwise, and they hash alike then.  ``__reduce__`` gives the class
+    and the fields in order, which is how pickle and copy rebuild a record and
+    what ``repr`` names.  A record the CLI prints has ``json_text(indent)``,
+    the one writer of its wire form: the text ``json.dumps(indent=2)`` writes
+    for that form on a line indented ``indent`` (a newline and spaces), an int
+    field as an int and any other as ``scalar_text`` does.
     """
 
     __slots__ = ()
@@ -132,12 +133,14 @@ def _compile_init(cls: type, fields: tuple[str, ...], defaults: dict):
     """
     if tuple(defaults) != fields[len(fields) - len(defaults):]:
         raise TypeError(f"{cls.__name__}: defaults must be for the trailing fields, in order")
+    if not all(isinstance(getattr(cls, field, None), MemberDescriptorType) for field in fields):
+        raise TypeError(f"{cls.__name__}: every field must be a slot of the class")
     name = f"{cls.__qualname__}.__init__"
     lines = [f"def __init__(self, {', '.join(fields)}):"]
-    lines += [f"    _set(self, {field!r}, {field})" for field in fields]
+    lines += [f"    _set_{field}(self, {field})" for field in fields]
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")  # through the instance, where a tracer may wrap it
-    namespace = {"_set": object.__setattr__}
+    namespace = {f"_set_{field}": getattr(cls, field).__set__ for field in fields}
     exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(defaults.values())

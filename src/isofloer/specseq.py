@@ -355,26 +355,26 @@ def propagate_narrow(
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    # Only a listed slot starts above 0, and a slot at 0 stays there, so only
-    # the positive ones are walked; lows[s] is slot s's lower bound on the
-    # final page, kept when positive.
+    # Only a listed slot starts above 0, and a slot at 0 stays there, so only those are
+    # walked to their final-page bound lo (0 once <= 0); best has the largest tie-break key.
     shifts = [r * maslov - 1 for r in range(1, nu + 1)]
-    lows: dict[int, int] = {}
-    for s, lo in profile.known.items():
+    known, room, top = profile.known, profile.room, profile.n
+    best, key = None, ()
+    for s, lo in known.items():
         for shift in shifts:
-            if not lo:
+            if lo <= 0:
                 break
-            left_hi, right_hi = _upper(profile, s - shift), _upper(profile, s + shift)
-            lo = 0 if left_hi is None or right_hi is None else max(0, lo - left_hi - right_hi)
-        if lo:
-            lows[s] = lo
+            # _upper(profile, s -/+ shift) for s in [0, n], as shift > 0
+            left_hi = known.get(s - shift, room) if s >= shift else 0
+            right_hi = known.get(s + shift, room) if s + shift <= top else 0
+            lo = 0 if left_hi is None or right_hi is None else lo - left_hi - right_hi
+        if lo > 0 and (lo, -abs(2 * s - n), -s) > key:
+            best, key = s, (lo, -abs(2 * s - n), -s)
 
-    if not lows:  # every final-page slot may be 0, below its first-page bound
-        witness = FinalPageWitness(tuple((0, _upper(profile, s)) for s in range(profile.n + 1)))
-        return NarrownessVerdict(nu + 1, witness)
-
-    best = max(lows, key=lambda s: (lows[s], -abs(2 * s - n), -s))
-    witness = ContradictionWitness(best, lows[best], _chain(profile, best, maslov, nu))
+    if best is None:  # every final-page slot may be 0, below its first-page bound
+        witness = FinalPageWitness(tuple((0, _upper(profile, s)) for s in range(top + 1)))
+    else:
+        witness = ContradictionWitness(best, key[0], _chain(profile, best, maslov, nu))
     return NarrownessVerdict(nu + 1, witness)
 
 

@@ -988,6 +988,12 @@ FAILURES = [
                  "does not match witness type 'rank-assignment'", id="rank-assignment"),
     pytest.param(REPLAY, envelope(G4_22_PROFILE, 4, TUTTE_BARRIERS), 2,
                  "does not match witness type 'tutte-barriers'", id="tutte-barriers"),
+    # json would keep the last of a repeated key; the reader refuses it at any depth
+    pytest.param(NARROW + ["3"], b'{"n": 4, "known": [[0, 1], [3, 1]], "cap": 3, "cap": null}',
+                 2, "key 'cap' repeated in one object", id="repeated-profile-key"),
+    pytest.param(REPLAY, json.dumps(envelope(G4_22_PROFILE, 4)).replace(
+        '"lower_after"', '"lower_after": 0, "lower_after"', 1).encode(), 2,
+                 "key 'lower_after' repeated in one object", id="repeated-chain-step-key"),
 ]
 
 
@@ -1014,6 +1020,64 @@ def test_failure_exit_code_and_error_line(capsys, tmp_path, monkeypatch, argv, c
     assert (got, out) == (code, "")
     assert err.count("error: ") == 1
     assert message in err
+
+
+# --- repeated keys -------------------------------------------------------------
+
+# a capped profile at Maslov 4 whose oracle verdict is Feasible: slots 0-3
+# cancel on page 1, and 1-8 and 2-9 on page 2
+SIX_SLOTS = {"n": 9, "known": [[0, 1], [1, 1], [2, 1], [3, 1], [8, 1], [9, 1]], "cap": 6}
+
+
+def test_a_forged_first_verdict_exits_2(capsys, tmp_path):
+    (tmp_path / "profile.json").write_text(json.dumps(SIX_SLOTS), encoding="utf-8")
+    code, out, _ = run(capsys, ["narrow-check", "--profile", str(tmp_path / "profile.json"),
+                                "--maslov", "4", "--oracle", "--format", "json"])
+    assert code == 0 and json.loads(out)["oracle"]["kind"] == "Feasible"
+    witness = tmp_path / "witness.json"
+    witness.write_text(out, encoding="utf-8")
+    assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+    # a first "verdict" that claims Infeasible; json.loads keeps the second, true one
+    forged = ('{\n  "verdict": {"kind": "Infeasible", "slot": null, "page": 3, "bound": null, '
+              '"witness": {"type": "tutte-barrier", "barrier": []}},' + out[1:])
+    assert json.loads(forged) == json.loads(out)
+    witness.write_text(forged, encoding="utf-8")
+    code, out, err = run(capsys, ["replay", str(witness)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {witness} is not valid JSON: key 'verdict' repeated in one object\n"
+
+
+@st.composite
+def written_profiles(draw):
+    """A profile as the CLI writes it: fully known, capped or uncapped."""
+    n = draw(st.integers(0, 10))
+    known = draw(st.dictionaries(st.integers(0, n), st.integers(0, 3), max_size=n + 1))
+    cap = draw(st.one_of(st.none(), st.integers(0, 4).map(lambda k: sum(known.values()) + k)))
+    return {"n": n, "known": [[s, known[s]] for s in sorted(known)], "cap": cap}
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_profiles(), st.integers(3, 5), st.booleans())
+def test_every_envelope_the_cli_writes_reads_back(tmp_path_factory, profile, maslov, oracle):
+    folder = tmp_path_factory.getbasetemp()
+    path, witness = folder / "written_profile.json", folder / "written_witness.json"
+    path.write_text(json.dumps(profile), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["narrow-check", "--profile", str(path), "--maslov", str(maslov),
+                         "--format", "json"] + ["--oracle"] * oracle)
+    assert code == 0
+    witness.write_text(out.getvalue(), encoding="utf-8")
+    # the profile the envelope holds is itself a file the readers take
+    path.write_text(json.dumps(json.loads(out.getvalue())["profile"]), encoding="utf-8")
+    # wide-check exits 1 when a degree it tests is unknown
+    for argv, codes in ((["replay", str(witness)], (0,)),
+                        (["narrow-check", "--profile", str(path), "--maslov", str(maslov)], (0,)),
+                        (["wide-check", "--profile", str(path), "--maslov", str(maslov)], (0, 1))):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv) in codes, err.getvalue()
+        assert "not valid JSON" not in err.getvalue()
 
 
 class TestGolden:

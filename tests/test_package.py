@@ -127,6 +127,15 @@ def test_defaults_must_be_for_the_trailing_fields():
         type("Misordered", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 0}})
 
 
+def test_every_field_must_be_a_slot():
+    # the compiled __init__ sets each field through its slot's descriptor
+    with pytest.raises(TypeError, match="every field must be a slot"):
+        type("Unslotted", (Record,), {"__slots__": ("a",), "_fields": ("a", "b")})
+    with pytest.raises(TypeError, match="every field must be a slot"):
+        type("Computed", (Record,), {"__slots__": ("a",), "_fields": ("a", "b"),
+                                     "b": property(lambda self: 1)})
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # without site, nothing but the program loads modules
     script = ("import sys; before = set(sys.modules); import isofloer.cli; "

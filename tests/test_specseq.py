@@ -12,7 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from isofloer import specseq
-from isofloer.catalog import munzner_betti_N, validate_family
+from isofloer.catalog import (
+    collapse_step,
+    enumerate_families,
+    minimal_maslov,
+    munzner_betti_N,
+    validate_family,
+)
 from isofloer.homology import (
     ProfileError,
     make_partial_profile,
@@ -35,6 +41,7 @@ from isofloer.specseq import (
     NarrownessVerdict,
     SearchCapError,
     WitnessError,
+    _graph,
     is_tutte_barrier,
     oracle_narrow_feasible,
     propagate_narrow,
@@ -43,6 +50,7 @@ from isofloer.specseq import (
     verdict_to_json,
 )
 
+import propagator_reference
 from page_model import (
     RankVector,
     RankViolationError,
@@ -810,3 +818,81 @@ class TestVerdictJson:
     def test_unknown_witness_object_is_not_serialized(self):
         with pytest.raises(WitnessError, match="^unserializable witness type tuple$"):
             verdict_to_json(NarrownessVerdict(3, G4_12_DIMS))
+
+
+# --- the propagator against its earlier form ---------------------------------
+
+
+@st.composite
+def propagator_cases(draw):
+    """A fully known, capped or uncapped profile with listed zeros, n <= 60, its
+    Maslov number 3..8, a page count up to one past the collapse, and an ``n``
+    argument that is not always the profile's."""
+    n, maslov = draw(st.integers(0, 60)), draw(st.integers(3, 8))
+    known = draw(st.dictionaries(st.integers(0, n), st.integers(0, 4), max_size=n + 1))
+    shape = draw(st.sampled_from(("known", "capped", "uncapped")))
+    if shape == "known":
+        profile = make_profile(n, known.items())
+    else:
+        cap = sum(known.values()) + draw(st.integers(0, 5)) if shape == "capped" else None
+        profile = make_partial_profile(n, known.items(), cap)
+    nu = draw(st.integers(0, (n + 1) // maslov + 1))
+    return profile, maslov, draw(st.one_of(st.just(n), st.integers(0, 2 * n + 4))), nu
+
+
+def same_verdict(verdict, reference):
+    assert (verdict.kind, verdict.slot, verdict.bound) == (
+        reference.kind, reference.slot, reference.bound)
+    assert verdict.page == reference.page
+    assert getattr(verdict.witness, "chain", None) == getattr(reference.witness, "chain", None)
+    assert verdict == reference
+
+
+@settings(deadline=None, max_examples=400)
+@given(propagator_cases())
+@example((make_partial_profile(9, [(0, 2), (9, 2)], 4), 3, 9, 3))  # a tie at equal distance
+def test_propagator_matches_its_reference(case):
+    profile, maslov, n, nu = case
+    same_verdict(propagate_narrow(profile, maslov, n, nu),
+                 propagator_reference.propagate_narrow(profile, maslov, n, nu))
+
+
+def test_propagator_matches_its_reference_on_every_g4_table_at_bound_128():
+    families = [f for f in enumerate_families(128) if f.g == 4 and minimal_maslov(f) >= 3]
+    assert len(families) > 4000
+    for f in families:
+        table, maslov, nu = munzner_betti_N(f), minimal_maslov(f), collapse_step(f)
+        # the reference gets the table as it was built before, degrees ascending
+        ascending = make_profile(f.n, sorted(table.known.items()))
+        same_verdict(propagate_narrow(table, maslov, f.n, nu),
+                     propagator_reference.propagate_narrow(ascending, maslov, f.n, nu))
+
+
+@pytest.mark.parametrize("maslov,nu", [(2, 1), (0, 0), (-3, 2), (3, -1), (5, -4)])
+def test_propagator_refuses_what_its_reference_refuses(maslov, nu):
+    errors = []
+    for decide in (propagate_narrow, propagator_reference.propagate_narrow):
+        with pytest.raises(EngineError) as caught:
+            decide(G4_22, maslov, 8, nu)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+
+
+# --- the residue rule of the cancellation graph ------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 200), st.integers(3, 12), st.data())
+def test_graph_partners_follow_the_residue_rule(n, maslov, data):
+    """With nu = (n + 1) // N, slots s and t are partners by the definition
+    |t - s| + 1 = rN, 1 <= r <= nu, exactly when v - u = -1 (mod N) for u < v:
+    the page limit never binds."""
+    nu = (n + 1) // maslov
+    dims = data.draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1))
+    _, partners, _ = _graph(make_profile(n, enumerate(dims)), maslov, nu)
+    for s in range(n + 1):
+        nonzero = [t for t in range(n + 1) if dims[s] and dims[t]]
+        by_definition = {t for t in nonzero
+                         if (abs(t - s) + 1) % maslov == 0 and (abs(t - s) + 1) // maslov <= nu}
+        by_residue = {t for t in nonzero if (max(s, t) - min(s, t)) % maslov == maslov - 1}
+        assert sorted(partners[s]) == sorted(by_definition) == sorted(by_residue)
