@@ -12,9 +12,10 @@ the envelopes of ``narrow-check``, ``wide-check`` and ``replay`` are written
 here.  ``classify-all`` and ``catalog --format json`` render their families
 through ``_ordered_map``, which spreads them over the process and forked
 workers, one process per CPU it may run on, and prints the results in
-order, one write per chunk: the bytes are those of one process.  The
-parent renders every chunk that no worker sent, so a worker that cannot be
-started, raises, dies or is killed costs time, not bytes.
+order, one write per chunk: the bytes are those of one process.  A worker
+sends its chunks as ``marshal`` frames on its own pipe and stops when that
+pipe is closed.  The parent renders every chunk that no worker sent, so a
+worker that cannot be started, raises, dies or is killed costs time, not bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import json
+import marshal
 import os
 import sys
 
@@ -183,7 +185,7 @@ def _emit_json_list(chunks) -> None:
     out.write("[]\n" if opener == "[\n  " else "\n]\n")
 
 
-# families per chunk: a worker's pickled chunk, on average 12 KB of classify-all or
+# families per chunk: a worker's marshal frame, on average 12 KB of classify-all or
 # 52 KB of catalog json, mostly fits a 64 KiB pipe, so a worker seldom waits
 CHUNK = 8
 SERIAL = 256  # at most this many families are rendered in one process
@@ -202,16 +204,20 @@ def _ordered_map(fn, items: list):
 
     k processes, one per CPU, render the chunks: the parent, renderer 0,
     forks k - 1 workers, and renderer w takes chunks w, w + k, w + 2k, ...
-    A worker sends each chunk as one length-prefixed pickle on its own pipe.
+    A worker sends each chunk's list as one ``marshal`` frame on its own pipe,
+    so ``fn`` returns what ``marshal`` writes: here ``str`` or ``(str, str | None)``.
     k is 1 with one CPU, no ``os.fork`` or at most ``SERIAL`` items.
 
     One rule covers every failure: the parent renders, in order, every chunk
     that no worker sent, its own and those of a worker that could not be
     started (no pipe or process to be had), raised, died or was killed.  So
     when ``fn`` raises, the parent raises it from its own call, after giving
-    the results before that item, as ``map`` would.  Once the generator ends
-    or is closed (``contextlib.closing``), the workers are killed and reaped.
-    A worker whose parent died meets a closed pipe on its next write and exits.
+    the results before that item, as ``map`` would.
+
+    One rule stops the workers: once the generator ends or is closed
+    (``contextlib.closing``), it closes its read ends and reaps them.  A
+    worker meets the closed pipe on its next write and exits, as it does when
+    its parent dies, so the wait lasts at most one chunk's render.
     """
     chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
     k = min(_cpus(), len(chunks)) if hasattr(os, "fork") and len(items) > SERIAL else 1
@@ -231,13 +237,8 @@ def _ordered_map(fn, items: list):
         for i, chunk in enumerate(chunks):
             source = sources.get(i % k)
             if source is not None:
-                import pickle
-
-                # a size cut short reads low bytes first, so no larger than the frame
-                size = int.from_bytes(source.read(8), "little")
-                frame = source.read(size)
-                if frame and len(frame) == size:
-                    yield pickle.loads(frame)
+                with contextlib.suppress(EOFError):  # the frame is missing or cut short
+                    yield marshal.load(source)
                     continue
             values = []  # the parent's own chunk, or one that no worker sent
             try:
@@ -248,39 +249,27 @@ def _ordered_map(fn, items: list):
                 raise
             yield values
     finally:
-        _stop(sources.values(), pids)
-
-
-def _stop(sources, pids: list[int]) -> None:
-    """Close the read ends, then kill and reap the workers."""
-    # imported here, as pickle is, so that a command which renders no chunks,
-    # such as a single classify, does not import it
-    import signal
-
-    for source in sources:
-        source.close()
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        for source in sources.values():
+            source.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _work(fn, chunks: list, write: int, others: list[int]):
     """A worker, right after ``fork``: send each chunk's list of results, then exit.
 
-    It keeps no pipe end but ``write``, prints nothing to the parent's stdout,
-    and leaves through ``os._exit``: no exit handler or test teardown runs in it.
-    When ``fn`` raises, it leaves at once and sends nothing more; the parent
-    renders that chunk and the rest of the worker's share."""
+    It keeps no pipe end but ``write`` (a read end it kept would hide the
+    parent's close), prints nothing to the parent's stdout, and leaves through
+    ``os._exit``: no exit handler or test teardown runs in it.  When ``fn``
+    raises, it leaves at once, and the parent renders that chunk and the rest
+    of its share; a write to a closed pipe (``BrokenPipeError``) ends it so."""
     try:
-        import pickle
-
         for fd in others:
             os.close(fd)
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         with open(write, "wb") as out:
             for chunk in chunks:
-                frame = pickle.dumps([fn(item) for item in chunk], pickle.HIGHEST_PROTOCOL)
-                out.write(len(frame).to_bytes(8, "little") + frame)
+                marshal.dump([fn(item) for item in chunk], out)
                 out.flush()
     finally:
         os._exit(0)
