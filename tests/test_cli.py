@@ -5,6 +5,7 @@ import contextlib
 import copy
 import ctypes
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -929,6 +930,8 @@ FAILURES = [
     pytest.param(NARROW + ["4"], None, 2, "cannot read", id="unreadable-file"),
     pytest.param(NARROW + ["4"], b"{not json", 2, "not valid JSON", id="not-json"),
     pytest.param(NARROW + ["4"], b"\xff\xfe{", 2, "not valid JSON", id="not-utf-8"),
+    pytest.param(NARROW + ["4"], b"\xef\xbb\xbf" + json.dumps(G4_22_PROFILE).encode(), 2,
+                 "Unexpected UTF-8 BOM", id="utf-8-bom"),
     # the offset counts a CRLF line end as one character, as a text-mode read does
     pytest.param(NARROW + ["4"], b'{"n": 3,\r\n "cap": nul}', 2, "line 2 column 9 (char 17)",
                  id="crlf-json-error"),
@@ -1642,6 +1645,77 @@ def test_a_pooled_run_imports_nothing():
     proc = subprocess.run([sys.executable, "-c", POOLED_IMPORTS], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert proc.stdout.split() == []
+
+
+# --- the process entry ----------------------------------------------------------
+
+def run_python(args: list[str], script: str) -> subprocess.CompletedProcess:
+    """``python *args -c script`` with this checkout's ``src`` on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, *args, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=False, timeout=60)
+
+
+FROZEN_AT_MAIN = """
+import gc
+from isofloer import cli
+
+def main():
+    print(gc.get_freeze_count() > 0)
+    return 2
+
+cli.main = main
+cli.main_entry()
+"""
+
+
+def test_the_entry_freezes_the_heap_before_main():
+    proc = run_python([], FROZEN_AT_MAIN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True\n", "")
+
+
+def test_main_never_freezes(capsys, tmp_path, monkeypatch):
+    # tests and the benchmark call main many times in one process, where a
+    # freeze would keep every cycle they drop
+    profile = write_profile(tmp_path, "g4_12.json", validate_family(4, 1, 2))
+    narrow = ["narrow-check", "--profile", profile, "--maslov", "3", "--oracle", "--format", "json"]
+    frozen = gc.get_freeze_count()
+    assert run(capsys, ["classify", "--g", "4", "--m1", "2", "--m2", "2"])[0] == 0
+    assert gc.get_freeze_count() == frozen
+    code, out, _ = run(capsys, narrow)
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+    (tmp_path / "witness.json").write_text(out, encoding="utf-8")
+    assert run(capsys, ["replay", str(tmp_path / "witness.json")])[0] == 0
+    assert gc.get_freeze_count() == frozen
+    (code, _, _), forks = run_on_cpus(capsys, monkeypatch, 2, CLASSIFY_ALL_64)
+    assert (code, forks) == (0, 1)
+    assert gc.get_freeze_count() == frozen
+
+
+# main, as the entry calls it, leaves an open file in a reference cycle: only a
+# collection after main can find it, and the file's finalizer then warns
+LEAKY_MAIN = """
+import sys
+from isofloer import cli
+
+def main(argv=None):
+    code = command(argv)
+    cycle = [open(sys.executable, "rb")]
+    cycle.append(cycle)
+    return code
+
+command, cli.main = cli.main, main
+sys.argv = ["isofloer", "classify", "--g", "4", "--m1", "2", "--m2", "2"]
+cli.main_entry()
+"""
+
+
+def test_a_command_leak_still_warns_in_development_mode():
+    proc = run_python(["-X", "dev"], LEAKY_MAIN)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("g=4 m1=2 m2=2")
+    assert "ResourceWarning: unclosed file" in proc.stderr
 
 
 # a child forked from this test process would count the test process's pages
