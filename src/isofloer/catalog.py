@@ -86,8 +86,8 @@ def validate_family(g: int, m1: int, m2: int) -> IsoparametricFamily:
 
 
 def minimal_maslov(family: IsoparametricFamily) -> int:
-    """Minimal Maslov number of the Gauss image: 2n/g = m1+m2 (g even), 2*m1 (g odd)."""
-    return 2 * family.n // family.g
+    """Minimal Maslov number of the Gauss image: 2n/g = m1 + m2, 2*m1 for odd g."""
+    return family.m1 + family.m2
 
 
 def orientable(family: IsoparametricFamily) -> bool:
@@ -128,10 +128,10 @@ def _munzner_degrees(family: IsoparametricFamily) -> list[int]:
     sums 0, m1, m1 + m2, 2m1 + m2, ... of the alternating multiplicities
     m1, m2, m1, ..., together with n minus each of them.
     """
-    sums = [0]
+    sums, n = [0], family.n
     for i in range(family.g - 1):
         sums.append(sums[-1] + (family.m2 if i % 2 else family.m1))
-    return sums + [family.n - degree for degree in sums]
+    return sums + [n - degree for degree in sums]
 
 
 def gauss_image_betti_g3(family: IsoparametricFamily) -> BettiProfile:

@@ -383,6 +383,8 @@ def _cmd_wide_check(args: argparse.Namespace) -> int:
 def _witness_from_json(data: dict):
     """The fields of a ``narrow-check --format json`` envelope that replay reads;
     it ignores every other key."""
+    if not isinstance(data, dict):
+        raise WitnessError("witness file must be a JSON object")
     profile = profile_from_json(data["profile"])
     maslov = as_int(data["maslov"], what="witness field 'maslov'")
     verdicts = [verdict_from_json(data["verdict"])]

@@ -23,9 +23,9 @@ from json import loads
 from json.encoder import encode_basestring_ascii as quote
 
 from .catalog import (
+    REAL_FORM_WIDE,
     IsoparametricFamily,
     cited_facts,
-    collapse_step,
     gauss_image_betti_g3,
     minimal_maslov,
     munzner_betti_N,
@@ -107,8 +107,15 @@ class JustificationStep(Record):
         inner = indent + "  "
         verdict = "null" if self.verdict is None else self.verdict.json_text(inner)
         return (f'{{{inner}"rule": {quote(self.rule)},{inner}"kind": {quote(self.kind)},'
-                f'{inner}"claim": {quote(self.claim)},{inner}"source": {scalar_text(self.source)},'
+                f'{inner}"claim": {quote(self.claim)},'
+                f'{inner}"source": {"null" if self.source is None else quote(self.source)},'
                 f'{inner}"verdict": {verdict}{indent}}}')
+
+
+# the justification of every g = 1 and 2 report: one step, built once
+REAL_FORM_STEPS = (
+    JustificationStep("real-form", "cited", REAL_FORM_WIDE.statement, REAL_FORM_WIDE.source),
+)
 
 
 class CaseReport(Record):
@@ -122,11 +129,13 @@ class CaseReport(Record):
     def json_text(self, indent: str = "\n") -> str:
         """The report's wire form: {"family", "status", "justification", ...}."""
         inner = indent + "  "
+        meets = "true" if self.intersects_real_form else "false"
+        volume = "null" if self.volume_lower_bound is None else scalar_text(self.volume_lower_bound)
         steps = json_list([step.json_text(inner + "  ") for step in self.justification], inner)
         return (f'{{{inner}"family": {self.family.json_text(inner)},'
                 f'{inner}"status": {quote(self.status)},{inner}"justification": {steps},'
-                f'{inner}"intersects_real_form": {scalar_text(self.intersects_real_form)},'
-                f'{inner}"volume_lower_bound": {scalar_text(self.volume_lower_bound)}{indent}}}')
+                f'{inner}"intersects_real_form": {meets},'
+                f'{inner}"volume_lower_bound": {volume}{indent}}}')
 
 
 def report_to_json(report: CaseReport) -> dict:
@@ -143,12 +152,12 @@ def _profile_brief(profile: BettiProfile) -> str:
     """
     known = profile.known
     if profile.fully_known:
-        text, start = [], 0
+        text, start = "", 0
         for degree in sorted(known):
-            text += ", 0" * (degree - start), f", {known[degree]}"
+            text += f"{', 0' * (degree - start)}, {known[degree]}"
             start = degree + 1
-        text.append(", 0" * (profile.n + 1 - start))
-        return f"dims [{''.join(text)[2:]}]"
+        text += ", 0" * (profile.n + 1 - start)
+        return f"dims [{text[2:]}]"
     listed = {s: known[s] for s in sorted(known)}
     return f"known slots {listed}, other degrees unknown"
 
@@ -161,20 +170,15 @@ def classify(family: IsoparametricFamily) -> CaseReport:
     lifted narrowness contradiction for g in {4, 6} when the Maslov number
     admits the lifted theory; below that threshold nothing applies.
     """
-    steps: list[JustificationStep] = []
+    g = family.g
+    if g in (1, 2):
+        return CaseReport(family, WIDE, REAL_FORM_STEPS, None)
 
-    if family.g in (1, 2):
-        fact = cited_facts(family)[0]
-        steps.append(
-            JustificationStep("real-form", "cited", fact.statement, fact.source)
-        )
-        return CaseReport(family, WIDE, tuple(steps), None)
-
-    if family.g == 3:
+    if g == 3:
         maslov = minimal_maslov(family)
         profile = gauss_image_betti_g3(family)
-        steps += [JustificationStep("gauss-image-homology", "cited", f.statement, f.source)
-                  for f in cited_facts(family)]
+        steps = [JustificationStep("gauss-image-homology", "cited", f.statement, f.source)
+                 for f in cited_facts(family)]
         if not steps:  # nothing cited: the profile is computed
             steps.append(
                 JustificationStep(
@@ -215,49 +219,42 @@ def classify(family: IsoparametricFamily) -> CaseReport:
     try:
         require_maslov(maslov)
     except MaslovTooSmallError:
-        steps.append(
-            JustificationStep(
-                "maslov-threshold",
-                "computed",
-                f"minimal Maslov number {maslov} is below the threshold {LIFTED_MIN_MASLOV} "
-                "of the lifted theory and no wideness route applies",
-                "minimal Maslov number 2n/g of the Gauss image",
-            )
-        )
-        return CaseReport(family, UNRESOLVED, tuple(steps), None)
-
-    table = munzner_betti_N(family)
-    steps.append(
-        JustificationStep(
-            "covering-homology",
-            "cited",
-            f"Z2 Betti numbers of the covering N^{family.n}: {_profile_brief(table)}",
-            "Muenzner: Z2 homology of isoparametric hypersurfaces",
-        )
-    )
-    verdict = propagate_narrow(table, maslov, family.n, collapse_step(family))
-    if verdict.kind == CONTRADICTION:
-        steps.append(
-            JustificationStep(
-                "narrowness-contradiction",
-                "computed",
-                f"a vanishing lifted Floer homology would force dimension >= "
-                f"{verdict.bound} in slot {verdict.slot} of the final page; "
-                "contradiction, so the lifted Floer homology is nonzero",
-                "lifted Floer spectral sequence of the covering N -> L",
-                verdict,
-            )
-        )
-        return CaseReport(family, NON_DISPLACEABLE, tuple(steps), None)
-    steps.append(
-        JustificationStep(
-            "no-contradiction",
+        below = JustificationStep(
+            "maslov-threshold",
             "computed",
-            "interval propagation derives no contradiction from a vanishing "
-            "lifted Floer homology",
+            f"minimal Maslov number {maslov} is below the threshold {LIFTED_MIN_MASLOV} "
+            "of the lifted theory and no wideness route applies",
+            "minimal Maslov number 2n/g of the Gauss image",
+        )
+        return CaseReport(family, UNRESOLVED, (below,), None)
+
+    n, table = family.n, munzner_betti_N(family)
+    covering = JustificationStep(
+        "covering-homology",
+        "cited",
+        f"Z2 Betti numbers of the covering N^{n}: {_profile_brief(table)}",
+        "Muenzner: Z2 homology of isoparametric hypersurfaces",
+    )
+    verdict = propagate_narrow(table, maslov, n, (n + 1) // maslov)  # collapse_step(family)
+    witness = verdict.witness
+    if witness.kind == CONTRADICTION:
+        contradiction = JustificationStep(
+            "narrowness-contradiction",
+            "computed",
+            f"a vanishing lifted Floer homology would force dimension >= "
+            f"{witness.bound} in slot {witness.slot} of the final page; "
+            "contradiction, so the lifted Floer homology is nonzero",
             "lifted Floer spectral sequence of the covering N -> L",
             verdict,
         )
+        return CaseReport(family, NON_DISPLACEABLE, (covering, contradiction), None)
+    no_contradiction = JustificationStep(
+        "no-contradiction",
+        "computed",
+        "interval propagation derives no contradiction from a vanishing "
+        "lifted Floer homology",
+        "lifted Floer spectral sequence of the covering N -> L",
+        verdict,
     )
-    return CaseReport(family, UNRESOLVED, tuple(steps), None)
+    return CaseReport(family, UNRESOLVED, (covering, no_contradiction), None)
 

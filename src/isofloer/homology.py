@@ -56,7 +56,7 @@ def json_list(texts: list[str], indent: str) -> str:
     if not texts:
         return "[]"
     inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    return f"[{inner}{(',' + inner).join(texts)}{indent}]"
 
 
 _SCALAR_TEXT = {
@@ -188,7 +188,7 @@ class BettiProfile(Record):
         room = 0
         if self.open_rest and len(self.known) <= self.n:
             room = None if self.cap is None else self.cap - used
-        object.__setattr__(self, "room", room)
+        _set_room(self, room)
 
     @property
     def fully_known(self) -> bool:
@@ -204,13 +204,16 @@ class BettiProfile(Record):
         degrees = range(self.n + 1) if self.fully_known else sorted(self.known)
         known = json_list([f"{opener}{s}{comma}{get(s, 0)}{closer}" for s in degrees], inner)
         return (f'{{{inner}"n": {self.n},{inner}"known": {known},'
-                f'{inner}"cap": {scalar_text(self.cap)}{indent}}}')
+                f'{inner}"cap": {"null" if self.cap is None else self.cap}{indent}}}')
 
     def _key(self) -> tuple:
         items = self.known.items()
         if self.room == 0:
             items = [(degree, dim) for degree, dim in items if dim]
         return self.n, self.cap, self.room, frozenset(items)
+
+
+_set_room = BettiProfile.room.__set__  # the derived slot's descriptor, as Record's __init__ uses
 
 
 def _exact_entries(entries: Iterable[Sequence[int]]) -> dict[int, int]:

@@ -71,7 +71,7 @@ from json import loads
 from json.encoder import encode_basestring_ascii as quote
 from operator import attrgetter
 
-from .homology import BettiProfile, Record, as_int, as_list, json_list, scalar_text
+from .homology import BettiProfile, Record, as_int, as_list, json_list
 
 
 class EngineError(ValueError):
@@ -215,8 +215,10 @@ class FinalPageWitness(_Witness, Record):
 
     def _fields_text(self, inner: str) -> str:
         row, cell = inner + "  ", inner + "    "
-        return '"slots": ' + json_list([f"[{cell}{lo},{cell}{scalar_text(hi)}{row}]"
-                                         for lo, hi in self.slots], inner)
+        # a page holds few distinct slots, mostly (0, 0): each is written once
+        text = {(lo, hi): f"[{cell}{lo},{cell}{'null' if hi is None else hi}{row}]"
+                for lo, hi in set(self.slots)}
+        return '"slots": ' + json_list([text[slot] for slot in self.slots], inner)
 
     @classmethod
     def from_json(cls, payload: dict) -> FinalPageWitness:
@@ -325,9 +327,10 @@ class NarrownessVerdict(Record):
     def json_text(self, indent: str = "\n") -> str:
         """{"kind", "slot", "page", "bound", "witness"}; the witness writes itself."""
         witness, inner = _witness(self, "unserializable witness type "), indent + "  "
-        slot, page, bound = map(scalar_text, (witness.slot, self.page, witness.bound))
+        slot = "null" if witness.slot is None else witness.slot
+        bound = "null" if witness.bound is None else witness.bound
         return (f'{{{inner}"kind": {quote(witness.kind)},{inner}"slot": {slot},'
-                f'{inner}"page": {page},{inner}"bound": {bound},'
+                f'{inner}"page": {self.page},{inner}"bound": {bound},'
                 f'{inner}"witness": {witness.json_text(inner)}{indent}}}')
 
 
@@ -351,20 +354,26 @@ def propagate_narrow(
     tie-break (strongest forced bound, nearest the middle degree n/2,
     then lowest slot) and keeps verdicts invariant under padding the
     profile with zero slots above its top degree.
+
+    A slot's bound starts at its first-page dim and only falls, so a slot
+    whose dim is strictly below the best bound found so far cannot win and
+    is not walked; one whose dim equals it may still win the tie-break.
     """
     require_maslov(maslov)
     if nu < 0:
         raise EngineError(f"number of page turns must be >= 0, got {nu}")
     # Only a listed slot starts above 0, and a slot at 0 stays there, so only those are
     # walked to their final-page bound lo (0 once <= 0); best has the largest tie-break key.
-    shifts = [r * maslov - 1 for r in range(1, nu + 1)]
+    shifts = range(maslov - 1, nu * maslov, maslov)  # r * maslov - 1 for r = 1..nu
     known, room, top = profile.known, profile.room, profile.n
-    best, key = None, ()
+    best, key = None, (0,)
     for s, lo in known.items():
+        if lo < key[0]:  # below the best bound so far: it cannot win
+            continue
         for shift in shifts:
             if lo <= 0:
                 break
-            # _upper(profile, s -/+ shift) for s in [0, n], as shift > 0
+            # the first-page bounds at s -/+ shift, 0 outside [0, n], for s in [0, n] and shift > 0
             left_hi = known.get(s - shift, room) if s >= shift else 0
             right_hi = known.get(s + shift, room) if s + shift <= top else 0
             lo = 0 if left_hi is None or right_hi is None else lo - left_hi - right_hi
@@ -372,29 +381,30 @@ def propagate_narrow(
             best, key = s, (lo, -abs(2 * s - n), -s)
 
     if best is None:  # every final-page slot may be 0, below its first-page bound
-        witness = FinalPageWitness(tuple((0, _upper(profile, s)) for s in range(top + 1)))
+        page = [(0, room)] * (top + 1)
+        for s, dim in known.items():
+            page[s] = (0, dim)
+        witness = FinalPageWitness(tuple(page))
     else:
         witness = ContradictionWitness(best, key[0], _chain(profile, best, maslov, nu))
     return NarrownessVerdict(nu + 1, witness)
 
 
-def _upper(profile: BettiProfile, degree: int) -> int | None:
-    """The first page's upper bound at any integer degree: 0 outside [0, n]."""
-    return profile.known.get(degree, profile.room) if 0 <= degree <= profile.n else 0
-
-
 def _chain(profile: BettiProfile, slot: int, maslov: int,
            nu: int) -> tuple[ChainStep, ...] | None:
     """The exact-sequence bound at ``slot`` page by page, read off the profile's
-    page-invariant upper bounds; None once a neighbour is unbounded."""
-    lower, chain = profile.known.get(slot, 0), []
+    page-invariant upper bounds, 0 outside [0, n]; None once a neighbour is unbounded."""
+    known, room, top = profile.known, profile.room, profile.n
+    lower, chain = known.get(slot, 0), []
     for r in range(1, nu + 1):
         shift = r * maslov - 1
-        left, right = _upper(profile, slot - shift), _upper(profile, slot + shift)
-        if left is None or right is None:
+        left, right = slot - shift, slot + shift
+        left_hi = known.get(left, room) if 0 <= left <= top else 0
+        right_hi = known.get(right, room) if 0 <= right <= top else 0
+        if left_hi is None or right_hi is None:
             return None
-        after = max(0, lower - left - right)
-        chain.append(ChainStep(r, shift, slot - shift, left, slot + shift, right, lower, after))
+        after = max(0, lower - left_hi - right_hi)
+        chain.append(ChainStep(r, shift, left, left_hi, right, right_hi, lower, after))
         lower = after
     return tuple(chain)
 

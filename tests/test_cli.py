@@ -946,6 +946,11 @@ FAILURES = [
     pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], G6_PROFILE, 1,
                  "unknown", id="unknown-degree-wide-check"),
     pytest.param(REPLAY, forged_headline(), 2, "headline", id="headline-mismatch"),
+    # a top level that is not an object is refused as a profile file's is, not by a TypeError
+    pytest.param(REPLAY, [], 2, "malformed witness file: witness file must be a JSON object",
+                 id="replay-top-level-list"),
+    pytest.param(REPLAY, 1, 2, "malformed witness file: witness file must be a JSON object",
+                 id="replay-top-level-number"),
     pytest.param(REPLAY, envelope(ONES, 3, FORGED_ONES_INFEASIBLE), 1,
                  "4097 exact classes, above the matching's limit of 1000",
                  id="replay-over-the-limit"),

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofloer import criteria
 from isofloer.catalog import (
@@ -24,7 +25,7 @@ from isofloer.criteria import (
     volume_lower_bound,
     wide_check_biran_cornea,
 )
-from isofloer.homology import BettiProfile, ProfileError, make_profile
+from isofloer.homology import MAX_TOP_DEGREE, BettiProfile, ProfileError, make_profile
 from isofloer.specseq import (
     CONTRADICTION,
     MaslovTooSmallError,
@@ -228,6 +229,37 @@ class TestClassifier:
             maslov = 2 * f.n // f.g
             nu = (f.n + 1) // maslov
             assert replay_witness(verdict, table, maslov, nu)
+
+
+def assert_g4_rule(m1, m2):
+    """The g = 4 rule: m1 >= 2 exactly when the report is NonDisplaceable, by a
+    contradiction at the middle slot m1 + m2 with bound 2; m1 = 1 is Unresolved.
+    The propagator's witness slot rests on its tie-break among the slots it walks."""
+    report = classify(validate_family(4, m1, m2))
+    verdict = report.justification[-1].verdict
+    if m1 == 1:
+        assert report.status == UNRESOLVED, (m1, m2)
+    else:
+        assert (report.status, verdict.kind, verdict.slot, verdict.bound) == (
+            NON_DISPLACEABLE, CONTRADICTION, m1 + m2, 2), (m1, m2)
+
+
+# m1 <= m2 and m1 + m2 <= 2048, where the table's top degree 2(m1 + m2) fits MAX_TOP_DEGREE
+G4_PAIRS = st.integers(1, MAX_TOP_DEGREE // 4).flatmap(
+    lambda m1: st.tuples(st.just(m1), st.integers(m1, MAX_TOP_DEGREE // 2 - m1)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(G4_PAIRS)
+def test_g4_rule_up_to_the_width_limit(pair):
+    assert_g4_rule(*pair)
+
+
+def test_g4_rule_on_every_family_at_bound_128():
+    families = [f for f in enumerate_families(128) if f.g == 4]
+    assert len(families) == 4096
+    for f in families:
+        assert_g4_rule(f.m1, f.m2)
 
 
 class TestReportJson:

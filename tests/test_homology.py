@@ -12,7 +12,7 @@ from isofloer.homology import (
     profile_to_json,
 )
 
-from isofloer.specseq import _upper
+from isofloer.specseq import _chain
 
 from page_model import check_poincare, dims, euler_char
 
@@ -128,10 +128,17 @@ class TestConstruction:
 
 class TestQueries:
     def test_out_of_range_degrees_are_zero(self):
-        # the engine's upper bounds: 0 outside [0, n], even where the rest is open
+        # the engine's upper bounds, as _chain reads them at slot -/+ (maslov - 1) on
+        # page 1: 0 outside [0, n], even where the rest is open
+        def bounds(p, slot, maslov):
+            chain = _chain(p, slot, maslov, 1)
+            return None if chain is None else (chain[0].left_hi, chain[0].right_hi)
+
         for p in (make_profile(2, [(0, 1), (2, 1)]), make_partial_profile(2, [(0, 1)])):
-            assert [_upper(p, s) for s in (-1, 3, 17)] == [0, 0, 0]
-        assert [_upper(make_partial_profile(2, [(0, 1)]), s) for s in (0, 1, 2)] == [1, None, None]
+            assert [bounds(p, 1, 3), bounds(p, 1, 17)] == [(0, 0), (0, 0)]  # -1, 3; -15, 17
+        # degree 0 reads 1 and 4 reads 0; degree 2, then 1, is open, so unbounded
+        p = make_partial_profile(2, [(0, 1)])
+        assert [bounds(p, 2, 3), bounds(p, 0, 3), bounds(p, 3, 3)] == [(1, 0), None, None]
 
     def test_euler_char(self):
         # the g=3, m=2 hypersurface table

@@ -827,9 +827,12 @@ class TestVerdictJson:
 def propagator_cases(draw):
     """A fully known, capped or uncapped profile with listed zeros, n <= 60, its
     Maslov number 3..8, a page count up to one past the collapse, and an ``n``
-    argument that is not always the profile's."""
+    argument that is not always the profile's.  Half the profiles draw their
+    dims from {0, 1, 2}, so that slots often tie at the best bound: the
+    propagator skips only a slot strictly below it."""
     n, maslov = draw(st.integers(0, 60)), draw(st.integers(3, 8))
-    known = draw(st.dictionaries(st.integers(0, n), st.integers(0, 4), max_size=n + 1))
+    dims = st.integers(0, draw(st.sampled_from((2, 4))))
+    known = draw(st.dictionaries(st.integers(0, n), dims, max_size=n + 1))
     shape = draw(st.sampled_from(("known", "capped", "uncapped")))
     if shape == "known":
         profile = make_profile(n, known.items())
