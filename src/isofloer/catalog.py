@@ -28,7 +28,6 @@ from .homology import (
     make_partial_profile,
     make_profile,
     profile_from_json,  # unused here; perfbench/worker.py patches this name
-    scalar_text,
 )
 
 
@@ -239,6 +238,6 @@ def data_text(family: IsoparametricFamily, indent: str = "\n") -> str:
     cited = json_list([fact.json_text(inner + "  ") for fact in cited_facts(family)], inner)
     return (f'{{{inner}"family": {family.json_text(inner)},'
             f'{inner}"maslov": {minimal_maslov(family)},{inner}"nu": {collapse_step(family)},'
-            f'{inner}"orientable": {scalar_text(orientable(family))},'
+            f'{inner}"orientable": {"true" if orientable(family) else "false"},'
             f'{inner}"covering_degree": {family.g},{inner}"betti_N": {betti_n},'
             f'{inner}"betti_L": {betti_l},{inner}"cited": {cited}{indent}}}')

@@ -52,7 +52,7 @@ from .criteria import (
     report_to_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
     wide_check_biran_cornea,
 )
-from .homology import ProfileError, as_int, json_list, profile_from_json, scalar_text
+from .homology import ProfileError, as_int, json_list, profile_from_json
 from .specseq import (
     EngineError,
     SearchCapError,
@@ -345,7 +345,7 @@ def _cmd_narrow_check(args: argparse.Namespace) -> int:
     oracle_verdict = oracle_note = None
     if args.oracle:
         try:
-            oracle_verdict = oracle_narrow_feasible(profile, args.maslov, nu)
+            oracle_verdict = oracle_narrow_feasible(profile, args.maslov)
         except SearchCapError as exc:
             oracle_note = str(exc)
     if args.format == "json":  # the envelope {"profile", "maslov", "verdict", "oracle"}
@@ -373,7 +373,7 @@ def _cmd_wide_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         inner = "\n  "
         degrees = json_list([str(degree) for degree in tested], inner)
-        sys.stdout.write(f'{{{inner}"wide": {scalar_text(wide)},{inner}"maslov": '
+        sys.stdout.write(f'{{{inner}"wide": {"true" if wide else "false"},{inner}"maslov": '
                          f'{args.maslov},{inner}"tested_degrees": {degrees}\n}}\n')
     else:
         print(f"wide: {'yes' if wide else 'no'} (degrees tested: {tested})")
@@ -395,11 +395,9 @@ def _witness_from_json(data: dict):
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     profile, maslov, verdicts = _read(args.witness_file, _witness_from_json, "witness")
-    require_maslov(maslov)
-    nu = (profile.n + 1) // maslov
-    ok = all(replay_witness(v, profile, maslov, nu) for v in verdicts)
+    ok = all(replay_witness(v, profile, maslov) for v in verdicts)
     if args.format == "json":
-        sys.stdout.write(f'{{\n  "replayed": {scalar_text(ok)},'
+        sys.stdout.write(f'{{\n  "replayed": {"true" if ok else "false"},'
                          f'\n  "verdicts": {len(verdicts)}\n}}\n')
     else:
         print("witness replay: " + ("ok" if ok else "MISMATCH"))

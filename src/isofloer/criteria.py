@@ -19,7 +19,7 @@ tagged computed (this package derived it) or cited (external input).
 from __future__ import annotations
 
 import math
-from json import loads
+from json import dumps, loads
 from json.encoder import encode_basestring_ascii as quote
 
 from .catalog import (
@@ -30,7 +30,7 @@ from .catalog import (
     minimal_maslov,
     munzner_betti_N,
 )
-from .homology import BettiProfile, ProfileError, Record, json_list, scalar_text
+from .homology import BettiProfile, ProfileError, Record, json_list
 from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
@@ -130,7 +130,7 @@ class CaseReport(Record):
         """The report's wire form: {"family", "status", "justification", ...}."""
         inner = indent + "  "
         meets = "true" if self.intersects_real_form else "false"
-        volume = "null" if self.volume_lower_bound is None else scalar_text(self.volume_lower_bound)
+        volume = "null" if self.volume_lower_bound is None else dumps(self.volume_lower_bound)
         steps = json_list([step.json_text(inner + "  ") for step in self.justification], inner)
         return (f'{{{inner}"family": {self.family.json_text(inner)},'
                 f'{inner}"status": {quote(self.status)},{inner}"justification": {steps},'

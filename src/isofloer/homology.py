@@ -13,14 +13,13 @@ O(support), not O(n), to build, compare and query.
 Everything here is pure, and a profile's support is never mutated.
 
 Each JSON shape the package prints has one writer, its record's
-``json_text(indent)``, built from the pieces ``json_list`` and ``scalar_text``.
+``json_text(indent)``, which writes its lists with ``json_list``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from json import dumps, loads
-from json.encoder import encode_basestring_ascii
+from json import loads
 from operator import attrgetter
 from types import MemberDescriptorType
 
@@ -59,20 +58,6 @@ def json_list(texts: list[str], indent: str) -> str:
     return f"[{inner}{(',' + inner).join(texts)}{indent}]"
 
 
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: dumps,  # NaN and the infinities as json writes them
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def scalar_text(value) -> str:
-    """A str, int, float, bool or None as JSON text."""
-    return _SCALAR_TEXT[type(value)](value)
-
-
 class Record:
     """A read-only value, the base of the package's value classes.
 
@@ -89,8 +74,7 @@ class Record:
     and the fields in order, which is how pickle and copy rebuild a record and
     what ``repr`` names.  A record the CLI prints has ``json_text(indent)``,
     the one writer of its wire form: the text ``json.dumps(indent=2)`` writes
-    for that form on a line indented ``indent`` (a newline and spaces), an int
-    field as an int and any other as ``scalar_text`` does.
+    for that form on a line indented ``indent`` (a newline and spaces).
     """
 
     __slots__ = ()

@@ -189,8 +189,8 @@ class ContradictionWitness(_Witness, Record):
                       for c in _as_list(payload["chain"], what="witness field 'chain'"))
         return cls(_as_int(payload["slot"]), _as_int(payload["bound"]), chain)
 
-    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
-        chain = _chain(profile, self.slot, maslov, nu)
+    def replay(self, profile: BettiProfile, maslov: int) -> bool:
+        chain = _chain(profile, self.slot, maslov, _page_turns(profile, maslov))
         if chain is None:
             return False
         lower = chain[-1].lower_after if chain else profile.known.get(self.slot, 0)
@@ -224,16 +224,17 @@ class FinalPageWitness(_Witness, Record):
     def from_json(cls, payload: dict) -> FinalPageWitness:
         return cls(tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots")))
 
-    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
-        return propagate_narrow(profile, maslov, profile.n, nu).witness == self
+    def replay(self, profile: BettiProfile, maslov: int) -> bool:
+        return propagate_narrow(profile, maslov, profile.n,
+                                _page_turns(profile, maslov)).witness == self
 
 
 class FeasibleWitness(_Witness, Record):
     """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
     cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
-    to its value in the completion they pair off.  Valid iff 1 <= r <= nu,
-    both slots exist, and that completion lies within the profile's bounds
-    and cap."""
+    to its value in the completion they pair off.  Valid iff r >= 1, both
+    slots exist, which bounds r by nu, and that completion lies within the
+    profile's bounds and cap."""
 
     kind, tag = FEASIBLE, "cancellation-pairs"
     __slots__ = ("pairs",)
@@ -248,14 +249,14 @@ class FeasibleWitness(_Witness, Record):
         return cls(tuple((_as_int(s), _as_int(r), _as_int(c))
                          for s, r, c in _rows(payload, "pairs")))
 
-    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
+    def replay(self, profile: BettiProfile, maslov: int) -> bool:
         # each slot's counts add up to its value in the completion that the
         # pairs pair off; pairs must ascend strictly in (s, r), and above
-        # (0, 0) rules out s < 0
+        # (0, 0) rules out s < 0, so t <= n bounds r by nu
         paired, last = Counter(), (0, 0)
         for s, r, count in self.pairs:
             t = s + r * maslov - 1
-            if not (last < (s, r) and 1 <= r <= nu and count >= 1 and t <= profile.n):
+            if not (last < (s, r) and r >= 1 and count >= 1 and t <= profile.n):
                 return False
             paired[s] += count
             paired[t] += count
@@ -296,8 +297,8 @@ class InfeasibleWitness(_Witness, Record):
     def from_json(cls, payload: dict) -> InfeasibleWitness:
         return cls(tuple(_rows(payload, "barrier", _as_int)))
 
-    def replay(self, profile: BettiProfile, maslov: int, nu: int) -> bool:
-        return is_tutte_barrier(profile, maslov, nu, self.barrier)
+    def replay(self, profile: BettiProfile, maslov: int) -> bool:
+        return is_tutte_barrier(profile, maslov, self.barrier)
 
     def details(self, maslov: int | None, n: int | None) -> list[str]:
         if not self.barrier:
@@ -409,7 +410,7 @@ def _chain(profile: BettiProfile, slot: int, maslov: int,
     return tuple(chain)
 
 
-def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> NarrownessVerdict:
+def oracle_narrow_feasible(profile: BettiProfile, maslov: int) -> NarrownessVerdict:
     """Decide exactly whether some legal rank choice kills the final page.
 
     One maximum matching on ``_graph`` decides it, whether the profile is
@@ -417,13 +418,18 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int, nu: int) -> Narro
     witness, a stuck alternating tree the Infeasible one, a single Tutte
     barrier.  ``_graph`` refuses what it cannot decide.
     """
+    page = _page_turns(profile, maslov) + 1
+    return NarrownessVerdict(page, _match(*_graph(profile, maslov), maslov))
+
+
+def _page_turns(profile: BettiProfile, maslov: int) -> int:
+    """nu = floor((n + 1)/N), the page turns after which the sequence freezes,
+    for a Maslov number that the lifted theory admits."""
     require_maslov(maslov)
-    if nu < 0:
-        raise EngineError(f"number of page turns must be >= 0, got {nu}")
-    return NarrownessVerdict(nu + 1, _match(*_graph(profile, maslov, nu), maslov))
+    return (profile.n + 1) // maslov
 
 
-def _graph(profile: BettiProfile, maslov: int, nu: int):
+def _graph(profile: BettiProfile, maslov: int):
     """The cancellation graph of a profile, as ``(dims, partners, exits)``.
 
     Listed slots keep their dimension and open slots, the unlisted ones when
@@ -442,7 +448,7 @@ def _graph(profile: BettiProfile, maslov: int, nu: int):
     used = sum(dims)
     if used > MAX_CLASSES:
         raise SearchCapError(f"{used} exact classes, above the matching's limit of {MAX_CLASSES}")
-    shifts = [r * maslov - 1 for r in range(1, nu + 1)]
+    shifts = range(maslov - 1, width, maslov)  # r * maslov - 1 for r = 1..nu
     exits = {}
     for s in sorted(s for s, dim in known.items() if dim) if room != 0 else ():
         t = next((t for k in shifts for t in (s - k, s + k)
@@ -556,7 +562,7 @@ def _grow(root: int, mate: list[int], slot_of, start, partners) -> list[int] | N
     return [u for u in range(size) if parent[u] != -1 and not outer[u]]
 
 
-def is_tutte_barrier(profile: BettiProfile, maslov: int, nu: int, barrier) -> bool:
+def is_tutte_barrier(profile: BettiProfile, maslov: int, barrier) -> bool:
     """True iff the slots ``barrier``, distinct and ascending, of ``_graph(profile, ...)``
     prove that no completion of the profile can pair off.
 
@@ -564,9 +570,10 @@ def is_tutte_barrier(profile: BettiProfile, maslov: int, nu: int, barrier) -> bo
     or one when its total is odd if it is its own partner (the pool, a
     clique), and a larger connected group is one odd part when its total is
     odd; more odd parts than classes in the barrier leave a class unpaired
-    (Tutte 1952).  A profile that ``_graph`` refuses raises, as the decider does.
+    (Tutte 1952).  A Maslov number or a profile that the decider refuses raises.
     """
-    dims, partners, _ = _graph(profile, maslov, nu)
+    require_maslov(maslov)
+    dims, partners, _ = _graph(profile, maslov)
     removed = set(barrier)
     if list(barrier) != sorted(removed) or any(not 0 <= s < len(dims) for s in removed):
         return False
@@ -597,18 +604,18 @@ def _witness(verdict: NarrownessVerdict, refusal: str):
     return witness
 
 
-def replay_witness(
-    verdict: NarrownessVerdict, profile: BettiProfile, maslov: int, nu: int
-) -> bool:
+def replay_witness(verdict: NarrownessVerdict, profile: BettiProfile, maslov: int) -> bool:
     """Re-derive a verdict's witness from scratch with its class's ``replay``;
     True iff it checks out and the verdict names the final page nu + 1.
 
-    Malformed structure raises; wrong values return False; a profile beyond
-    the oracle's limits raises SearchCapError for a barrier.
+    Malformed structure raises; wrong values return False; a Maslov number
+    below the lifted theory's threshold raises MaslovTooSmallError, and a
+    profile beyond the oracle's limits SearchCapError for a barrier.
     """
     witness = _witness(verdict, "not a witness: ")
     try:
-        return verdict.page == nu + 1 and witness.replay(profile, maslov, nu)
+        page = _page_turns(profile, maslov) + 1
+        return verdict.page == page and witness.replay(profile, maslov)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
 

@@ -109,7 +109,7 @@ def test_a3_g6_contradiction_from_partial_table(capsys):
         for c in v.witness.chain:
             for side in (c.left, c.right):
                 assert side in (3, 9) or not 0 <= side <= 12, c
-        assert replay_witness(v, table, 4, 3)
+        assert replay_witness(v, table, 4)
 
 
 def test_a4_g3_wideness_split(capsys):
@@ -153,7 +153,7 @@ def test_a6_oracle_agrees_with_propagation(capsys):
             maslov, nu = minimal_maslov(f), collapse_step(f)
             p = propagate_narrow(table, maslov, f.n, nu)
             start = time.perf_counter()
-            o = oracle_narrow_feasible(table, maslov, nu)
+            o = oracle_narrow_feasible(table, maslov)
             elapsed = time.perf_counter() - start
             assert elapsed < 10.0, (f, elapsed)
             if p.kind == CONTRADICTION:
@@ -163,9 +163,9 @@ def test_a6_oracle_agrees_with_propagation(capsys):
 
         family = validate_family(4, 1, 2)
         table = munzner_betti_N(family)
-        v = oracle_narrow_feasible(table, 3, 2)
+        v = oracle_narrow_feasible(table, 3)
         assert v.kind == FEASIBLE
-        assert replay_witness(v, table, 3, 2)
+        assert replay_witness(v, table, 3)
 
 
 def test_a7_covering_table_sanity(capsys):

@@ -54,7 +54,7 @@ def test_infeasible_witness_carries_the_traced_counters(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import worker
 
-    verdict = specseq.oracle_narrow_feasible(munzner_betti_N(validate_family(4, 2, 2)), 4, 2)
+    verdict = specseq.oracle_narrow_feasible(munzner_betti_N(validate_family(4, 2, 2)), 4)
     assert verdict.kind == specseq.INFEASIBLE
     counts = Counter()
     worker._oracle_stats(counts, (), verdict)

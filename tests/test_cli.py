@@ -104,6 +104,61 @@ class TestClassify:
             "      NoContradiction",
         ]
 
+    # the text of one family of each route, and the lines --verbose adds after it
+    TEXT = {
+        (1, 1, 1): ([
+            "g=1 m1=1 m2=1 n=1: Wide",
+            "  [cited] the Gauss image is a real form of the complex hyperquadric, and real "
+            "forms are wide  (Oh: Floer cohomology of real forms in Hermitian symmetric spaces)",
+            "  intersects the real form: yes",
+        ], []),
+        (3, 2, 2): ([
+            "g=3 m1=2 m2=2 n=6: Wide",
+            "  [computed] the Gauss image is a Z2-homology 6-sphere: the transfer of the "
+            "degree-3 covering kills all degrees outside {0, m, 2m, 3m} and chi(L) = chi(N)/3 "
+            "= 2 forces the middle slots to zero  (covering-space transfer and Euler "
+            "characteristic)",
+            "  [computed] no Z2 homology in degrees congruent to -1 mod 4, so the Floer "
+            "homology is H(L; Z2) (x) Lambda  (Biran-Cornea wideness criterion)",
+            "  intersects the real form: yes",
+            "  sweep-volume lower bound: 16.536681",
+        ], []),
+        (4, 2, 3): ([
+            "g=4 m1=2 m2=3 n=10: NonDisplaceable",
+            "  [cited] Z2 Betti numbers of the covering N^10: dims [1, 0, 1, 1, 0, 2, 0, 1, 1, "
+            "0, 1]  (Muenzner: Z2 homology of isoparametric hypersurfaces)",
+            "  [computed] a vanishing lifted Floer homology would force dimension >= 2 in slot 5 "
+            "of the final page; contradiction, so the lifted Floer homology is nonzero  "
+            "(lifted Floer spectral sequence of the covering N -> L)",
+        ], [
+            "      Contradiction at slot 5 (final page 3, forced lower bound 2)",
+            "      page 1: slot bound 2 -> 2 (neighbours 1 hi=0, 9 hi=0)",
+            "      page 2: slot bound 2 -> 2 (neighbours -4 hi=0, 14 hi=0)",
+        ]),
+        (4, 1, 2): ([
+            "g=4 m1=1 m2=2 n=6: Unresolved",
+            "  [cited] Z2 Betti numbers of the covering N^6: dims [1, 1, 1, 2, 1, 1, 1]  "
+            "(Muenzner: Z2 homology of isoparametric hypersurfaces)",
+            "  [computed] interval propagation derives no contradiction from a vanishing "
+            "lifted Floer homology  (lifted Floer spectral sequence of the covering N -> L)",
+        ], ["      NoContradiction"]),
+        (6, 1, 1): ([
+            "g=6 m1=1 m2=1 n=6: Unresolved",
+            "  [computed] minimal Maslov number 2 is below the threshold 3 of the lifted theory "
+            "and no wideness route applies  (minimal Maslov number 2n/g of the Gauss image)",
+        ], []),
+    }
+
+    @pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
+    @pytest.mark.parametrize("family", list(TEXT), ids=lambda f: "g{}-{}-{}".format(*f))
+    def test_text_is_pinned(self, capsys, family, verbose):
+        # the real-form and sweep-volume lines print only for a Wide report
+        argv = ["classify", *(f"--{k}={v}" for k, v in zip(("g", "m1", "m2"), family))]
+        code, out, err = run(capsys, argv + ["--verbose"] * verbose)
+        lines, witness = self.TEXT[family]
+        assert (code, err) == (0, "")
+        assert out == "\n".join(lines + witness * verbose) + "\n"
+
     def test_family_wider_than_the_profile_limit_exits_1(self, capsys):
         # g = 4 tables list every degree up to n = 2(m1 + m2)
         start = time.perf_counter()
@@ -859,7 +914,7 @@ def envelope(profile: dict, maslov: int, oracle: dict | None = None) -> dict:
 
 def oracle_json(profile: dict, maslov: int) -> dict:
     parsed = profile_from_json(profile)
-    return verdict_to_json(oracle_narrow_feasible(parsed, maslov, (parsed.n + 1) // maslov))
+    return verdict_to_json(oracle_narrow_feasible(parsed, maslov))
 
 
 def edited(payload, path: tuple, value):

@@ -226,9 +226,7 @@ class TestClassifier:
                 continue
             verdict = report.justification[-1].verdict
             table = munzner_betti_N(f)
-            maslov = 2 * f.n // f.g
-            nu = (f.n + 1) // maslov
-            assert replay_witness(verdict, table, maslov, nu)
+            assert replay_witness(verdict, table, 2 * f.n // f.g)
 
 
 def assert_g4_rule(m1, m2):

@@ -114,15 +114,15 @@ OPEN = make_partial_profile(6, [(0, 1), (3, 2), (6, 1)])  # uncapped
         (propagate_narrow(G4_12, 3, 6, 2), NO_CONTRADICTION),
         # the open slots have no upper bound: null
         (propagate_narrow(OPEN, 3, 6, 2), NO_CONTRADICTION),
-        (oracle_narrow_feasible(G4_12, 3, 2), FEASIBLE),
+        (oracle_narrow_feasible(G4_12, 3), FEASIBLE),
         # a class paired with the pool
-        (oracle_narrow_feasible(OPEN, 3, 2), FEASIBLE),
-        (oracle_narrow_feasible(G4_22, 4, 2), INFEASIBLE),
+        (oracle_narrow_feasible(OPEN, 3), FEASIBLE),
+        (oracle_narrow_feasible(G4_22, 4), INFEASIBLE),
         # the empty barrier
-        (oracle_narrow_feasible(make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3, 1),
+        (oracle_narrow_feasible(make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3),
          INFEASIBLE),
         # the pool, slot 7, is the barrier
-        (oracle_narrow_feasible(make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3, 2),
+        (oracle_narrow_feasible(make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3),
          INFEASIBLE),
     ],
     ids=["chain", "empty-chain", "final-page", "open-final-page", "pairs", "pool-pairs",
@@ -140,9 +140,9 @@ def test_the_cases_above_hold_their_edge():
     assert propagate_narrow(make_profile(2, [(0, 1)]), 3, 2, 0).witness.chain == ()
     assert (0, None) in propagate_narrow(OPEN, 3, 6, 2).witness.slots
     assert oracle_narrow_feasible(
-        make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3, 1).witness.barrier == ()
+        make_partial_profile(4, [(0, 1), (3, 1)], cap=3), 3).witness.barrier == ()
     assert oracle_narrow_feasible(
-        make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3, 2).witness.barrier == (7,)
+        make_partial_profile(6, [(0, 3), (6, 1)], cap=6), 3).witness.barrier == (7,)
 
 
 @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -0.0, 5e-324, None])

@@ -138,9 +138,8 @@ def test_verdict_json_round_trip(profile, maslov):
 
 @given(partial_profiles(), st.integers(3, 5))
 def test_propagation_verdicts_replay(profile, maslov):
-    nu = (profile.n + 1) // maslov
-    v = propagate_narrow(profile, maslov, profile.n, nu)
-    assert replay_witness(v, profile, maslov, nu)
+    v = propagate_narrow(profile, maslov, profile.n, (profile.n + 1) // maslov)
+    assert replay_witness(v, profile, maslov)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=5))
@@ -154,20 +153,18 @@ def test_odd_width_symmetric_profiles_have_zero_euler(half):
 @settings(deadline=None, max_examples=60)
 @given(known_profiles(max_n=6, max_dim=2), st.integers(3, 5))
 def test_contradiction_implies_oracle_infeasible(profile, maslov):
-    nu = min((profile.n + 1) // maslov, 2)
-    p = propagate_narrow(profile, maslov, profile.n, nu)
+    p = propagate_narrow(profile, maslov, profile.n, (profile.n + 1) // maslov)
     if p.kind != CONTRADICTION:
         return
-    assert oracle_narrow_feasible(profile, maslov, nu).kind == INFEASIBLE
+    assert oracle_narrow_feasible(profile, maslov).kind == INFEASIBLE
 
 
 @settings(deadline=None, max_examples=60)
 @given(known_profiles(max_n=6, max_dim=2), st.integers(3, 5))
 def test_oracle_witnesses_replay(profile, maslov):
-    nu = min((profile.n + 1) // maslov, 2)
-    v = oracle_narrow_feasible(profile, maslov, nu)
+    v = oracle_narrow_feasible(profile, maslov)
     assert v.kind in (FEASIBLE, INFEASIBLE)
-    assert replay_witness(v, profile, maslov, nu)
+    assert replay_witness(v, profile, maslov)
 
 
 @st.composite
