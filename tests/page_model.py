@@ -6,7 +6,8 @@ linear-algebra constraint of that turn.  ``brute_feasible`` walks every
 legal rank vector on every page and is the exact decider's reference.
 ``euler_char`` and ``check_poincare`` are sanity checks of a table, and
 ``dims`` and ``slot_bounds`` write a profile's first page out degree by
-degree, ``dims`` only for a fully known one.  None of them shares
+degree, ``dims`` only for a fully known one, and ``completions_within_the_cap``
+lists the first pages a partial profile allows.  None of them shares
 decision logic with ``isofloer.specseq``; ``step_page`` takes only its
 Maslov precondition from there.
 """
@@ -140,3 +141,17 @@ def slot_bounds(profile: BettiProfile) -> list[tuple[int, int | None]]:
     degree ranges over [0, room], ``hi`` None when it is unbounded."""
     return [(profile.known[s], profile.known[s]) if s in profile.known else (0, profile.room)
             for s in range(profile.n + 1)]
+
+
+def completions_within_the_cap(profile):
+    """Every choice of one value per slot, within its bounds and the cap.
+
+    Without a cap, open values in [0, used] summing to at most used, the
+    known total, are enough: two open classes that cancel each other can be
+    dropped, so if some completion pairs off, one does whose open classes
+    each cancel a distinct known one.
+    """
+    used = sum(profile.known.values())
+    cap = 2 * used if profile.cap is None else profile.cap
+    ranges = [range(lo, (used if hi is None else hi) + 1) for lo, hi in slot_bounds(profile)]
+    return [dims for dims in itertools.product(*ranges) if sum(dims) <= cap]

@@ -60,3 +60,28 @@ def test_infeasible_witness_carries_the_traced_counters(monkeypatch):
     worker._oracle_stats(counts, (), verdict)
     assert counts["specseq.oracle.completions_tried"] == 1
     assert counts["specseq.oracle.states_explored"] >= 1
+
+
+def test_the_tracer_times_the_oracle_and_replay(monkeypatch, tmp_path):
+    # the matcher loads on first use, behind names that cli binds at import:
+    # the spans of those names must still be recorded
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import worker
+
+    profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
+    profile.write_text('{"n": 8, "known": [[0, 1], [2, 2], [4, 2], [6, 2], [8, 1]], "cap": 8}',
+                       encoding="utf-8")
+    recorder, runner = tracer.Tracer(), worker.Runner()
+    try:
+        worker.instrument(recorder)
+        code, out = runner.call(["narrow-check", "--profile", str(profile), "--maslov", "4",
+                                 "--oracle", "--format", "json"])
+        assert code == 0
+        envelope.write_text(out, encoding="utf-8")
+        assert runner.call(["replay", str(envelope), "--format", "json"])[0] == 0
+    finally:
+        recorder.restore()
+    calls = Counter(span[0] for span in recorder.spans)
+    assert calls["specseq.oracle_narrow_feasible"] == 1
+    assert calls["specseq.replay_witness"] == 2  # the propagator's verdict and the oracle's

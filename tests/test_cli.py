@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import json_reference
-from isofloer import catalog, cli
+from isofloer import catalog, cli, pool
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
@@ -1361,7 +1361,7 @@ CLASSIFY_ALL_64 = ["classify-all", "--bound", "64", "--format", "json"]
 def run_on_cpus(capsys, monkeypatch, cpus, argv):
     """``run`` with ``cpus`` CPUs available; also returns how many workers it forked."""
     forks, fork = [], os.fork
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return run(capsys, argv), len(forks)
 
@@ -1387,8 +1387,8 @@ def test_workers_print_the_bytes_of_one_process(capsys, monkeypatch, command, fm
 
 
 # on 2 CPUs the parent renders the even chunks and its one worker the odd ones
-WORKER_OWNED = 3 * cli.CHUNK + 7
-PARENT_OWNED = 2 * cli.CHUNK + 7
+WORKER_OWNED = 3 * pool.CHUNK + 7
+PARENT_OWNED = 2 * pool.CHUNK + 7
 
 
 def assert_stops_as_one_process(capsys, monkeypatch, fmt, index):
@@ -1452,8 +1452,8 @@ def test_each_renderer_does_its_share(capsys, monkeypatch, cpus):
     (code, out, _), _ = run_on_cpus(capsys, monkeypatch, cpus, CLASSIFY_ALL_64)
     assert code == 0
     assert_golden(CLASSIFY_ALL_64, out)
-    k = min(cpus, math.ceil(len(families) / cli.CHUNK))
-    assert rendered == [f for i, f in enumerate(families) if i // cli.CHUNK % k == 0]
+    k = min(cpus, math.ceil(len(families) / pool.CHUNK))
+    assert rendered == [f for i, f in enumerate(families) if i // pool.CHUNK % k == 0]
 
 
 class CountingStdout(io.StringIO):
@@ -1470,11 +1470,11 @@ class CountingStdout(io.StringIO):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_classify_all_writes_once_per_chunk(monkeypatch, fmt, cpus):
     # the header and the closing line, and one write per chunk between them
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "_cpus", lambda: cpus)
     argv, out = ["classify-all", "--bound", "64", "--format", fmt], CountingStdout()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    chunks = math.ceil(len(catalog.enumerate_families(64)) / cli.CHUNK)
+    chunks = math.ceil(len(catalog.enumerate_families(64)) / pool.CHUNK)
     assert out.writes <= chunks + 2
     assert_golden(argv, out.getvalue())
 
@@ -1497,7 +1497,7 @@ def test_no_process_to_be_had_leaves_its_chunks_to_the_parent(capsys, monkeypatc
         return result
 
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(pool, "_cpus", lambda: 3)
     monkeypatch.setattr(os, failing, second_fails)
     code, out, err = run(capsys, CLASSIFY_ALL_64)
     assert (code, err, len(calls)) == (0, "", 2)
@@ -1523,7 +1523,7 @@ def test_a_worker_bug_keeps_its_traceback(monkeypatch, error):
             raise error("a bug in a worker")
         return classify(family)
 
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "_cpus", lambda: 2)
     monkeypatch.setattr(cli, "classify", classify_with_a_bug)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(error) as caught:
@@ -1584,7 +1584,7 @@ def test_no_worker_outlives_a_killed_parent():
             # the workers are forked before the first byte is printed
             assert len(proc.stdout.read(1 << 16)) == 1 << 16
             children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-            processes = min(cli._cpus(), 261)  # 2086 families, 261 chunks
+            processes = min(pool._cpus(), 261)  # 2086 families, 261 chunks
             if children.exists():  # the parent is one of them
                 assert len(children.read_text().split()) == processes - 1
         finally:
@@ -1613,7 +1613,7 @@ def test_a_killed_worker_leaves_the_bytes_of_one_process():
         if not children.exists():
             pytest.skip("no /proc children list")
         workers = [int(pid) for pid in children.read_text().split()]
-        assert len(workers) == min(cli._cpus(), 261) - 1  # 2086 families, 261 chunks
+        assert len(workers) == min(pool._cpus(), 261) - 1  # 2086 families, 261 chunks
         for pid in workers:
             os.kill(pid, signal.SIGKILL)
         # read(), not communicate(): the buffered reader may already hold bytes
@@ -1628,7 +1628,7 @@ def test_a_killed_worker_leaves_the_bytes_of_one_process():
 # closes the read ends
 FULL_PIPES = """
 import fcntl, os, struct, termios, time
-from isofloer import catalog, cli
+from isofloer import catalog, cli, pool
 
 reads, pipe = [], os.pipe
 
@@ -1651,7 +1651,7 @@ def raise_once_the_pipes_are_full(family, indent):
         raise catalog.FamilyError("stopped with full pipes")
     return data_text(family, indent=indent)
 
-os.pipe, cli._cpus, cli.data_text = recording_pipe, lambda: 3, raise_once_the_pipes_are_full
+os.pipe, pool._cpus, cli.data_text = recording_pipe, lambda: 3, raise_once_the_pipes_are_full
 fds = os.listdir("/proc/self/fd")
 code = cli.main(["catalog", "--bound", "64", "--format", "json"])
 try:
@@ -1685,9 +1685,9 @@ def test_an_early_stop_with_full_pipes_reaps_every_worker():
 # one process import nothing
 POOLED_IMPORTS = """
 import contextlib, io, sys
-from isofloer import cli
+from isofloer import cli, pool
 
-cli._cpus = lambda: 2
+pool._cpus = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["classify", "--g", "4", "--m1", "2", "--m2", "2"]) == 0
     before = set(sys.modules)
@@ -1847,7 +1847,7 @@ def emitted(items, size: int = 2) -> str:
     texts = [json.dumps(item, indent=2).replace("\n", "\n  ") for item in items]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_json_list(texts[i:i + size] for i in range(0, len(texts), size))
+        pool._emit_json_list(texts[i:i + size] for i in range(0, len(texts), size))
     return out.getvalue()
 
 
@@ -1871,7 +1871,7 @@ class TestJsonWriter:
         for chunks in ([[]], [[], ["1"], []], [["1"], []]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                cli._emit_json_list(iter(chunks))
+                pool._emit_json_list(iter(chunks))
             assert out.getvalue() == ("[]\n" if chunks == [[]] else "[\n  1\n]\n")
 
     @settings(max_examples=50, deadline=None)

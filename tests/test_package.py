@@ -1,7 +1,10 @@
 """The package's public names, its value classes, and what importing it loads."""
 
+import contextlib
 import copy
 import inspect
+import io
+import json
 import os
 import pickle
 import subprocess
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import isofloer
+from isofloer import cli
 from isofloer.catalog import CitedFact, IsoparametricFamily
 from isofloer.criteria import CaseReport, JustificationStep
 from isofloer.homology import BettiProfile, Record
@@ -145,3 +149,43 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     loaded = set(proc.stdout.split())
     assert "isofloer.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "typing"} == set()
+
+
+# a classify process must not compile the matcher or the pool: it never runs them
+LAZY_LOADS = """
+import contextlib, io, sys
+lazy = ("isofloer.matching", "isofloer.pool")
+import isofloer
+print(",".join(name for name in lazy if name in sys.modules))
+import isofloer.cli
+print(",".join(name for name in lazy if name in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = isofloer.cli.main(sys.argv[1:])
+print(code, ",".join(name for name in lazy if name in sys.modules))
+"""
+
+# a g = 4, (2, 2) table, fully known under its cap: the oracle finds it Infeasible
+G4_22 = '{"n": 8, "known": [[0, 1], [2, 2], [4, 2], [6, 2], [8, 1]], "cap": 8}'
+
+
+@pytest.mark.parametrize("command,loaded", [
+    (["classify", "--g", "4", "--m1", "2", "--m2", "2", "--format", "json"], ""),
+    (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--oracle", "--format", "json"],
+     "isofloer.matching"),
+    (["replay", "{envelope}"], "isofloer.matching"),
+    (["classify-all", "--bound", "16", "--format", "json"], "isofloer.pool"),
+], ids=["classify", "narrow-check", "replay", "classify-all"])
+def test_the_matcher_and_the_pool_load_on_first_use(tmp_path, command, loaded):
+    profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
+    profile.write_text(G4_22, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["narrow-check", "--profile", str(profile), "--maslov", "4", "--oracle",
+                         "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["oracle"]["kind"] == "Infeasible"
+    envelope.write_text(out.getvalue(), encoding="utf-8")
+    argv = [arg.format(profile=profile, envelope=envelope) for arg in command]
+    # without site, nothing but the program loads modules
+    proc = subprocess.run([sys.executable, "-S", "-c", LAZY_LOADS, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert proc.stdout.split("\n") == ["", "", f"0 {loaded}", ""]

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from isofloer import specseq
+from isofloer import matching, specseq
 from isofloer.catalog import (
     collapse_step,
     enumerate_families,
@@ -41,20 +41,20 @@ from isofloer.specseq import (
     NarrownessVerdict,
     SearchCapError,
     WitnessError,
-    _graph,
-    is_tutte_barrier,
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
     verdict_from_json,
     verdict_to_json,
 )
+from isofloer.matching import _graph, is_tutte_barrier
 
 import propagator_reference
 from page_model import (
     RankVector,
     RankViolationError,
     brute_feasible,
+    completions_within_the_cap,
     dims,
     slot_bounds,
     step_page,
@@ -367,20 +367,6 @@ def rank_vectors(pairs, width, nu):
     return [RankVector(r, tuple(a)) for r, a in enumerate(ranks, start=1)]
 
 
-def completions_within_the_cap(profile):
-    """Every choice of one value per slot, within its bounds and the cap.
-
-    Without a cap, open values in [0, used] summing to at most used, the
-    known total, are enough: two open classes that cancel each other can be
-    dropped, so if some completion pairs off, one does whose open classes
-    each cancel a distinct known one.
-    """
-    used = sum(profile.known.values())
-    cap = 2 * used if profile.cap is None else profile.cap
-    ranges = [range(lo, (used if hi is None else hi) + 1) for lo, hi in slot_bounds(profile)]
-    return [dims for dims in itertools.product(*ranges) if sum(dims) <= cap]
-
-
 @st.composite
 def small_partial_profiles(draw, max_n=6, max_dim=3, rooms=st.integers(0, 4)):
     """A profile with open slots and a cap ``rooms`` above the known total (no
@@ -642,7 +628,7 @@ class TestReplay:
             raise AssertionError("replay ran the decider")
 
         monkeypatch.setattr(specseq, "oracle_narrow_feasible", refuse)
-        monkeypatch.setattr(specseq, "_match", refuse)
+        monkeypatch.setattr(matching, "_match", refuse)
         assert replay_witness(v, G4_22, 4)
 
     @pytest.mark.parametrize(
