@@ -1,17 +1,25 @@
-"""The exact decider's matcher: the cancellation graph of a profile, a maximum
-matching on it, and the Tutte barrier check.
+"""The exact decider: the cancellation graph of a profile, a maximum matching
+on it, the Tutte barrier check, and the two witnesses they give.
 
 ``_graph`` builds the graph, one slot per degree and slot n + 1 the pool of a
-partial profile's open classes.  ``_match`` pairs off its classes, one vertex
-per class: a greedy pass seeds the matching, and ``_grow`` runs Edmonds'
-search (Edmonds 1965) from each class left unmatched.  A perfect matching is
-a FeasibleWitness; a tree that cannot grow gives a Tutte barrier (Tutte
-1952), an InfeasibleWitness, which ``is_tutte_barrier`` checks by counting
-odd parts.
+partial profile's open classes, so one matching decides a partial profile,
+capped or not.  ``_match`` pairs off its classes, one vertex per class: a
+greedy pass seeds the matching, and ``_grow`` runs Edmonds' search (Edmonds
+1965) from each class left unmatched.  A perfect matching is a
+FeasibleWitness; a tree that cannot grow gives a Tutte barrier (Tutte 1952),
+an InfeasibleWitness, which ``is_tutte_barrier`` checks by counting odd parts.
+The decider and the barrier check refuse the same profiles: those beyond
+``MAX_CLASSES`` exact and pool classes.
 
-``specseq.oracle_narrow_feasible`` and ``InfeasibleWitness.replay`` import this
-module when they first run, so a process that runs neither, such as one
-``classify``, never compiles it.
+A Feasible witness is that matching, counted by slot and page.  If each
+class has one partner, the ranks a_r[s] = count(s, r) are legal on every
+page and end on the zero page: on page r slot s still holds every class
+paired on page r or later, at least a_r[s] + a_r[s - shift].  So replay
+only adds up each slot's counts, and that completion must lie within the
+profile.
+
+``specseq`` loads this module on first use, and it adds its two witness
+kinds to ``specseq.WITNESS_TYPES``; ``_page_turns`` is the one home of nu.
 """
 
 from __future__ import annotations
@@ -19,14 +27,80 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate
 
-from .homology import BettiProfile
-from .specseq import (
-    MAX_CLASSES,
-    FeasibleWitness,
-    InfeasibleWitness,
-    SearchCapError,
-    require_maslov,
-)
+from .homology import BettiProfile, Record, json_list
+from .specseq import FEASIBLE, INFEASIBLE, MAX_CLASSES, WITNESS_TYPES, NarrownessVerdict
+from .specseq import SearchCapError, _Witness, require_maslov
+
+
+class FeasibleWitness(_Witness, Record):
+    """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
+    cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
+    to its value in the completion they pair off.  Valid iff r >= 1, both
+    slots exist, which bounds r by nu, and that completion lies within the
+    profile's bounds and cap."""
+
+    kind, tag = FEASIBLE, "cancellation-pairs"
+    __slots__ = ("pairs",)
+
+    def _fields_text(self, inner: str) -> str:
+        row, cell = inner + "  ", inner + "    "
+        return '"pairs": ' + json_list([f"[{cell}{s},{cell}{r},{cell}{count}{row}]"
+                                         for s, r, count in self.pairs], inner)
+
+    def summary(self, page: int) -> str:
+        return "Feasible: a legal rank assignment reaches the zero page"
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        return [f"page {r}: " + (f"1 class of slot {s} cancels" if count == 1 else
+                                 f"{count} classes of slot {s} cancel")
+                + f" slot {s + r * maslov - 1}" for s, r, count in self.pairs]
+
+
+class InfeasibleWitness(_Witness, Record):
+    """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
+    pool), checked by ``is_tutte_barrier`` without the decider; the trees
+    grown, ``states_explored``, stay off the wire and out of equality, and one
+    matching decides a profile, so ``completions_tried`` is 1."""
+
+    kind, tag = INFEASIBLE, "tutte-barrier"
+    completions_tried = 1
+    __slots__ = ("barrier", "states_explored")
+    _defaults = {"states_explored": 0}
+
+    def _key(self) -> tuple:
+        return (self.barrier,)
+
+    def _fields_text(self, inner: str) -> str:
+        return '"barrier": ' + json_list([f"{s}" for s in self.barrier], inner)
+
+    def details(self, maslov: int | None, n: int | None) -> list[str]:
+        if not self.barrier:
+            return ["barrier: empty (with no slot removed, a class is left unpaired)"]
+        slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in self.barrier)
+        return [f"barrier: {slots} (more parts are odd without the barrier than it holds "
+                "classes)"]
+
+
+WITNESS_TYPES.update({cls.tag: cls for cls in (FeasibleWitness, InfeasibleWitness)})
+
+
+def oracle_narrow_feasible(profile: BettiProfile, maslov: int) -> NarrownessVerdict:
+    """Decide exactly whether some legal rank choice kills the final page.
+
+    One maximum matching on ``_graph`` decides it, whether the profile is
+    fully known, capped or uncapped: a perfect matching is the Feasible
+    witness, a stuck alternating tree the Infeasible one, a single Tutte
+    barrier.  ``_graph`` refuses what it cannot decide.
+    """
+    page = _page_turns(profile, maslov) + 1
+    return NarrownessVerdict(page, _match(*_graph(profile, maslov), maslov))
+
+
+def _page_turns(profile: BettiProfile, maslov: int) -> int:
+    """nu = floor((n + 1)/N), the page turns after which the sequence freezes,
+    for a Maslov number that the lifted theory admits."""
+    require_maslov(maslov)
+    return (profile.n + 1) // maslov
 
 
 def _graph(profile: BettiProfile, maslov: int):

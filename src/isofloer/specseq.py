@@ -37,46 +37,31 @@ Two deciders answer "can the final page vanish":
 * ``oracle_narrow_feasible`` is exact, and polynomial in the number of
   exact classes.  The final page vanishes exactly when the first page's
   classes pair off along the cancellation graph (a class in slot s with
-  one in slot s + rN - 1, 1 <= r <= nu).  A maximum matching decides that
-  (Edmonds 1965), or yields a Tutte barrier (Tutte 1952).  A partial
-  profile, capped or not, adds one pool slot for its open classes, so one
-  matching decides it too.  The decider and the barrier check refuse the
-  same profiles: those beyond ``MAX_CLASSES`` exact and pool classes.
+  one in slot s + rN - 1, 1 <= r <= nu), which ``matching`` decides.
 
-The matcher (the cancellation graph, Edmonds' search and the barrier check
-``is_tutte_barrier``) lives in ``matching``.  ``oracle_narrow_feasible`` and
-``InfeasibleWitness.replay`` import it on first use: a ``classify`` process
-never runs it, and a process with no bytecode cache compiles every module it
-imports.  Compiling the matcher takes about 1.5 ms (CPython 3.11, x86_64).
-
-A Feasible witness is that matching, counted by slot and page.  If each
-class has one partner, the ranks a_r[s] = count(s, r) are legal on every
-page and end on the zero page: on page r slot s still holds every class
-paired on page r or later, at least a_r[s] + a_r[s - shift].  So replay
-only adds up each slot's counts, and that completion must lie within the
-profile.
+That decider, with its two witness kinds, lives in ``matching``, and the
+verdict reader and every replay in ``check``.  This module forwards
+``oracle_narrow_feasible``, ``verdict_from_json`` and ``replay_witness`` to
+them and loads each on first use: a ``classify`` process runs neither, and a
+process with no bytecode cache compiles every module it imports.
 
 They share no decision logic, which is the point: the oracle is the
 ground truth the propagator is tested against, and ``brute_feasible`` in
 the tests' page model, a walk over every rank vector, is the oracle's
 reference.  Each verdict is its final page and a witness, whose class holds
-all that is particular to its kind: the kind, the wire tag, the JSON text
-writer ``json_text`` and strict reader ``from_json``, the ``replay``, and the
-text, a ``summary`` line and the ``details`` that ``--verbose`` prints.
-``WITNESS_TYPES`` maps each tag to its class; the verdict's ``json_text``,
-``verdict_from_json`` and ``replay_witness``, which re-derives a witness
-without trusting the run that produced it, look the class up there.
+the kind, the wire tag, the JSON text writer ``json_text``, and the text, a
+``summary`` line and the ``details`` that ``--verbose`` prints; ``check``
+keys each kind's strict reader and replay by its tag.  ``WITNESS_TYPES`` maps
+each tag to its class, and the verdict's ``json_text`` looks it up there.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import partial
 from json import loads
 from json.encoder import encode_basestring_ascii as quote
 from operator import attrgetter
 
-from .homology import BettiProfile, Record, as_int, as_list, json_list
+from .homology import BettiProfile, Record, json_list
 
 
 class EngineError(ValueError):
@@ -130,29 +115,6 @@ class ChainStep(Record):
                  "lower_before", "lower_after")
 
 
-_as_int = partial(as_int, error=WitnessError, what="witness field")
-_as_list = partial(as_list, error=WitnessError, what="witness entry")
-
-
-def _rows(payload: dict, key: str, entry=_as_list) -> list:
-    """The list under ``key``, with ``entry`` applied to each of its entries."""
-    return [entry(row) for row in _as_list(payload[key], what=f"witness field {key!r}")]
-
-
-def _as_opt_int(value) -> int | None:
-    return None if value is None else _as_int(value)
-
-
-def _slot_bound(lo, hi) -> tuple[int, int | None]:
-    """A final-page slot: a nonempty interval of dims, ``hi`` None for unbounded."""
-    lo, hi = _as_int(lo), _as_opt_int(hi)
-    if lo < 0:
-        raise WitnessError(f"dimension lower bound must be >= 0, got {lo}")
-    if hi is not None and hi < lo:
-        raise WitnessError(f"empty dimension interval [{lo}, {hi}]")
-    return lo, hi
-
-
 class _Witness:
     """What the witness kinds share: no headline slot or bound, a summary that
     is the kind, and no ``--verbose`` lines, unless the kind says otherwise."""
@@ -188,19 +150,6 @@ class ContradictionWitness(_Witness, Record):
         chain = json_list([step % ChainStep._values(c) for c in self.chain], inner)
         return f'"slot": {self.slot},{inner}"bound": {self.bound},{inner}"chain": {chain}'
 
-    @classmethod
-    def from_json(cls, payload: dict) -> ContradictionWitness:
-        chain = tuple(ChainStep(*(_as_int(c[name]) for name in ChainStep.__slots__))
-                      for c in _as_list(payload["chain"], what="witness field 'chain'"))
-        return cls(_as_int(payload["slot"]), _as_int(payload["bound"]), chain)
-
-    def replay(self, profile: BettiProfile, maslov: int) -> bool:
-        chain = _chain(profile, self.slot, maslov, _page_turns(profile, maslov))
-        if chain is None:
-            return False
-        lower = chain[-1].lower_after if chain else profile.known.get(self.slot, 0)
-        return 0 < self.bound == lower and self.chain == chain
-
     def summary(self, page: int) -> str:
         return (f"Contradiction at slot {self.slot} "
                 f"(final page {page}, forced lower bound {self.bound})")
@@ -225,98 +174,8 @@ class FinalPageWitness(_Witness, Record):
                 for lo, hi in set(self.slots)}
         return '"slots": ' + json_list([text[slot] for slot in self.slots], inner)
 
-    @classmethod
-    def from_json(cls, payload: dict) -> FinalPageWitness:
-        return cls(tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots")))
-
-    def replay(self, profile: BettiProfile, maslov: int) -> bool:
-        return propagate_narrow(profile, maslov, profile.n,
-                                _page_turns(profile, maslov)).witness == self
-
-
-class FeasibleWitness(_Witness, Record):
-    """``(s, r, count)`` pairs, strictly ascending: ``count`` classes of slot s
-    cancel as many of slot s + rN - 1 on page r.  Each slot's counts add up
-    to its value in the completion they pair off.  Valid iff r >= 1, both
-    slots exist, which bounds r by nu, and that completion lies within the
-    profile's bounds and cap."""
-
-    kind, tag = FEASIBLE, "cancellation-pairs"
-    __slots__ = ("pairs",)
-
-    def _fields_text(self, inner: str) -> str:
-        row, cell = inner + "  ", inner + "    "
-        return '"pairs": ' + json_list([f"[{cell}{s},{cell}{r},{cell}{count}{row}]"
-                                         for s, r, count in self.pairs], inner)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> FeasibleWitness:
-        return cls(tuple((_as_int(s), _as_int(r), _as_int(c))
-                         for s, r, c in _rows(payload, "pairs")))
-
-    def replay(self, profile: BettiProfile, maslov: int) -> bool:
-        # each slot's counts add up to its value in the completion that the
-        # pairs pair off; pairs must ascend strictly in (s, r), and above
-        # (0, 0) rules out s < 0, so t <= n bounds r by nu
-        paired, last = Counter(), (0, 0)
-        for s, r, count in self.pairs:
-            t = s + r * maslov - 1
-            if not (last < (s, r) and r >= 1 and count >= 1 and t <= profile.n):
-                return False
-            paired[s] += count
-            paired[t] += count
-            last = (s, r)
-        if profile.cap is not None and sum(paired.values()) > profile.cap:
-            return False
-        known, room = profile.known, profile.room
-        return all(paired[s] == dim for s, dim in known.items()) and (
-            room is None or all(count <= room for s, count in paired.items() if s not in known))
-
-    def summary(self, page: int) -> str:
-        return "Feasible: a legal rank assignment reaches the zero page"
-
-    def details(self, maslov: int | None, n: int | None) -> list[str]:
-        return [f"page {r}: " + (f"1 class of slot {s} cancels" if count == 1 else
-                                 f"{count} classes of slot {s} cancel")
-                + f" slot {s + r * maslov - 1}" for s, r, count in self.pairs]
-
-
-class InfeasibleWitness(_Witness, Record):
-    """One Tutte barrier, a tuple of slots of ``_graph`` (slot n + 1 is the
-    pool), checked by ``is_tutte_barrier`` without the decider; the trees
-    grown, ``states_explored``, stay off the wire and out of equality, and one
-    matching decides a profile, so ``completions_tried`` is 1."""
-
-    kind, tag = INFEASIBLE, "tutte-barrier"
-    completions_tried = 1
-    __slots__ = ("barrier", "states_explored")
-    _defaults = {"states_explored": 0}
-
-    def _key(self) -> tuple:
-        return (self.barrier,)
-
-    def _fields_text(self, inner: str) -> str:
-        return '"barrier": ' + json_list([f"{s}" for s in self.barrier], inner)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> InfeasibleWitness:
-        return cls(tuple(_rows(payload, "barrier", _as_int)))
-
-    def replay(self, profile: BettiProfile, maslov: int) -> bool:
-        from .matching import is_tutte_barrier  # loaded on first use, as in the decider
-
-        return is_tutte_barrier(profile, maslov, self.barrier)
-
-    def details(self, maslov: int | None, n: int | None) -> list[str]:
-        if not self.barrier:
-            return ["barrier: empty (with no slot removed, a class is left unpaired)"]
-        slots = ", ".join("pool" if s == n + 1 else f"slot {s}" for s in self.barrier)
-        return [f"barrier: {slots} (more parts are odd without the barrier than it holds "
-                "classes)"]
-
-
-WITNESS_TYPES = {cls.tag: cls for cls in (ContradictionWitness, FinalPageWitness,
-                                          FeasibleWitness, InfeasibleWitness)}
+# the exact decider's two kinds join when ``matching`` loads
+WITNESS_TYPES = {cls.tag: cls for cls in (ContradictionWitness, FinalPageWitness)}
 
 
 class NarrownessVerdict(Record):
@@ -417,28 +276,43 @@ def _chain(profile: BettiProfile, slot: int, maslov: int,
     return tuple(chain)
 
 
+# --- loaded on first use -------------------------------------------------------
+
+
+class _OnFirstUse:
+    """The modules ``matching`` and ``check`` as attributes, each imported at its
+    first lookup and then kept, so a later call runs no import statement."""
+
+    def __getattr__(self, name: str):
+        from importlib import import_module
+
+        setattr(self, name, import_module(f"{__package__}.{name}"))
+        return vars(self)[name]
+
+
+_lazy = _OnFirstUse()
+
+
+# forwarders, which cli, criteria and the package bind at import
 def oracle_narrow_feasible(profile: BettiProfile, maslov: int) -> NarrownessVerdict:
-    """Decide exactly whether some legal rank choice kills the final page.
-
-    One maximum matching on ``_graph`` decides it, whether the profile is
-    fully known, capped or uncapped: a perfect matching is the Feasible
-    witness, a stuck alternating tree the Infeasible one, a single Tutte
-    barrier.  ``_graph`` refuses what it cannot decide.
-    """
-    from .matching import _graph, _match  # loaded on first use: classify never runs it
-
-    page = _page_turns(profile, maslov) + 1
-    return NarrownessVerdict(page, _match(*_graph(profile, maslov), maslov))
+    return _lazy.matching.oracle_narrow_feasible(profile, maslov)
 
 
-def _page_turns(profile: BettiProfile, maslov: int) -> int:
-    """nu = floor((n + 1)/N), the page turns after which the sequence freezes,
-    for a Maslov number that the lifted theory admits."""
-    require_maslov(maslov)
-    return (profile.n + 1) // maslov
+def replay_witness(verdict: NarrownessVerdict, profile: BettiProfile, maslov: int) -> bool:
+    return _lazy.check.replay_witness(verdict, profile, maslov)
 
 
-# --- replay and serialization ----------------------------------------------
+def verdict_from_json(data: dict) -> NarrownessVerdict:
+    return _lazy.check.verdict_from_json(data)
+
+
+def __getattr__(name: str):  # PEP 562: the exact decider's witness classes
+    if name in ("FeasibleWitness", "InfeasibleWitness"):
+        return getattr(_lazy.matching, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# --- serialization -----------------------------------------------------------
 
 
 def _witness(verdict: NarrownessVerdict, refusal: str):
@@ -450,45 +324,6 @@ def _witness(verdict: NarrownessVerdict, refusal: str):
     return witness
 
 
-def replay_witness(verdict: NarrownessVerdict, profile: BettiProfile, maslov: int) -> bool:
-    """Re-derive a verdict's witness from scratch with its class's ``replay``;
-    True iff it checks out and the verdict names the final page nu + 1.
-
-    Malformed structure raises; wrong values return False; a Maslov number
-    below the lifted theory's threshold raises MaslovTooSmallError, and a
-    profile beyond the oracle's limits SearchCapError for a barrier.
-    """
-    witness = _witness(verdict, "not a witness: ")
-    try:
-        page = _page_turns(profile, maslov) + 1
-        return verdict.page == page and witness.replay(profile, maslov)
-    except (TypeError, AttributeError) as exc:
-        raise WitnessError(f"malformed witness: {exc}") from exc
-
-
 def verdict_to_json(verdict: NarrownessVerdict) -> dict:
     """The wire form as a dict: the parse of ``verdict.json_text()``."""
     return loads(verdict.json_text())
-
-
-def verdict_from_json(data: dict) -> NarrownessVerdict:
-    if not isinstance(data, dict):
-        raise WitnessError("verdict must be a JSON object")
-    try:
-        kind = data["kind"]
-        payload = data["witness"]
-        wtype = payload["type"]
-        cls = WITNESS_TYPES.get(wtype if isinstance(wtype, str) else None)
-        witness = None if cls is None else cls.from_json(payload)
-        if witness is None or kind != witness.kind:
-            raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
-        verdict = NarrownessVerdict(_as_int(data["page"]), witness)
-        headline = (_as_opt_int(data["slot"]), _as_opt_int(data["bound"]))
-        if headline != (verdict.slot, verdict.bound):
-            raise WitnessError(
-                f"headline slot and bound {headline} differ from the witness's "
-                f"{(verdict.slot, verdict.bound)}"
-            )
-        return verdict
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessError(f"malformed verdict object: {exc}") from exc

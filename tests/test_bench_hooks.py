@@ -85,3 +85,4 @@ def test_the_tracer_times_the_oracle_and_replay(monkeypatch, tmp_path):
     calls = Counter(span[0] for span in recorder.spans)
     assert calls["specseq.oracle_narrow_feasible"] == 1
     assert calls["specseq.replay_witness"] == 2  # the propagator's verdict and the oracle's
+    assert calls["specseq.verdict_from_json"] == 2  # read by replay before it replays them

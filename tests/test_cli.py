@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import json_reference
-from isofloer import catalog, cli, pool
+from isofloer import catalog, cli, matching, pool
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
@@ -659,8 +659,11 @@ class TestReplay:
         def refuse(*args):
             raise AssertionError("replay ran the decider")
 
-        monkeypatch.setattr(specseq, "oracle_narrow_feasible", refuse)
-        monkeypatch.setattr(cli, "oracle_narrow_feasible", refuse)
+        # the decider's body and its matching live in matching, behind the forwarder
+        # that specseq defines and cli binds
+        for owner, name in [(specseq, "oracle_narrow_feasible"), (cli, "oracle_narrow_feasible"),
+                            (matching, "oracle_narrow_feasible"), (matching, "_match")]:
+            monkeypatch.setattr(owner, name, refuse)
         start = time.perf_counter()
         assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
         assert decided_s < 1.0 and time.perf_counter() - start < 1.0
@@ -789,6 +792,8 @@ class TestDispatch:
         assert run(capsys, ["classify", "--g", "4", "--m1", "1", "--m2", "1", "--frob"])[0] == 1
 
     def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        # main builds the parser of the command it runs, or the top-level one for
+        # --help, no command or an unknown one; each is built once per process
         sequence = [
             ["classify", "--g", "4", "--m1", "2", "--m2", "2", "--verbose"],
             ["classify", "--g", "4", "--m1", "2", "--m2", "2"],
@@ -797,14 +802,16 @@ class TestDispatch:
             ["classify", "--g", "4", "--m1", "2"],
             ["classify", "--help"],
             ["frobnicate"],
+            ["--help"],
         ]
 
-        def with_a_fresh_parser(argv):
+        def with_fresh_parsers(argv):
             cli.build_parser.cache_clear()
+            cli.command_parser.cache_clear()
             return run(capsys, argv)
 
-        expected = [with_a_fresh_parser(argv) for argv in sequence]
-        assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0, 1]
+        expected = [with_fresh_parsers(argv) for argv in sequence]
+        assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0, 1, 0]
         built, init = [], argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -812,15 +819,20 @@ class TestDispatch:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli.build_parser.__wrapped__()
-        one_build = len(built)
-        built.clear()
         cli.build_parser.cache_clear()
+        cli.command_parser.cache_clear()
         try:
+            assert [run(capsys, argv) for argv in sequence] == expected
+            first_run = list(built)
             assert [run(capsys, argv) for argv in sequence] == expected
         finally:
             cli.build_parser.cache_clear()
-        assert len(built) == one_build > 0
+            cli.command_parser.cache_clear()
+        assert built == first_run  # the second run builds no parser
+        assert sorted(first_run) == sorted(set(first_run)) == sorted(
+            ["isofloer", *(f"isofloer {name}" for name in cli.COMMANDS)])
+        # the commands run before the top-level parser was needed came first
+        assert first_run[:2] == ["isofloer classify", "isofloer classify-all"]
 
     def test_a_command_argv_makes_one_argparse_pass(self, capsys, tmp_path, monkeypatch):
         profile = write_profile(tmp_path, "g4.json", validate_family(4, 2, 2))
@@ -877,10 +889,9 @@ class TestDispatch:
         ["catalog", "--bound", "-8"],
     ])
     def test_each_command_parses_the_same_namespace(self, argv):
-        parser = cli.build_parser()
-        full = vars(parser.parse_args(argv))
+        full = vars(cli.build_parser().parse_args(argv))
         assert full.pop("command") == argv[0]
-        assert vars(parser.commands[argv[0]].parse_args(argv[1:])) == full
+        assert vars(cli.command_parser(argv[0]).parse_args(argv[1:])) == full
 
     @pytest.mark.parametrize("argv, extra", [
         (["classify", "--g", "4", "--m1", "1", "--m2", "1", "extra"], "extra"),

@@ -151,10 +151,11 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert loaded & {"dataclasses", "inspect", "typing"} == set()
 
 
-# a classify process must not compile the matcher or the pool: it never runs them
+# a classify process must not compile the matcher, the verdict reader and replays,
+# or the pool: it never runs them
 LAZY_LOADS = """
 import contextlib, io, sys
-lazy = ("isofloer.matching", "isofloer.pool")
+lazy = ("isofloer.matching", "isofloer.check", "isofloer.pool")
 import isofloer
 print(",".join(name for name in lazy if name in sys.modules))
 import isofloer.cli
@@ -172,9 +173,12 @@ G4_22 = '{"n": 8, "known": [[0, 1], [2, 2], [4, 2], [6, 2], [8, 1]], "cap": 8}'
     (["classify", "--g", "4", "--m1", "2", "--m2", "2", "--format", "json"], ""),
     (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--oracle", "--format", "json"],
      "isofloer.matching"),
-    (["replay", "{envelope}"], "isofloer.matching"),
+    (["replay", "{envelope}"], "isofloer.matching,isofloer.check"),
     (["classify-all", "--bound", "16", "--format", "json"], "isofloer.pool"),
-], ids=["classify", "narrow-check", "replay", "classify-all"])
+    (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"], ""),
+    (["wide-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"], ""),
+], ids=["classify", "narrow-check", "replay", "classify-all", "narrow-check-propagator",
+        "wide-check"])
 def test_the_matcher_and_the_pool_load_on_first_use(tmp_path, command, loaded):
     profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
     profile.write_text(G4_22, encoding="utf-8")

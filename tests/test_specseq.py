@@ -627,7 +627,9 @@ class TestReplay:
         def refuse(*args):
             raise AssertionError("replay ran the decider")
 
+        # the decider's body and its matching live in matching, behind specseq's forwarder
         monkeypatch.setattr(specseq, "oracle_narrow_feasible", refuse)
+        monkeypatch.setattr(matching, "oracle_narrow_feasible", refuse)
         monkeypatch.setattr(matching, "_match", refuse)
         assert replay_witness(v, G4_22, 4)
 
