@@ -9,10 +9,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 
+from . import specseq
 from .homology import BettiProfile, as_int, as_list
 from .matching import FeasibleWitness, InfeasibleWitness, _page_turns, is_tutte_barrier
 from .specseq import ChainStep, ContradictionWitness, FinalPageWitness, NarrownessVerdict
-from .specseq import WitnessError, _chain, _witness, propagate_narrow
+from .specseq import WitnessError, _chain, _witness
 
 _as_int = partial(as_int, error=WitnessError, what="witness field")
 _as_list = partial(as_list, error=WitnessError, what="witness entry")
@@ -53,8 +54,9 @@ def _replay_chain(witness: ContradictionWitness, profile: BettiProfile, maslov: 
 
 
 def _replay_final_page(witness: FinalPageWitness, profile: BettiProfile, maslov: int) -> bool:
-    return propagate_narrow(profile, maslov, profile.n,
-                            _page_turns(profile, maslov)).witness == witness
+    # looked up in specseq at each call, so a wrapper patched in there is the one run
+    return specseq.propagate_narrow(profile, maslov, profile.n,
+                                    _page_turns(profile, maslov)).witness == witness
 
 
 def _replay_pairs(witness: FeasibleWitness, profile: BettiProfile, maslov: int) -> bool:

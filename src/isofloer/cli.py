@@ -13,10 +13,10 @@ here.  ``classify-all`` and ``catalog --format json`` render their families
 through the worker pool, ``pool._ordered_map``, which spreads them over the
 process and forked workers and gives the results in order: the bytes are
 those of one process.  Those two commands import ``pool`` on first use, as
-``specseq`` loads the exact decider and the verdict reader and replays, and
-``main`` builds the parser of the command it runs alone: a ``classify``
-process runs none of the rest, and a process with no bytecode cache compiles
-every module it imports.
+``specseq`` loads the exact decider and the verdict reader and replays: a
+``classify`` process runs none of them, and a process with no bytecode cache
+compiles every module it imports.  The engine names a command calls are bound
+here at import, some of them ``specseq``'s forwarders to those modules.
 
 ``main_entry``, the entry point of ``python -m isofloer.cli`` and of the
 ``isofloer`` script, freezes the heap it starts with (``gc.freeze``) before it
@@ -85,92 +85,64 @@ MAX_INPUT_BYTES = 4 * 1024 * 1024
 FIRST_READ = 64 * 1024
 
 
-# the options every command takes, and those whose text output has witnesses
-FORMAT = {"choices": ("text", "json"), "default": "text", "help": "output format (default: text)"}
-VERBOSE = {"action": "store_true", "help": "print each witness in text output"}
-
-
-def _classify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", type=int, required=True, help="number of distinct principal curvatures")
-    p.add_argument("--m1", type=int, required=True, help="first multiplicity")
-    p.add_argument("--m2", type=int, required=True, help="second multiplicity")
-    p.add_argument("--format", **FORMAT)
-    p.add_argument("--verbose", **VERBOSE)
-    p.set_defaults(handler=_cmd_classify)
-
-
-def _classify_all_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=16, help="multiplicity-sum bound (default 16)")
-    p.add_argument("--format", **FORMAT)
-    p.set_defaults(handler=_cmd_classify_all)
-
-
-def _narrow_check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True, help="path to a profile JSON file")
-    p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the exact matching decider")
-    p.add_argument("--format", **FORMAT)
-    p.add_argument("--verbose", **VERBOSE)
-    p.set_defaults(handler=_cmd_narrow_check)
-
-
-def _wide_check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", required=True, help="path to a profile JSON file")
-    p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
-    p.add_argument("--format", **FORMAT)
-    p.set_defaults(handler=_cmd_wide_check)
-
-
-def _replay_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("witness_file", help="path to a narrow-check JSON output file")
-    p.add_argument("--format", **FORMAT)
-    p.set_defaults(handler=_cmd_replay)
-
-
-def _catalog_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=16, help="multiplicity-sum bound (default 16)")
-    p.add_argument("--format", **FORMAT)
-    p.set_defaults(handler=_cmd_catalog)
-
-
-# each command: its help line in the top-level parser, and the function that
-# adds its arguments and handler to its own parser
-COMMANDS = {
-    "classify": ("classify one family (g, m1, m2)", _classify_args),
-    "classify-all": ("classify every family with m1+m2 <= bound", _classify_all_args),
-    "narrow-check": ("run the narrowness deciders on a raw profile", _narrow_check_args),
-    "wide-check": ("run the wideness criterion on a raw profile", _wide_check_args),
-    "replay": ("re-derive a stored narrowness verdict", _replay_args),
-    "catalog": ("dump Gauss-image data for every family up to a bound", _catalog_args),
-}
-
-
-@functools.cache
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of the command ``name``, built on the first call and shared by
-    every later one, the top-level parser's included.  Parsing leaves it
-    unchanged, and its handler reads the engine functions from this module's
-    globals when it runs."""
-    parser = argparse.ArgumentParser(prog=f"isofloer {name}")
-    COMMANDS[name][1](parser)
-    return parser
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, built on the first call and shared by every later one."""
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged, and each subcommand's handler reads the
+    engine functions from this module's globals when it runs.  Its
+    ``commands`` attribute maps each command name to that command's parser.
+    """
     parser = argparse.ArgumentParser(
         prog="isofloer",
         description="Displaceability obstructions for Gauss images of isoparametric hypersurfaces.",
     )
-    # add_parser passes each command's parser its prog, "isofloer <command>", and
-    # on newer Pythons settings that command_parser's own parsers do not take either
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=lambda prog, **_: command_parser(prog.removeprefix("isofloer ")))
-    for name, (help_line, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_line)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_format(p, verbose=False):
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default: text)")
+        if verbose:
+            p.add_argument("--verbose", action="store_true",
+                           help="print each witness in text output")
+
+    p = sub.add_parser("classify", help="classify one family (g, m1, m2)")
+    p.add_argument("--g", type=int, required=True, help="number of distinct principal curvatures")
+    p.add_argument("--m1", type=int, required=True, help="first multiplicity")
+    p.add_argument("--m2", type=int, required=True, help="second multiplicity")
+    add_format(p, verbose=True)
+    p.set_defaults(handler=_cmd_classify)
+
+    p = sub.add_parser("classify-all", help="classify every family with m1+m2 <= bound")
+    p.add_argument("--bound", type=int, default=16, help="multiplicity-sum bound (default 16)")
+    add_format(p)
+    p.set_defaults(handler=_cmd_classify_all)
+
+    p = sub.add_parser("narrow-check", help="run the narrowness deciders on a raw profile")
+    p.add_argument("--profile", required=True, help="path to a profile JSON file")
+    p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
+    p.add_argument("--oracle", action="store_true",
+                   help="also run the exact matching decider")
+    add_format(p, verbose=True)
+    p.set_defaults(handler=_cmd_narrow_check)
+
+    p = sub.add_parser("wide-check", help="run the wideness criterion on a raw profile")
+    p.add_argument("--profile", required=True, help="path to a profile JSON file")
+    p.add_argument("--maslov", type=int, required=True, help="minimal Maslov number of the model")
+    add_format(p)
+    p.set_defaults(handler=_cmd_wide_check)
+
+    p = sub.add_parser("replay", help="re-derive a stored narrowness verdict")
+    p.add_argument("witness_file", help="path to a narrow-check JSON output file")
+    add_format(p)
+    p.set_defaults(handler=_cmd_replay)
+
+    p = sub.add_parser("catalog", help="dump Gauss-image data for every family up to a bound")
+    p.add_argument("--bound", type=int, default=16, help="multiplicity-sum bound (default 16)")
+    add_format(p)
+    p.set_defaults(handler=_cmd_catalog)
+
+    parser.commands = sub.choices
     return parser
 
 
@@ -354,14 +326,13 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the command's own parser reads the rest of its argv in one pass (16.7 us for
-    # narrow-check on Python 3.11, where top level then command took 34.4 us), and
-    # the top-level parser is built only for --help, no command or an unknown one
+    # one parser serves every call in the process (a warm build takes 0.65 ms),
+    # and a command's own parser reads the rest of its argv in one pass: 16.7 us
+    # for narrow-check on Python 3.11, where top level then command took 34.4 us
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        parser, argv = command_parser(argv[0]), argv[1:]
-    else:
-        parser = build_parser()
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

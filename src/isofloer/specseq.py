@@ -174,7 +174,7 @@ class FinalPageWitness(_Witness, Record):
                 for lo, hi in set(self.slots)}
         return '"slots": ' + json_list([text[slot] for slot in self.slots], inner)
 
-# the exact decider's two kinds join when ``matching`` loads
+# complete once ``matching`` has loaded and added the two kinds whose classes it defines
 WITNESS_TYPES = {cls.tag: cls for cls in (ContradictionWitness, FinalPageWitness)}
 
 
@@ -286,8 +286,7 @@ class _OnFirstUse:
     def __getattr__(self, name: str):
         from importlib import import_module
 
-        setattr(self, name, import_module(f"{__package__}.{name}"))
-        return vars(self)[name]
+        return vars(self).setdefault(name, import_module(f"{__package__}.{name}"))
 
 
 _lazy = _OnFirstUse()

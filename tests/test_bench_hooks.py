@@ -86,3 +86,29 @@ def test_the_tracer_times_the_oracle_and_replay(monkeypatch, tmp_path):
     assert calls["specseq.oracle_narrow_feasible"] == 1
     assert calls["specseq.replay_witness"] == 2  # the propagator's verdict and the oracle's
     assert calls["specseq.verdict_from_json"] == 2  # read by replay before it replays them
+
+
+def test_the_tracer_times_the_propagator_that_replay_runs(monkeypatch, tmp_path):
+    # replay loaded before the tracer patches, as after the benchmark's untraced
+    # pass, still runs the propagator through the name the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import worker
+
+    import isofloer.check
+
+    profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
+    profile.write_text('{"n": 4, "known": [[0, 1], [4, 1]]}', encoding="utf-8")
+    recorder, runner = tracer.Tracer(), worker.Runner()
+    try:
+        worker.instrument(recorder)
+        code, out = runner.call(["narrow-check", "--profile", str(profile), "--maslov", "3",
+                                 "--format", "json"])
+        assert code == 0 and '"kind": "NoContradiction"' in out
+        envelope.write_text(out, encoding="utf-8")
+        assert runner.call(["replay", str(envelope), "--format", "json"])[0] == 0
+    finally:
+        recorder.restore()
+    calls = Counter(span[0] for span in recorder.spans)
+    assert calls["specseq.replay_witness"] == 1
+    assert calls["specseq.propagate_narrow"] == 2  # narrow-check's, then the replay's

@@ -151,6 +151,19 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert loaded & {"dataclasses", "inspect", "typing"} == set()
 
 
+def test_each_witness_kind_joins_both_registries_when_its_module_loads():
+    # matching adds its two kinds to WITNESS_TYPES, and check keys a reader and
+    # a replay by every tag; without site, nothing but the program loads modules
+    script = ("from isofloer import specseq; print(*sorted(specseq.WITNESS_TYPES)); "
+              "from isofloer import matching; print(*sorted(specseq.WITNESS_TYPES)); "
+              "from isofloer import check; print(*sorted(check.KINDS))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    propagator, every, read = proc.stdout.splitlines()
+    assert propagator == "contradiction-chain final-page"
+    assert every == read == "cancellation-pairs contradiction-chain final-page tutte-barrier"
+
+
 # a classify process must not compile the matcher, the verdict reader and replays,
 # or the pool: it never runs them
 LAZY_LOADS = """

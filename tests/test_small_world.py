@@ -4,7 +4,8 @@ every small profile, against brute force.
 The world has two parts, each enumerated with ``itertools``:
 
 * **Fully known profiles:** n = 0..6, every dim in 0..2, at N = 3, 4 and 5
-  (9,837 profiles).  The decider's kind must be ``brute_feasible``'s, and its
+  (9,837 first pages), each in two forms: every slot listed, and its nonzero
+  slots only.  The decider's kind must be ``brute_feasible``'s, and its
   witness must replay.
 * **Partial profiles:** n = 2..5, each slot unlisted or of dim 0..2, and a cap
   of none or the known total plus 0..3, at N = 3 and 4 (54,400 profiles).  A
@@ -74,13 +75,17 @@ def pairs_off():
 @pytest.fixture(scope="module")
 def known_profiles() -> list:
     """Every fully known profile of the world as its first page, the profile, its
-    Maslov number and the decider's verdict.  A profile lists its nonzero slots
-    only, as a catalog table does: the others are exactly 0, not open."""
+    Maslov number and the decider's verdict, in both of its forms: every slot
+    listed, as ``profile_from_json`` reads what ``json_text`` writes, and its
+    nonzero slots only, as a catalog table lists them, the others exactly 0."""
     world = []
     for n, maslov in KNOWN_WORLD:
         for first_page in itertools.product(DIMS, repeat=n + 1):
-            profile = make_profile(n, [(s, dim) for s, dim in enumerate(first_page) if dim])
-            world.append((first_page, profile, maslov, oracle_narrow_feasible(profile, maslov)))
+            for listed in (list(enumerate(first_page)),
+                           [(s, dim) for s, dim in enumerate(first_page) if dim]):
+                profile = make_profile(n, listed)
+                world.append((first_page, profile, maslov,
+                              oracle_narrow_feasible(profile, maslov)))
     return world
 
 
@@ -108,7 +113,7 @@ def test_decider_matches_brute_force_on_every_small_known_profile(pairs_off, kno
         expected = FEASIBLE if pairs_off(first_page, maslov) else INFEASIBLE
         if (verdict.kind, replay_witness(verdict, profile, maslov)) != (expected, True):
             wrong.append((first_page, maslov, verdict))
-    assert len(known_profiles) == 9837 and wrong == []
+    assert len(known_profiles) == 2 * 9837 and wrong == []
 
 
 def test_decider_matches_brute_force_on_every_small_partial_profile(partial_profiles):
@@ -172,7 +177,8 @@ def pair_edits(pairs, n: int, maslov: int) -> set:
     return {tuple((s, r, count) for (s, r), count in sorted(edit.items())) for edit in edits}
 
 
-def tutte_count(first_page, maslov: int, barrier) -> bool:
+@functools.cache  # both forms of a known profile share their first page
+def tutte_count(first_page: tuple, maslov: int, barrier: tuple) -> bool:
     """Whether removing the classes of the slots ``barrier`` from the class graph
     of a fully known first page leaves more odd components than it removes
     classes (Tutte 1952).  Classes of slots s and t are adjacent when
@@ -235,10 +241,11 @@ def test_every_single_edit_of_a_true_barrier_replays_as_tutte_counts(known_profi
 
 
 def test_the_mirror_gives_the_same_kind(known_profiles, partial_profiles):
-    known = {(first_page, maslov): verdict.kind
-             for first_page, _, maslov, verdict in known_profiles}
-    broken = [(first_page, maslov) for (first_page, maslov), kind in known.items()
-              if known[first_page[::-1], maslov] != kind]
+    # keyed by the first page and whether every slot is listed: the mirror keeps both
+    known = {(first_page, maslov, len(profile.known) > sum(map(bool, first_page))): verdict.kind
+             for first_page, profile, maslov, verdict in known_profiles}
+    broken = [(first_page, maslov) for (first_page, maslov, every), kind in known.items()
+              if known[first_page[::-1], maslov, every] != kind]
     partial = {}
     for profile, maslov, _, verdict in partial_profiles:
         slots = tuple(profile.known.get(s) for s in range(profile.n + 1))
