@@ -7,16 +7,18 @@ usage error prints argparse's usage line and ``isofloer <command>: error:
 ...`` on stderr and exits 1; every other failure prints one ``error:`` line,
 except an output pipe closed by its reader, which exits 1 silently.
 
-``--format json`` prints the text of each record's own ``json_text``;
-the envelopes of ``narrow-check``, ``wide-check`` and ``replay`` are written
-here.  ``classify-all`` and ``catalog --format json`` render their families
-through the worker pool, ``pool._ordered_map``, which spreads them over the
-process and forked workers and gives the results in order: the bytes are
-those of one process.  Those two commands import ``pool`` on first use, as
-``specseq`` loads the exact decider and the verdict reader and replays: a
+``--format json`` prints the text of each record's own ``json_text``.
+This module runs ``classify`` and holds one one-line entry for each other
+command; the handlers behind those entries, with the envelopes of
+``narrow-check``, ``wide-check`` and ``replay`` and the strict reader of input
+files, are in ``commands``, which the first entry called imports.
+``classify-all`` and ``catalog --format json`` there import ``pool`` in turn,
+as ``specseq`` loads the exact decider and the verdict reader and replays: a
 ``classify`` process runs none of them, and a process with no bytecode cache
-compiles every module it imports.  The engine names a command calls are bound
-here at import, some of them ``specseq``'s forwarders to those modules.
+compiles every module it imports.  The engine names every command calls are
+imported below, some of them ``specseq``'s forwarders to those modules; a
+handler in ``commands`` reads each through this module when it runs, so a
+patch of one of them here reaches it.
 
 ``main_entry``, the entry point of ``python -m isofloer.cli`` and of the
 ``isofloer`` script, freezes the heap it starts with (``gc.freeze``) before it
@@ -28,10 +30,8 @@ many times.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
-import json
 import os
 import sys
 
@@ -49,7 +49,7 @@ from .criteria import (
     CaseReport,
     UNRESOLVED,
     classify,
-    report_to_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
+    report_to_json,  # no command calls it, nor verdict_to_json; perfbench/worker.py patches both
     wide_check_biran_cornea,
 )
 from .homology import ProfileError, as_int, json_list, profile_from_json
@@ -63,6 +63,7 @@ from .specseq import (
     require_maslov,
     verdict_from_json,
     verdict_to_json,
+    _lazy,
 )
 
 EXIT_OK = 0
@@ -74,23 +75,12 @@ class InputError(Exception):
     """An input file that cannot be read, is too large, is not JSON, or does not parse."""
 
 
-# Largest input file read, in bytes.  The widest envelope the CLI writes,
-# narrow-check --oracle at n = 4096 with every dim 10^9, is 429,364 bytes, so
-# 4 MiB leaves about a tenfold margin, and a larger file is refused before json
-# builds it in memory.  Reading whole classify-all reports (ROADMAP item 6)
-# will need this limit looked at again.
-MAX_INPUT_BYTES = 4 * 1024 * 1024
-# read(n) allocates n bytes before it reads, so _read reads the first
-# FIRST_READ bytes, which hold most inputs, and reads on only if they fill it
-FIRST_READ = 64 * 1024
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one.
 
     Parsing leaves it unchanged, and each subcommand's handler reads the
-    engine functions from this module's globals when it runs.  Its
+    engine functions from this module when it runs.  Its
     ``commands`` attribute maps each command name to that command's parser.
     """
     parser = argparse.ArgumentParser(
@@ -146,43 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; json keeps the last of a repeated key, this refuses it."""
-    data = dict(pairs)
-    if len(data) < len(pairs):  # the first key to pop a second time is repeated
-        key = next(key for key, _ in pairs if data.pop(key, pairs) is pairs)
-        raise ValueError(f"key {key!r} repeated in one object")
-    return data
-
-
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads builds one per call
-
-
-def _read(path: str, parse, what: str):
-    """``parse`` the JSON file at ``path``, at most ``MAX_INPUT_BYTES`` long;
-    every way that fails is an InputError."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read(FIRST_READ)
-            if len(raw) == FIRST_READ:
-                raw += handle.read(MAX_INPUT_BYTES + 1 - FIRST_READ)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if len(raw) > MAX_INPUT_BYTES:
-        raise InputError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
-    try:  # decoded as a text-mode read decodes it, with universal newlines
-        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        if text.startswith("\ufeff"):  # json.loads's check, which the decoder lacks
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        data = _DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a repeated key, or too deep
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return parse(data)
-    except (KeyError, TypeError, ProfileError, WitnessError) as exc:
-        raise InputError(f"malformed {what} file: {exc}") from exc
-
-
 def _print_report_text(report: CaseReport, verbose: bool) -> None:
     f = report.family
     print(f"g={f.g} m1={f.m1} m2={f.m2} n={f.n}: {report.status}")
@@ -207,122 +160,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The other commands' handlers live in isofloer.commands, which loads at the
+# first call of one of them.  Each is passed this module, under python -m its
+# __main__, and reads from it every name it calls, at call time.
 def _cmd_classify_all(args: argparse.Namespace) -> int:
-    from .pool import _emit_json_list, _ordered_map  # loaded on first use: classify never runs it
-
-    families = enumerate_families(args.bound)
-    if args.format == "json":
-        with contextlib.closing(_ordered_map(_report_json, families)) as chunks:
-            _emit_json_list(chunks)
-        return EXIT_OK
-    sys.stdout.write(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4}  {'status':<16} justification\n")
-    unresolved = []
-    with contextlib.closing(_ordered_map(_report_row, families)) as chunks:
-        for rows in chunks:  # one write per chunk
-            sys.stdout.write("".join(row for row, _ in rows))
-            unresolved += [name for _, name in rows if name is not None]
-    sys.stdout.write(f"unresolved: {', '.join(unresolved) or 'none'}\n")
-    return EXIT_OK
-
-
-def _report_json(family) -> str:
-    return classify(family).json_text("\n  ")
-
-
-def _report_row(family) -> tuple[str, str | None]:
-    """A ``classify-all`` text row with its newline, and the family's name if it is Unresolved."""
-    f, report = family, classify(family)
-    trail = " -> ".join(step.rule for step in report.justification)
-    row = f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4}  {report.status:<16} {trail}\n"
-    return row, f"({f.g},{f.m1},{f.m2})" if report.status == UNRESOLVED else None
+    return _lazy.commands.classify_all(sys.modules[__name__], args)
 
 
 def _cmd_narrow_check(args: argparse.Namespace) -> int:
-    profile = _read(args.profile, profile_from_json, "profile")
-    require_maslov(args.maslov)
-    nu = (profile.n + 1) // args.maslov
-    verdict = propagate_narrow(profile, args.maslov, profile.n, nu)
-    oracle_verdict = oracle_note = None
-    if args.oracle:
-        try:
-            oracle_verdict = oracle_narrow_feasible(profile, args.maslov)
-        except SearchCapError as exc:
-            oracle_note = str(exc)
-    if args.format == "json":  # the envelope {"profile", "maslov", "verdict", "oracle"}
-        inner = "\n  "
-        oracle = "null" if oracle_verdict is None else oracle_verdict.json_text(inner)
-        sys.stdout.write(f'{{{inner}"profile": {profile.json_text(inner)},'
-                         f'{inner}"maslov": {args.maslov},{inner}"verdict": '
-                         f'{verdict.json_text(inner)},{inner}"oracle": {oracle}\n}}\n')
-        return EXIT_OK
-    for label, shown in (("propagation", verdict), ("oracle", oracle_verdict)):
-        if shown is not None:
-            print(f"{label}: {shown.witness.summary(shown.page)}")
-            # a cancellation needs the Maslov number, a barrier n: slot n + 1 is the pool
-            for line in shown.witness.details(args.maslov, profile.n) if args.verbose else ():
-                print(f"  {line}")
-    if oracle_note is not None:
-        print(f"oracle skipped: {oracle_note}")
-    return EXIT_OK
+    return _lazy.commands.narrow_check(sys.modules[__name__], args)
 
 
 def _cmd_wide_check(args: argparse.Namespace) -> int:
-    profile = _read(args.profile, profile_from_json, "profile")
-    wide = wide_check_biran_cornea(profile, args.maslov)
-    tested = list(range(args.maslov - 1, profile.n + 1, args.maslov))
-    if args.format == "json":
-        inner = "\n  "
-        degrees = json_list([str(degree) for degree in tested], inner)
-        sys.stdout.write(f'{{{inner}"wide": {"true" if wide else "false"},{inner}"maslov": '
-                         f'{args.maslov},{inner}"tested_degrees": {degrees}\n}}\n')
-    else:
-        print(f"wide: {'yes' if wide else 'no'} (degrees tested: {tested})")
-    return EXIT_OK
-
-
-def _witness_from_json(data: dict):
-    """The fields of a ``narrow-check --format json`` envelope that replay reads;
-    it ignores every other key."""
-    if not isinstance(data, dict):
-        raise WitnessError("witness file must be a JSON object")
-    profile = profile_from_json(data["profile"])
-    maslov = as_int(data["maslov"], what="witness field 'maslov'")
-    verdicts = [verdict_from_json(data["verdict"])]
-    if data.get("oracle") is not None:
-        verdicts.append(verdict_from_json(data["oracle"]))
-    return profile, maslov, verdicts
+    return _lazy.commands.wide_check(sys.modules[__name__], args)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    profile, maslov, verdicts = _read(args.witness_file, _witness_from_json, "witness")
-    ok = all(replay_witness(v, profile, maslov) for v in verdicts)
-    if args.format == "json":
-        sys.stdout.write(f'{{\n  "replayed": {"true" if ok else "false"},'
-                         f'\n  "verdicts": {len(verdicts)}\n}}\n')
-    else:
-        print("witness replay: " + ("ok" if ok else "MISMATCH"))
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return _lazy.commands.replay(sys.modules[__name__], args)
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        from .pool import _emit_json_list, _ordered_map  # loaded on first use, as in classify-all
-
-        families = enumerate_families(args.bound)
-        records = functools.partial(data_text, indent="\n  ")
-        with contextlib.closing(_ordered_map(records, families)) as chunks:
-            _emit_json_list(chunks)
-        return EXIT_OK
-    families = iter_families(args.bound)  # refuses a bad bound before the header
-    print(f"{'g':>3} {'n':>4} {'m1':>4} {'m2':>4} {'maslov':>7} {'nu':>3} {'orient':>7}")
-    # three small calls per family: forked workers gain nothing here, and
-    # one family at a time keeps the table in constant memory
-    for f in families:
-        print(
-            f"{f.g:>3} {f.n:>4} {f.m1:>4} {f.m2:>4} {minimal_maslov(f):>7} {collapse_step(f):>3} "
-            f"{'yes' if orientable(f) else 'no':>7}"
-        )
-    return EXIT_OK
+    return _lazy.commands.catalog(sys.modules[__name__], args)
 
 
 def main(argv: list[str] | None = None) -> int:

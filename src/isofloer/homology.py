@@ -232,10 +232,17 @@ def profile_to_json(profile: BettiProfile) -> dict:
     return loads(profile.json_text())
 
 
+PROFILE_FIELDS = frozenset(("n", "known", "cap"))
+
+
 def profile_from_json(data: dict) -> BettiProfile:
-    """Parse strictly: every integer field must be a JSON integer, not a bool."""
+    """Parse strictly: every integer field must be a JSON integer, not a bool,
+    and a field other than ``n``, ``known`` and ``cap`` is refused."""
     if not isinstance(data, dict):
         raise ProfileError("profile object must be a JSON object")
+    if not data.keys() <= PROFILE_FIELDS:
+        extra = next(key for key in data if key not in PROFILE_FIELDS)
+        raise ProfileError(f"unknown profile field {extra!r}")
     try:
         n = data["n"]
         raw = data["known"]

@@ -8,8 +8,8 @@ chunk, so the bytes are those of one process.  A worker sends its chunks as
 parent renders every chunk that no worker sent, so a worker that cannot be
 started, raises, dies or is killed costs time, not bytes.
 
-``cli`` imports this module in the two commands that use it, so a process
-that runs neither, such as one ``classify``, never compiles it.
+``commands`` imports this module in the two commands that use it, so a
+process that runs neither, such as one ``classify``, never compiles it.
 """
 
 from __future__ import annotations

@@ -280,8 +280,9 @@ def _chain(profile: BettiProfile, slot: int, maslov: int,
 
 
 class _OnFirstUse:
-    """The modules ``matching`` and ``check`` as attributes, each imported at its
-    first lookup and then kept, so a later call runs no import statement."""
+    """This package's modules as attributes, such as ``matching`` and ``check``
+    here and ``commands`` in ``cli``, each imported at its first lookup and then
+    kept, so a later call runs no import statement."""
 
     def __getattr__(self, name: str):
         from importlib import import_module

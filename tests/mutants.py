@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 
 SPECSEQ = "tests/test_specseq.py"
 SMALL_WORLD = "tests/test_small_world.py"
+CLI = "tests/test_cli.py"
+HOMOLOGY = "tests/test_homology.py"
 
 MUTANTS = [
     # the decider and its barrier check
@@ -75,6 +77,34 @@ MUTANTS = [
            "            lone = len(group) == 1 and s not in partners[s]",
            "            lone = len(group) == 1",
            (f"{SMALL_WORLD}::test_no_barrier_passes_on_a_feasible_small_profile",)),
+    Mutant("isolated-slot-counted-once", "matching.py",
+           "            odd += dim if lone else sum(dims[u] for u in group) % 2",
+           "            odd += 1 if lone else sum(dims[u] for u in group) % 2",
+           (f"{SPECSEQ}::TestReplay::test_barrier_edits",)),
+    Mutant("greedy-pass-only", "matching.py",
+           "            inner = _grow(root, mate, slot_of, start, partners)",
+           "            inner = []",
+           (f"{CLI}::TestNarrowCheck::test_wide_open_capped_profile_takes_one_barrier",)),
+    Mutant("blossom-relinks-one-side", "matching.py",
+           "                    for x, child in ((v, w), (w, v)):  # relink both sides of the cycle",
+           "                    for x, child in ((v, w),):",
+           (f"{SMALL_WORLD}::test_decider_matches_brute_force_on_every_small_known_profile",)),
+    Mutant("pairs-unsorted", "matching.py",
+           "for (s, r), count in sorted(pairs.items())))",
+           "for (s, r), count in pairs.items()))",
+           (f"{SMALL_WORLD}::test_decider_matches_brute_force_on_every_small_known_profile",)),
+    Mutant("barrier-count-ignored", "matching.py",
+           "    return odd > sum(dims[s] for s in removed)",
+           "    return odd > 0",
+           (f"{SPECSEQ}::test_some_slot_barrier_exists_iff_brute_force_fails",)),
+    Mutant("one-class-verb-for-none", "matching.py",
+           'cancels" if count == 1 else',
+           'cancels" if count == 0 else',
+           (f"{CLI}::TestNarrowCheck::test_verbose_oracle_lists_the_cancellations",)),
+    Mutant("no-completions-tried", "matching.py",
+           "    completions_tried = 1",
+           "    completions_tried = 0",
+           ("tests/test_bench_hooks.py::test_infeasible_witness_carries_the_traced_counters",)),
     # the replays and the verdict reader
     Mutant("pairs-without-r-at-least-one", "check.py",
            "last < (s, r) and r >= 1 and count >= 1",
@@ -97,6 +127,112 @@ MUTANTS = [
            "        if headline != (verdict.slot, verdict.bound):",
            "        if False:",
            (f"{SPECSEQ}::TestVerdictJson::test_headline_must_match_witness",)),
+    Mutant("upper-slot-not-counted", "check.py",
+           "        paired[t] += count\n",
+           "",
+           (f"{SPECSEQ}::TestReplay::test_feasible_replays",)),
+    Mutant("no-interval-check", "check.py",
+           "    if hi is not None and hi < lo:",
+           "    if False:",
+           (f"{CLI}::test_failure_exit_code_and_error_line[slots-entry-empty]",)),
+    Mutant("pairs-not-ascending", "check.py",
+           "last < (s, r) and r >= 1 and count >= 1",
+           "r >= 1 and count >= 1",
+           (f"{SPECSEQ}::TestReplay::test_pair_edits",)),
+    Mutant("pairs-past-the-top-slot", "check.py",
+           "count >= 1 and t <= profile.n)",
+           "count >= 1)",
+           (f"{SMALL_WORLD}::"
+            "test_every_single_edit_of_a_true_pairing_replays_as_the_definition_says",)),
+    Mutant("known-slots-not-counted", "check.py",
+           "    return all(paired[s] == dim for s, dim in known.items()) and (",
+           "    return (",
+           (f"{SPECSEQ}::TestReplay::test_pair_edits",)),
+    Mutant("pairs-over-the-cap", "check.py",
+           "    if profile.cap is not None and sum(paired.values()) > profile.cap:",
+           "    if False:",
+           (f"{SPECSEQ}::TestReplay",)),
+    # the propagator
+    Mutant("chain-reads-an-unbounded-neighbour-as-0", "specseq.py",
+           "        if left_hi is None or right_hi is None:\n            return None\n",
+           "        left_hi, right_hi = left_hi or 0, right_hi or 0\n",
+           (f"{SPECSEQ}::TestReplay::test_chain_through_an_unbounded_neighbour_fails",)),
+    Mutant("no-post-init-call", "homology.py",
+           '        lines.append("    self.__post_init__()")',
+           "        pass  # ",
+           (f"{HOMOLOGY}::TestConstruction::test_support_degree_range_enforced",)),
+    Mutant("reduce-over-slots", "homology.py",
+           "tuple([getattr(self, name) for name in self._fields])",
+           "tuple([getattr(self, name) for name in self.__slots__])",
+           ("tests/test_package.py::test_value_semantics",)),
+    Mutant("no-reduce", "homology.py",
+           "    def __reduce__(self) -> tuple:",
+           "    def _reduce(self) -> tuple:",
+           ("tests/test_package.py::test_value_semantics",)),
+    Mutant("equal-across-record-classes", "homology.py",
+           "        if type(other) is not type(self):",
+           "        if not isinstance(other, Record):",
+           ("tests/test_package.py::test_value_semantics",)),
+    # the worker pool
+    Mutant("render-error-swallowed", "pool.py",
+           "                yield values\n                raise\n",
+           "                yield values\n",
+           (f"{CLI}::test_a_worker_bug_keeps_its_traceback",)),
+    Mutant("workers-not-reaped", "pool.py",
+           "            os.waitpid(pid, 0)",
+           "            pass",
+           (f"{CLI}::test_an_early_stop_with_full_pipes_reaps_every_worker",)),
+    # the catalog and the claim it writes
+    Mutant("m1-for-every-multiplicity", "catalog.py",
+           "(family.m2 if i % 2 else family.m1)",
+           "family.m1",
+           ("tests/test_catalog.py::TestCoveringTables",)),
+    Mutant("g-th-partial-sum", "catalog.py",
+           "    for i in range(family.g - 1):",
+           "    for i in range(family.g):",
+           ("tests/test_catalog.py::TestCoveringTables",)),
+    Mutant("last-m1-dropped", "catalog.py",
+           "        for m1 in range(1, bound // 2 + 1):",
+           "        for m1 in range(1, bound // 2):",
+           ("tests/test_catalog.py::TestEnumeration::test_every_valid_triple_once",)),
+    Mutant("brief-gap-off-by-one", "criteria.py",
+           "text += f\"{', 0' * (degree - start)}, {known[degree]}\"",
+           "text += f\"{', 0' * (degree - start - 1)}, {known[degree]}\"",
+           ("tests/test_properties.py::test_profile_brief_matches_the_dense_rendering",)),
+    Mutant("propagator-skips-ties", "specseq.py",
+           "        if lo < key[0]:  # below the best bound so far: it cannot win",
+           "        if lo <= key[0]:",
+           (f"{SPECSEQ}::test_propagator_matches_its_reference",)),
+    # the profile and its reader
+    Mutant("negative-degrees-allowed", "homology.py",
+           "            if not 0 <= degree <= self.n:",
+           "            if not degree <= self.n:",
+           (f"{HOMOLOGY}::TestConstruction::test_support_degree_range_enforced",)),
+    Mutant("no-width-limit", "homology.py",
+           "        if not 0 <= self.n <= MAX_TOP_DEGREE:",
+           "        if not 0 <= self.n:",
+           (f"{HOMOLOGY}::TestConstruction::test_top_degree_limit",)),
+    Mutant("listed-zeros-kept-in-equality", "homology.py",
+           "            items = [(degree, dim) for degree, dim in items if dim]",
+           "            items = list(items)",
+           (f"{HOMOLOGY}::TestConstruction::test_equality_ignores_how_degrees_are_listed",)),
+    Mutant("known-degrees-unsorted", "homology.py",
+           "if self.fully_known else sorted(self.known)",
+           "if self.fully_known else list(self.known)",
+           (f"{CLI}::TestGolden::test_profile_listing_order_leaves_the_bytes_alone",)),
+    Mutant("unknown-profile-field-read", "homology.py",
+           "    if not data.keys() <= PROFILE_FIELDS:",
+           "    if False:",
+           (f"{HOMOLOGY}::TestJson::test_rejects_an_unknown_field_by_name",)),
+    # the process's output pipe
+    Mutant("no-explicit-flush", "cli.py",
+           "        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit",
+           "        pass",
+           (f"{CLI}::test_closed_output_pipe_exits_1_quietly",)),
+    Mutant("no-broken-pipe-handler", "cli.py",
+           "    except BrokenPipeError:  # the reader left;",
+           "    except ZeroDivisionError:  # the reader left;",
+           (f"{CLI}::test_closed_output_pipe_exits_1_quietly",)),
 ]
 
 

@@ -112,3 +112,28 @@ def test_the_tracer_times_the_propagator_that_replay_runs(monkeypatch, tmp_path)
     calls = Counter(span[0] for span in recorder.spans)
     assert calls["specseq.replay_witness"] == 1
     assert calls["specseq.propagate_narrow"] == 2  # narrow-check's, then the replay's
+
+
+def test_the_tracer_times_the_reader_and_the_propagator_that_narrow_check_runs(monkeypatch,
+                                                                               tmp_path):
+    # the handler reads them through cli when it runs, so a patch of cli's names
+    # reaches it also when its module loaded before the tracer patched
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import worker
+
+    import isofloer.commands
+
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"n": 4, "known": [[0, 1], [4, 1]]}', encoding="utf-8")
+    recorder, runner = tracer.Tracer(), worker.Runner()
+    try:
+        worker.instrument(recorder)
+        code, _ = runner.call(["narrow-check", "--profile", str(profile), "--maslov", "3",
+                               "--format", "json"])
+        assert code == 0
+    finally:
+        recorder.restore()
+    calls = Counter(span[0] for span in recorder.spans)
+    assert calls["homology.profile_from_json"] == 1
+    assert calls["specseq.propagate_narrow"] == 1

@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goldens
 import json_reference
-from isofloer import catalog, cli, matching, pool
+from isofloer import catalog, cli, commands, matching, pool
 from isofloer.catalog import minimal_maslov, munzner_betti_N, validate_family
 from isofloer.criteria import STATUSES
 from isofloer.homology import MAX_TOP_DEGREE, profile_from_json, profile_to_json
@@ -974,8 +975,8 @@ def padded(payload: dict, size: int) -> bytes:
     return json.dumps(payload).encode().ljust(size)
 
 
-OVER_THE_LIMIT = f"larger than the input limit of {cli.MAX_INPUT_BYTES} bytes"
-OVERSIZED_PROFILE = padded(G4_22_PROFILE, cli.MAX_INPUT_BYTES + 1)
+OVER_THE_LIMIT = f"larger than the input limit of {commands.MAX_INPUT_BYTES} bytes"
+OVERSIZED_PROFILE = padded(G4_22_PROFILE, commands.MAX_INPUT_BYTES + 1)
 
 # one row per failure source: argv, the content of input.json (None: no file,
 # bytes: the raw file, else a JSON payload), exit code, a piece of the error line
@@ -1016,8 +1017,18 @@ FAILURES = [
                  id="narrow-check-over-the-size-limit"),
     pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"], OVERSIZED_PROFILE, 2,
                  OVER_THE_LIMIT, id="wide-check-over-the-size-limit"),
-    pytest.param(REPLAY, padded(envelope(G4_22_PROFILE, 4), cli.MAX_INPUT_BYTES + 1), 2,
+    pytest.param(REPLAY, padded(envelope(G4_22_PROFILE, 4), commands.MAX_INPUT_BYTES + 1), 2,
                  OVER_THE_LIMIT, id="replay-over-the-size-limit"),
+    # a profile holds n, known and cap; any other field is refused, at any command
+    pytest.param(NARROW + ["4"], G4_22_PROFILE | {"extra": 1}, 2,
+                 "malformed profile file: unknown profile field 'extra'",
+                 id="unknown-profile-key"),
+    pytest.param(["wide-check", "--profile", "input.json", "--maslov", "4"],
+                 {"n": 8, "nu": 2, "known": [], "cap": 8}, 2, "unknown profile field 'nu'",
+                 id="unknown-profile-key-wide-check"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("profile", "open_rest"), False), 2,
+                 "malformed witness file: unknown profile field 'open_rest'",
+                 id="unknown-profile-key-replay"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": {}}, 2, "'known' must be a list, got dict",
                  id="known-object"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": ""}, 2, "'known' must be a list, got str",
@@ -1070,7 +1081,7 @@ FAILURES = [
 ], ids=["narrow-check", "wide-check", "replay"])
 def test_input_at_the_size_limit_is_read(capsys, tmp_path, monkeypatch, argv, content):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "input.json").write_bytes(padded(content, cli.MAX_INPUT_BYTES))
+    (tmp_path / "input.json").write_bytes(padded(content, commands.MAX_INPUT_BYTES))
     code, _, err = run(capsys, argv)
     assert (code, err) == (0, "")
 
@@ -1147,23 +1158,9 @@ def test_every_envelope_the_cli_writes_reads_back(tmp_path_factory, profile, mas
 
 
 # Each pinned multi-family output by its argv: its size in bytes and its
-# SHA-256.  Every test that checks one of these outputs reads it here.
-GOLDEN = {
-    ("classify-all", "--bound", "16", "--format", "json"):
-        (159_171, "bb9aa9b110298734a118608e096849aa8d14063c8e6ac1ec0de09be1ef59f7a0"),
-    ("classify-all", "--bound", "64", "--format", "json"):
-        (2_722_353, "809d3c9964010c93cee1f3ad51aacaa9199d62f3a0354821ae135dba5821ea0b"),
-    ("classify-all", "--bound", "64", "--format", "text"):
-        (135_241, "bb73afe973a81b941d826a409f4b233c96fc0cb9c1acea711cbe7fbe613796f7"),
-    # recorded after the g = 3 records with even m stopped citing H_1(L; Z) = Z/3
-    ("catalog", "--bound", "16", "--format", "json"):
-        (169_532, "db632e3ec0f2ae3d81af0e26425f3357faf019e8ae6e49f5627517b4b737ff04"),
-    # every Muenzner table, written through BettiProfile.json_text in the workers
-    ("catalog", "--bound", "64", "--format", "json"):
-        (7_182_734, "143cf0fea2067f820da22a5bd9ea875394d427f5a4086d545975336e7ec65a1e"),
-    ("catalog", "--bound", "64", "--format", "text"):
-        (81_393, "b0a434ce9dc9cb09b90eb7b67beb27f9f577d63022f6333e528b742ce36ab1de"),
-}
+# SHA-256, kept in tests/goldens.json, which CI's bound-128 steps read too.
+# Every test that checks one of these outputs reads it here.
+GOLDEN = goldens.load()
 
 
 def assert_golden(argv, out) -> None:
@@ -1192,6 +1189,16 @@ class TestGolden:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert_golden(argv, out)
+
+    def test_the_ci_checker_passes_the_pinned_bytes_only(self, capsys):
+        # CI pipes each bound-128 output into tests/goldens.py with its argv
+        argv = ["catalog", "--bound", "16", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        checker = [sys.executable, str(Path(goldens.__file__)), *argv]
+        assert subprocess.run(checker, input=out.encode()).returncode == 0
+        proc = subprocess.run(checker, input=out[:-1], capture_output=True, text=True)
+        assert proc.returncode == 1 and "169531 bytes" in proc.stderr
 
     @pytest.mark.parametrize(
         "command,size,digest",
@@ -1685,10 +1692,10 @@ def test_an_early_stop_with_full_pipes_reaps_every_worker():
 
 
 # after a warm call, which builds the parser, a run with workers and a run in
-# one process import nothing
+# one process import nothing but the modules they load on first use
 POOLED_IMPORTS = """
 import contextlib, io, sys
-from isofloer import cli, pool
+from isofloer import cli, commands, pool
 
 pool._cpus = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):

@@ -192,6 +192,12 @@ class TestJson:
         with pytest.raises(ProfileError):
             profile_from_json({"n": 2})
 
+    def test_rejects_an_unknown_field_by_name(self):
+        # the first field, in file order, that is not n, known or cap; cap may be absent
+        with pytest.raises(ProfileError, match="unknown profile field 'extra'"):
+            profile_from_json({"n": 2, "known": [], "extra": 1, "other": 2})
+        assert profile_from_json({"n": 2, "known": []}) == BettiProfile(2, {}, None, True)
+
     def test_rejects_bool_n(self):
         with pytest.raises(ProfileError):
             profile_from_json({"n": True, "known": [], "cap": None})

@@ -164,11 +164,11 @@ def test_each_witness_kind_joins_both_registries_when_its_module_loads():
     assert every == read == "cancellation-pairs contradiction-chain final-page tutte-barrier"
 
 
-# a classify process must not compile the matcher, the verdict reader and replays,
-# or the pool: it never runs them
+# a classify process must not compile the other commands' handlers, the matcher,
+# the verdict reader and replays, or the pool: it never runs them
 LAZY_LOADS = """
 import contextlib, io, sys
-lazy = ("isofloer.matching", "isofloer.check", "isofloer.pool")
+lazy = ("isofloer.commands", "isofloer.matching", "isofloer.check", "isofloer.pool")
 import isofloer
 print(",".join(name for name in lazy if name in sys.modules))
 import isofloer.cli
@@ -185,11 +185,13 @@ G4_22 = '{"n": 8, "known": [[0, 1], [2, 2], [4, 2], [6, 2], [8, 1]], "cap": 8}'
 @pytest.mark.parametrize("command,loaded", [
     (["classify", "--g", "4", "--m1", "2", "--m2", "2", "--format", "json"], ""),
     (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--oracle", "--format", "json"],
-     "isofloer.matching"),
-    (["replay", "{envelope}"], "isofloer.matching,isofloer.check"),
-    (["classify-all", "--bound", "16", "--format", "json"], "isofloer.pool"),
-    (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"], ""),
-    (["wide-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"], ""),
+     "isofloer.commands,isofloer.matching"),
+    (["replay", "{envelope}"], "isofloer.commands,isofloer.matching,isofloer.check"),
+    (["classify-all", "--bound", "16", "--format", "json"], "isofloer.commands,isofloer.pool"),
+    (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"],
+     "isofloer.commands"),
+    (["wide-check", "--profile", "{profile}", "--maslov", "4", "--format", "json"],
+     "isofloer.commands"),
 ], ids=["classify", "narrow-check", "replay", "classify-all", "narrow-check-propagator",
         "wide-check"])
 def test_the_matcher_and_the_pool_load_on_first_use(tmp_path, command, loaded):
@@ -206,3 +208,31 @@ def test_the_matcher_and_the_pool_load_on_first_use(tmp_path, command, loaded):
     proc = subprocess.run([sys.executable, "-S", "-c", LAZY_LOADS, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     assert proc.stdout.split("\n") == ["", "", f"0 {loaded}", ""]
+
+
+# python -m runs cli.py as __main__, so an import of isofloer.cli by the code a
+# command runs would compile and run cli.py a second time
+@pytest.mark.parametrize("command", [
+    ["classify", "--g", "4", "--m1", "2", "--m2", "2"],
+    ["classify-all", "--bound", "4"],
+    ["narrow-check", "--profile", "{profile}", "--maslov", "4", "--oracle"],
+    ["wide-check", "--profile", "{profile}", "--maslov", "4"],
+    ["replay", "{envelope}"],
+    ["catalog", "--bound", "4", "--format", "json"],
+], ids=lambda command: command[0])
+def test_a_command_under_python_m_never_imports_isofloer_cli(tmp_path, command):
+    profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
+    profile.write_text(G4_22, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["narrow-check", "--profile", str(profile), "--maslov", "4",
+                         "--format", "json"]) == 0
+    envelope.write_text(out.getvalue(), encoding="utf-8")
+    argv = [arg.format(profile=profile, envelope=envelope) for arg in command]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isofloer.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert proc.stdout and "isofloer.specseq" in imported
+    assert "isofloer.cli" not in imported
