@@ -10,18 +10,20 @@ from collections import Counter
 from functools import partial
 
 from . import specseq
-from .homology import BettiProfile, as_int, as_list
-from .matching import FeasibleWitness, InfeasibleWitness, _page_turns, is_tutte_barrier
+from .homology import BettiProfile, as_int, as_list, as_object
+from .matching import FeasibleWitness, InfeasibleWitness, is_tutte_barrier
 from .specseq import ChainStep, ContradictionWitness, FinalPageWitness, NarrownessVerdict
-from .specseq import WitnessError, _chain, _witness
+from .specseq import WitnessError, _chain, _page_turns, _witness
 
 _as_int = partial(as_int, error=WitnessError, what="witness field")
 _as_list = partial(as_list, error=WitnessError, what="witness entry")
+_as_object = partial(as_object, error=WitnessError)
 
 
-def _rows(payload: dict, key: str, entry=_as_list) -> list:
-    """The list under ``key``, with ``entry`` applied to each of its entries."""
-    return [entry(row) for row in _as_list(payload[key], what=f"witness field {key!r}")]
+def _rows(value, key: str, size: int | None = None) -> list:
+    """``value``, the list under ``key``: of ints, or of lists of ``size`` items."""
+    entry = _as_int if size is None else partial(_as_list, size=size)
+    return [entry(row) for row in _as_list(value, what=f"witness field {key!r}")]
 
 
 def _as_opt_int(value) -> int | None:
@@ -38,15 +40,16 @@ def _slot_bound(lo, hi) -> tuple[int, int | None]:
     return lo, hi
 
 
-def _read_chain(payload: dict) -> ContradictionWitness:
-    chain = tuple(ChainStep(*(_as_int(c[name]) for name in ChainStep.__slots__))
-                  for c in _as_list(payload["chain"], what="witness field 'chain'"))
-    return ContradictionWitness(_as_int(payload["slot"]), _as_int(payload["bound"]), chain)
+def _read_chain(slot, bound, chain) -> ContradictionWitness:
+    steps = tuple(ChainStep(*map(_as_int, _as_object(step, ChainStep.__slots__,
+                                                      what="chain step")))
+                  for step in _as_list(chain, what="witness field 'chain'"))
+    return ContradictionWitness(_as_int(slot), _as_int(bound), steps)
 
 
 def _replay_chain(witness: ContradictionWitness, profile: BettiProfile, maslov: int) -> bool:
     """Re-walk the chain against the profile, without the propagator."""
-    chain = _chain(profile, witness.slot, maslov, _page_turns(profile, maslov))
+    chain = _chain(profile, witness.slot, maslov, _page_turns(profile.n, maslov))
     if chain is None:
         return False
     lower = chain[-1].lower_after if chain else profile.known.get(witness.slot, 0)
@@ -56,7 +59,7 @@ def _replay_chain(witness: ContradictionWitness, profile: BettiProfile, maslov: 
 def _replay_final_page(witness: FinalPageWitness, profile: BettiProfile, maslov: int) -> bool:
     # looked up in specseq at each call, so a wrapper patched in there is the one run
     return specseq.propagate_narrow(profile, maslov, profile.n,
-                                    _page_turns(profile, maslov)).witness == witness
+                                    _page_turns(profile.n, maslov)).witness == witness
 
 
 def _replay_pairs(witness: FeasibleWitness, profile: BettiProfile, maslov: int) -> bool:
@@ -78,19 +81,20 @@ def _replay_pairs(witness: FeasibleWitness, profile: BettiProfile, maslov: int) 
         room is None or all(count <= room for s, count in paired.items() if s not in known))
 
 
-# each witness tag: (the strict reader of its payload, its replay)
+# each witness tag: (its payload's keys, "type" first, the others' strict reader, its replay)
 KINDS = {
-    ContradictionWitness.tag: (_read_chain, _replay_chain),
+    ContradictionWitness.tag: (("type", "slot", "bound", "chain"), _read_chain, _replay_chain),
     FinalPageWitness.tag: (
-        lambda payload: FinalPageWitness(
-            tuple(_slot_bound(lo, hi) for lo, hi in _rows(payload, "slots"))),
+        ("type", "slots"), lambda slots: FinalPageWitness(
+            tuple(_slot_bound(lo, hi) for lo, hi in _rows(slots, "slots", 2))),
         _replay_final_page),
     FeasibleWitness.tag: (
-        lambda payload: FeasibleWitness(
-            tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in _rows(payload, "pairs"))),
+        ("type", "pairs"), lambda pairs: FeasibleWitness(
+            tuple((_as_int(s), _as_int(r), _as_int(c)) for s, r, c in _rows(pairs, "pairs", 3))),
         _replay_pairs),
     InfeasibleWitness.tag: (
-        lambda payload: InfeasibleWitness(tuple(_rows(payload, "barrier", _as_int))),
+        ("type", "barrier"),
+        lambda barrier: InfeasibleWitness(tuple(_rows(barrier, "barrier"))),
         lambda witness, profile, maslov: is_tutte_barrier(profile, maslov, witness.barrier)),
 }
 
@@ -105,30 +109,27 @@ def replay_witness(verdict: NarrownessVerdict, profile: BettiProfile, maslov: in
     """
     witness = _witness(verdict, "not a witness: ")
     try:
-        page = _page_turns(profile, maslov) + 1
-        return verdict.page == page and KINDS[witness.tag][1](witness, profile, maslov)
+        page = _page_turns(profile.n, maslov) + 1
+        return verdict.page == page and KINDS[witness.tag][2](witness, profile, maslov)
     except (TypeError, AttributeError) as exc:
         raise WitnessError(f"malformed witness: {exc}") from exc
 
 
 def verdict_from_json(data: dict) -> NarrownessVerdict:
-    if not isinstance(data, dict):
-        raise WitnessError("verdict must be a JSON object")
-    try:
-        kind = data["kind"]
-        payload = data["witness"]
-        wtype = payload["type"]
-        reader_and_replay = KINDS.get(wtype if isinstance(wtype, str) else None)
-        witness = None if reader_and_replay is None else reader_and_replay[0](payload)
-        if witness is None or kind != witness.kind:
-            raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
-        verdict = NarrownessVerdict(_as_int(data["page"]), witness)
-        headline = (_as_opt_int(data["slot"]), _as_opt_int(data["bound"]))
-        if headline != (verdict.slot, verdict.bound):
-            raise WitnessError(
-                f"headline slot and bound {headline} differ from the witness's "
-                f"{(verdict.slot, verdict.bound)}"
-            )
-        return verdict
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessError(f"malformed verdict object: {exc}") from exc
+    kind, slot, page, bound, payload = _as_object(
+        data, ("kind", "slot", "page", "bound", "witness"), what="verdict")
+    wtype = getattr(payload, "get", {}.get)("type")  # read first: it picks the other keys
+    if wtype is None:  # not an object (which has no get), or no type: refused here
+        _as_object(payload, ("type",), what="witness")
+    keys, read, _ = KINDS.get(wtype if isinstance(wtype, str) else None, (None,) * 3)
+    witness = None if read is None else read(*_as_object(payload, keys, what="witness")[1:])
+    if witness is None or kind != witness.kind:
+        raise WitnessError(f"verdict kind {kind!r} does not match witness type {wtype!r}")
+    verdict = NarrownessVerdict(_as_int(page), witness)
+    headline = (_as_opt_int(slot), _as_opt_int(bound))
+    if headline != (verdict.slot, verdict.bound):
+        raise WitnessError(
+            f"headline slot and bound {headline} differ from the witness's "
+            f"{(verdict.slot, verdict.bound)}"
+        )
+    return verdict

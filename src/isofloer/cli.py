@@ -52,7 +52,7 @@ from .criteria import (
     report_to_json,  # no command calls it, nor verdict_to_json; perfbench/worker.py patches both
     wide_check_biran_cornea,
 )
-from .homology import ProfileError, as_int, json_list, profile_from_json
+from .homology import ProfileError, as_int, as_object, json_list, profile_from_json
 from .specseq import (
     EngineError,
     SearchCapError,
@@ -60,10 +60,10 @@ from .specseq import (
     oracle_narrow_feasible,
     propagate_narrow,
     replay_witness,
-    require_maslov,
     verdict_from_json,
     verdict_to_json,
     _lazy,
+    _page_turns,
 )
 
 EXIT_OK = 0

@@ -65,7 +65,7 @@ def _read(cli, path: str, parse, what: str):
         raise cli.InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(data)
-    except (KeyError, TypeError, cli.ProfileError, cli.WitnessError) as exc:
+    except (cli.ProfileError, cli.WitnessError) as exc:
         raise cli.InputError(f"malformed {what} file: {exc}") from exc
 
 
@@ -102,8 +102,7 @@ def _report_row(cli, family) -> tuple[str, str | None]:
 
 def narrow_check(cli, args) -> int:
     profile = _read(cli, args.profile, cli.profile_from_json, "profile")
-    cli.require_maslov(args.maslov)
-    nu = (profile.n + 1) // args.maslov
+    nu = cli._page_turns(profile.n, args.maslov)
     verdict = cli.propagate_narrow(profile, args.maslov, profile.n, nu)
     oracle_verdict = oracle_note = None
     if args.oracle:
@@ -144,15 +143,12 @@ def wide_check(cli, args) -> int:
 
 
 def _witness_from_json(cli, data: dict):
-    """The fields of a ``narrow-check --format json`` envelope that replay reads;
-    it ignores every other key."""
-    if not isinstance(data, dict):
-        raise cli.WitnessError("witness file must be a JSON object")
-    profile = cli.profile_from_json(data["profile"])
-    maslov = cli.as_int(data["maslov"], what="witness field 'maslov'")
-    verdicts = [cli.verdict_from_json(data["verdict"])]
-    if data.get("oracle") is not None:
-        verdicts.append(cli.verdict_from_json(data["oracle"]))
+    """A ``narrow-check --format json`` envelope's profile, Maslov number and verdicts."""
+    profile, maslov, verdict, oracle = cli.as_object(
+        data, ("profile", "maslov", "verdict"), ("oracle",), cli.WitnessError, "witness file")
+    profile = cli.profile_from_json(profile)
+    maslov = cli.as_int(maslov, what="witness field 'maslov'")
+    verdicts = [cli.verdict_from_json(v) for v in (verdict, oracle) if v is not None]
     return profile, maslov, verdicts
 
 

@@ -35,8 +35,8 @@ from .specseq import (
     CONTRADICTION,
     LIFTED_MIN_MASLOV,
     MaslovTooSmallError,
+    _page_turns,
     propagate_narrow,
-    require_maslov,
     verdict_from_json,  # unused here, as is verdict_to_json; perfbench/worker.py patches them
     verdict_to_json,
 )
@@ -217,7 +217,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
     # (6, 1, 1) has no table on record
     maslov = minimal_maslov(family)
     try:
-        require_maslov(maslov)
+        nu = _page_turns(family.n, maslov)  # collapse_step(family)
     except MaslovTooSmallError:
         below = JustificationStep(
             "maslov-threshold",
@@ -235,7 +235,7 @@ def classify(family: IsoparametricFamily) -> CaseReport:
         f"Z2 Betti numbers of the covering N^{n}: {_profile_brief(table)}",
         "Muenzner: Z2 homology of isoparametric hypersurfaces",
     )
-    verdict = propagate_narrow(table, maslov, n, (n + 1) // maslov)  # collapse_step(family)
+    verdict = propagate_narrow(table, maslov, n, nu)
     witness = verdict.witness
     if witness.kind == CONTRADICTION:
         contradiction = JustificationStep(

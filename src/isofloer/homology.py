@@ -39,15 +39,35 @@ def as_int(value, error: type[ValueError] = ProfileError, what: str = "value") -
     return value
 
 
-def as_list(value, error: type[ValueError] = ProfileError, what: str = "value") -> list:
-    """Return ``value`` if it is a JSON array, else raise ``error``.
+def as_list(value, error: type[ValueError] = ProfileError, what: str = "value",
+            size: int | None = None) -> list:
+    """Return ``value`` if it is a JSON array, of ``size`` items if given, else raise ``error``.
 
     Iterating a JSON object or string where an array belongs would read its
     keys or characters, so ``{}`` and ``""`` would pass as empty lists.
     """
     if not isinstance(value, list):
         raise error(f"{what} must be a list, got {type(value).__name__}")
+    if size is not None and len(value) != size:
+        raise error(f"{what} must hold {size} items, got {len(value)}")
     return value
+
+
+def as_object(value, required: tuple[str, ...], optional: tuple[str, ...] = (),
+              error: type[ValueError] = ProfileError, what: str = "value") -> list:
+    """The values of the keys ``required`` then ``optional`` (None if absent) of ``value``,
+    a JSON object with every required key and no other, else ``error`` naming the first
+    missing key, else the first unknown one in file order: every JSON reader's key check."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise error(f"missing {what} field {key!r}")
+    names = required + optional
+    for key in value:
+        if key not in names:
+            raise error(f"unknown {what} field {key!r}")
+    return [value.get(key) for key in names]
 
 
 def json_list(texts: list[str], indent: str) -> str:
@@ -232,30 +252,14 @@ def profile_to_json(profile: BettiProfile) -> dict:
     return loads(profile.json_text())
 
 
-PROFILE_FIELDS = frozenset(("n", "known", "cap"))
-
-
 def profile_from_json(data: dict) -> BettiProfile:
-    """Parse strictly: every integer field must be a JSON integer, not a bool,
-    and a field other than ``n``, ``known`` and ``cap`` is refused."""
-    if not isinstance(data, dict):
-        raise ProfileError("profile object must be a JSON object")
-    if not data.keys() <= PROFILE_FIELDS:
-        extra = next(key for key in data if key not in PROFILE_FIELDS)
-        raise ProfileError(f"unknown profile field {extra!r}")
-    try:
-        n = data["n"]
-        raw = data["known"]
-        cap = data.get("cap")
-    except (KeyError, TypeError) as exc:
-        raise ProfileError(f"malformed profile object: missing {exc}") from exc
+    """Parse strictly: an object of ``n``, ``known`` and ``cap``, which may be
+    absent, whose integer fields are JSON integers, not bools."""
+    n, raw, cap = as_object(data, ("n", "known"), ("cap",), what="profile")
     as_int(n, what="profile field 'n'")
     if cap is not None:
         as_int(cap, what="profile field 'cap'")
-    try:
-        known = [(as_int(d, what="degree"), as_int(v, what="dimension"))
-                 for d, v in (as_list(entry, what="a 'known' entry")
-                              for entry in as_list(raw, what="profile field 'known'"))]
-    except (TypeError, ValueError) as exc:
-        raise ProfileError(f"malformed 'known' entries: {exc}") from exc
+    known = [(as_int(d, what="degree"), as_int(v, what="dimension"))
+             for d, v in (as_list(entry, what="a 'known' entry", size=2)
+                          for entry in as_list(raw, what="profile field 'known'"))]
     return make_partial_profile(n, known, cap)

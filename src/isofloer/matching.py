@@ -19,7 +19,7 @@ only adds up each slot's counts, and that completion must lie within the
 profile.
 
 ``specseq`` loads this module on first use, and it adds its two witness
-kinds to ``specseq.WITNESS_TYPES``; ``_page_turns`` is the one home of nu.
+kinds to ``specseq.WITNESS_TYPES``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .homology import BettiProfile, Record, json_list
 from .specseq import FEASIBLE, INFEASIBLE, MAX_CLASSES, WITNESS_TYPES, NarrownessVerdict
-from .specseq import SearchCapError, _Witness, require_maslov
+from .specseq import SearchCapError, _page_turns, _Witness, require_maslov
 
 
 class FeasibleWitness(_Witness, Record):
@@ -92,15 +92,8 @@ def oracle_narrow_feasible(profile: BettiProfile, maslov: int) -> NarrownessVerd
     witness, a stuck alternating tree the Infeasible one, a single Tutte
     barrier.  ``_graph`` refuses what it cannot decide.
     """
-    page = _page_turns(profile, maslov) + 1
+    page = _page_turns(profile.n, maslov) + 1
     return NarrownessVerdict(page, _match(*_graph(profile, maslov), maslov))
-
-
-def _page_turns(profile: BettiProfile, maslov: int) -> int:
-    """nu = floor((n + 1)/N), the page turns after which the sequence freezes,
-    for a Maslov number that the lifted theory admits."""
-    require_maslov(maslov)
-    return (profile.n + 1) // maslov
 
 
 def _graph(profile: BettiProfile, maslov: int):

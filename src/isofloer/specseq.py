@@ -101,6 +101,13 @@ def require_maslov(maslov: int) -> None:
         )
 
 
+def _page_turns(n: int, maslov: int) -> int:
+    """nu = floor((n + 1)/N), the page turns after which the sequence freezes,
+    for a Maslov number that the lifted theory admits: the one home of nu."""
+    require_maslov(maslov)
+    return (n + 1) // maslov
+
+
 # --- verdicts and witnesses -------------------------------------------------
 
 
@@ -285,9 +292,8 @@ class _OnFirstUse:
     kept, so a later call runs no import statement."""
 
     def __getattr__(self, name: str):
-        from importlib import import_module
-
-        return vars(self).setdefault(name, import_module(f"{__package__}.{name}"))
+        # "from . import name", through __import__, which -X importtime logs
+        return vars(self).setdefault(name, getattr(__import__(__package__, fromlist=[name]), name))
 
 
 _lazy = _OnFirstUse()

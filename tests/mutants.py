@@ -50,10 +50,6 @@ HOMOLOGY = "tests/test_homology.py"
 
 MUTANTS = [
     # the decider and its barrier check
-    Mutant("page-turns-without-the-maslov-check", "matching.py",
-           "    require_maslov(maslov)\n    return (profile.n + 1) // maslov",
-           "    return (profile.n + 1) // maslov",
-           (f"{SPECSEQ}::TestReplay::test_every_kind_refuses_a_maslov_number_below_3",)),
     Mutant("barrier-count-at-least", "matching.py",
            "    return odd > sum(dims[s] for s in removed)",
            "    return odd >= sum(dims[s] for s in removed)",
@@ -124,8 +120,8 @@ MUTANTS = [
            "    return witness.chain == chain",
            (f"{SPECSEQ}::TestReplay",)),
     Mutant("headline-unchecked", "check.py",
-           "        if headline != (verdict.slot, verdict.bound):",
-           "        if False:",
+           "    if headline != (verdict.slot, verdict.bound):",
+           "    if False:",
            (f"{SPECSEQ}::TestVerdictJson::test_headline_must_match_witness",)),
     Mutant("upper-slot-not-counted", "check.py",
            "        paired[t] += count\n",
@@ -152,7 +148,11 @@ MUTANTS = [
            "    if profile.cap is not None and sum(paired.values()) > profile.cap:",
            "    if False:",
            (f"{SPECSEQ}::TestReplay",)),
-    # the propagator
+    # the propagator and nu
+    Mutant("page-turns-without-the-maslov-check", "specseq.py",
+           "    require_maslov(maslov)\n    return (n + 1) // maslov",
+           "    return (n + 1) // maslov",
+           (f"{SPECSEQ}::TestReplay::test_every_kind_refuses_a_maslov_number_below_3",)),
     Mutant("chain-reads-an-unbounded-neighbour-as-0", "specseq.py",
            "        if left_hi is None or right_hi is None:\n            return None\n",
            "        left_hi, right_hi = left_hi or 0, right_hi or 0\n",
@@ -203,7 +203,7 @@ MUTANTS = [
            "        if lo < key[0]:  # below the best bound so far: it cannot win",
            "        if lo <= key[0]:",
            (f"{SPECSEQ}::test_propagator_matches_its_reference",)),
-    # the profile and its reader
+    # the profile, and the reader of every wire object's keys
     Mutant("negative-degrees-allowed", "homology.py",
            "            if not 0 <= degree <= self.n:",
            "            if not degree <= self.n:",
@@ -221,9 +221,17 @@ MUTANTS = [
            "if self.fully_known else list(self.known)",
            (f"{CLI}::TestGolden::test_profile_listing_order_leaves_the_bytes_alone",)),
     Mutant("unknown-profile-field-read", "homology.py",
-           "    if not data.keys() <= PROFILE_FIELDS:",
-           "    if False:",
+           "        if key not in names:",
+           "        if key not in names and what != 'profile':",
            (f"{HOMOLOGY}::TestJson::test_rejects_an_unknown_field_by_name",)),
+    Mutant("every-key-through-the-object-reader", "homology.py",
+           "        if key not in names:",
+           "        if False:",
+           (f"{CLI}::TestReplay::test_stale_envelope_keys_are_refused",)),
+    Mutant("missing-keys-read-as-null", "homology.py",
+           "        if key not in value:",
+           "        if False:",
+           (f"{CLI}::test_failure_exit_code_and_error_line[missing-verdict-key]",)),
     # the process's output pipe
     Mutant("no-explicit-flush", "cli.py",
            "        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit",

@@ -560,6 +560,22 @@ class TestReplay:
         assert code == 0
         assert "ok" in out
 
+    @pytest.mark.parametrize("multiplicities,kind", [
+        ((2, 2), "Contradiction"), ((1, 2), "NoContradiction"), ((1, 2), "Feasible"),
+        ((2, 2), "Infeasible"),
+    ])
+    def test_every_witness_kind_the_cli_writes_replays(self, capsys, tmp_path, multiplicities,
+                                                       kind):
+        family = validate_family(4, *multiplicities)
+        profile = write_profile(tmp_path, "profile.json", family)
+        code, out, _ = run(capsys, ["narrow-check", "--profile", str(profile), "--maslov",
+                                    str(minimal_maslov(family)), "--oracle", "--format", "json"])
+        written = json.loads(out)
+        assert code == 0 and kind in (written["verdict"]["kind"], written["oracle"]["kind"])
+        (tmp_path / "witness.json").write_text(out, encoding="utf-8")
+        assert run(capsys, ["replay", str(tmp_path / "witness.json")]) == (
+            0, "witness replay: ok\n", "")
+
     def test_stored_oracle_witness_replays(self, capsys, tmp_path):
         witness = self.make_witness(
             capsys, tmp_path, validate_family(4, 1, 2), 3, extra=["--oracle"]
@@ -606,17 +622,20 @@ class TestReplay:
         assert "must be an integer" in err
         assert time.perf_counter() - start < 1.0
 
-    def test_stale_envelope_keys_are_ignored(self, capsys, tmp_path):
+    def test_stale_envelope_keys_are_refused(self, capsys, tmp_path):
         # the fields that older files carried and replay derives: n, nu and a
-        # Feasible witness's completion, here all wrong
+        # Feasible witness's completion; the first stale key in file order is named
         profile = {"n": 5, "known": [[0, 2], [2, 2], [3, 1], [5, 1]], "cap": 6}
         payload = envelope(profile, 3, oracle_json(profile, 3))
         assert set(payload["oracle"]["witness"]) == {"type", "pairs"}
-        payload.update(n=999, nu="3")
         payload["oracle"]["witness"]["completion"] = [9] * 6
         witness = tmp_path / "witness.json"
-        witness.write_text(json.dumps(payload), encoding="utf-8")
-        assert run(capsys, ["replay", str(witness)]) == (0, "witness replay: ok\n", "")
+        for stale, message in ((payload, "unknown witness field 'completion'"),
+                               (payload | {"n": 999, "nu": "3"},
+                                "unknown witness file field 'n'")):
+            witness.write_text(json.dumps(stale), encoding="utf-8")
+            assert run(capsys, ["replay", str(witness)]) == (
+                2, "", f"error: malformed witness file: {message}\n")
 
     @pytest.mark.parametrize(
         "pairs",
@@ -931,6 +950,16 @@ def edited(payload, path: tuple, value):
     return payload
 
 
+def dropped(payload, path: tuple):
+    """A deep copy of ``payload`` without the key at the end of the key path ``path``."""
+    payload = copy.deepcopy(payload)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return payload
+
+
 def forged_headline() -> dict:
     payload = envelope(G4_22_PROFILE, 4)
     payload["verdict"].update(slot=0, bound=99)
@@ -1029,6 +1058,29 @@ FAILURES = [
     pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("profile", "open_rest"), False), 2,
                  "malformed witness file: unknown profile field 'open_rest'",
                  id="unknown-profile-key-replay"),
+    # every other wire object holds the keys its reader names and no other, and
+    # the error names the first missing key, else the first unknown one in file order
+    pytest.param(NARROW + ["4"], {"n": 8, "cap": 8}, 2,
+                 "malformed profile file: missing profile field 'known'", id="missing-profile-key"),
+    pytest.param(REPLAY, envelope(G4_22_PROFILE, 4) | {"note": "", "extra": 1}, 2,
+                 "malformed witness file: unknown witness file field 'note'",
+                 id="unknown-envelope-key"),
+    pytest.param(REPLAY, dropped(envelope(G4_22_PROFILE, 4), ("maslov",)), 2,
+                 "malformed witness file: missing witness file field 'maslov'",
+                 id="missing-envelope-key"),
+    # a NoContradiction's slot is null, as a missing key would read
+    pytest.param(REPLAY, dropped(envelope(G4_12_PROFILE, 3), ("verdict", "slot")), 2,
+                 "missing verdict field 'slot'", id="missing-verdict-key"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "note"), None), 2,
+                 "unknown verdict field 'note'", id="unknown-verdict-key"),
+    pytest.param(REPLAY, dropped(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "type")), 2,
+                 "missing witness field 'type'", id="missing-witness-type"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "chain", 0,
+                                                             "note"), 0), 2,
+                 "unknown chain step field 'note'", id="unknown-chain-step-key"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "chain", 0),
+                                []), 2, "chain step must be a JSON object, got list",
+                 id="chain-step-list"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": {}}, 2, "'known' must be a list, got dict",
                  id="known-object"),
     pytest.param(NARROW + ["3"], CAPPED | {"known": ""}, 2, "'known' must be a list, got str",
@@ -1986,6 +2038,48 @@ def test_replay_refuses_a_non_list_where_a_list_belongs(stored_witnesses, field,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["replay", str(witness)])
     assert code == 2, err.getvalue()
+
+
+def object_paths(value, path: tuple = ()):
+    """The key path of every JSON object in ``value``, ``value`` itself included."""
+    if isinstance(value, dict):
+        yield path
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from object_paths(item, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["g4-22", "g4-12", "barrier", "profile"]), st.booleans())
+def test_an_unknown_or_missing_key_at_any_depth_exits_2(stored_witnesses, data, name, add):
+    # one fault in a file the CLI wrote: a key added to any object (a profile, an
+    # envelope, a verdict, a witness payload or a chain step), or a required key dropped
+    folder, stored = stored_witnesses
+    file = folder / "faulty.json"
+    if name == "profile":
+        valid, argv = stored["g4-22"]["profile"], ["narrow-check", "--profile", str(file),
+                                                   "--maslov", "4"]
+    else:
+        valid, argv = stored[name], ["replay", str(file)]
+    path = data.draw(st.sampled_from(list(object_paths(valid))))
+    target = valid
+    for key in path:
+        target = target[key]
+    if add:
+        key = data.draw(st.text(max_size=6).filter(lambda key: key not in target))
+        faulty, words = edited(valid, path + (key,), data.draw(json_values)), "unknown"
+    else:  # an envelope's oracle and a profile's cap may be absent
+        key = data.draw(st.sampled_from([key for key in target if key not in ("oracle", "cap")]))
+        faulty, words = dropped(valid, path + (key,)), "missing"
+    file.write_text(json.dumps(faulty), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, ""), err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert f"{words} " in err.getvalue() and f" field {key!r}" in err.getvalue()
 
 
 # --- profile fuzzing ----------------------------------------------------------

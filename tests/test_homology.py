@@ -6,6 +6,7 @@ from isofloer.homology import (
     BettiProfile,
     MAX_TOP_DEGREE,
     ProfileError,
+    as_object,
     make_partial_profile,
     make_profile,
     profile_from_json,
@@ -197,6 +198,17 @@ class TestJson:
         with pytest.raises(ProfileError, match="unknown profile field 'extra'"):
             profile_from_json({"n": 2, "known": [], "extra": 1, "other": 2})
         assert profile_from_json({"n": 2, "known": []}) == BettiProfile(2, {}, None, True)
+
+    def test_object_reader_names_the_first_fault(self):
+        # the values in the order named, None for an absent optional key; a missing
+        # key is named before an unknown one, and unknown keys in file order
+        assert as_object({"b": 2, "a": 1}, ("a", "b"), ("c",)) == [1, 2, None]
+        with pytest.raises(ValueError, match="^missing thing field 'a'$"):
+            as_object({"z": 0}, ("a", "b"), error=ValueError, what="thing")
+        with pytest.raises(ProfileError, match="^unknown value field 'z'$"):
+            as_object({"z": 0, "a": 1, "y": 0}, ("a",), ("y",))
+        with pytest.raises(ProfileError, match="^value must be a JSON object, got list$"):
+            as_object([["a", 1]], ("a",))
 
     def test_rejects_bool_n(self):
         with pytest.raises(ProfileError):

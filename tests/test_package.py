@@ -221,6 +221,14 @@ def test_the_matcher_and_the_pool_load_on_first_use(tmp_path, command, loaded):
     ["catalog", "--bound", "4", "--format", "json"],
 ], ids=lambda command: command[0])
 def test_a_command_under_python_m_never_imports_isofloer_cli(tmp_path, command):
+    imported = imported_under_python_m(tmp_path, command)
+    assert "isofloer.specseq" in imported
+    assert "isofloer.cli" not in imported
+
+
+def imported_under_python_m(tmp_path, command: list[str]) -> list[str]:
+    """The modules that ``python -X importtime -m isofloer.cli`` lists for ``command``,
+    which prints to stdout, run on a G4_22 profile file or a stored envelope of it."""
     profile, envelope = tmp_path / "profile.json", tmp_path / "envelope.json"
     profile.write_text(G4_22, encoding="utf-8")
     out = io.StringIO()
@@ -232,7 +240,18 @@ def test_a_command_under_python_m_never_imports_isofloer_cli(tmp_path, command):
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isofloer.cli", *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert proc.stdout and "isofloer.specseq" in imported
-    assert "isofloer.cli" not in imported
+    assert proc.stdout
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+# a module loaded on first use is imported as an import statement imports it,
+# so import-time profiling lists it with the rest
+@pytest.mark.parametrize("command,lazy", [
+    (["narrow-check", "--profile", "{profile}", "--maslov", "4", "--oracle"],
+     ["isofloer.commands", "isofloer.matching"]),
+    (["replay", "{envelope}"], ["isofloer.commands", "isofloer.matching", "isofloer.check"]),
+], ids=["narrow-check-oracle", "replay"])
+def test_importtime_lists_each_module_loaded_on_first_use(tmp_path, command, lazy):
+    imported = imported_under_python_m(tmp_path, command)
+    assert [name for name in lazy if name in imported] == lazy
