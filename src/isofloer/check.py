@@ -118,8 +118,8 @@ def replay_witness(verdict: NarrownessVerdict, profile: BettiProfile, maslov: in
 def verdict_from_json(data: dict) -> NarrownessVerdict:
     kind, slot, page, bound, payload = _as_object(
         data, ("kind", "slot", "page", "bound", "witness"), what="verdict")
-    wtype = getattr(payload, "get", {}.get)("type")  # read first: it picks the other keys
-    if wtype is None:  # not an object (which has no get), or no type: refused here
+    wtype = getattr(payload, "get", {}.get)("type", ...)  # read first: it picks the other keys
+    if wtype is ...:  # not an object (which has no get), or no type: refused here
         _as_object(payload, ("type",), what="witness")
     keys, read, _ = KINDS.get(wtype if isinstance(wtype, str) else None, (None,) * 3)
     witness = None if read is None else read(*_as_object(payload, keys, what="witness")[1:])

@@ -143,12 +143,12 @@ def wide_check(cli, args) -> int:
 
 
 def _witness_from_json(cli, data: dict):
-    """A ``narrow-check --format json`` envelope's profile, Maslov number and verdicts."""
+    """A ``narrow-check`` envelope's profile, Maslov number, verdict and non-null oracle verdict."""
     profile, maslov, verdict, oracle = cli.as_object(
         data, ("profile", "maslov", "verdict"), ("oracle",), cli.WitnessError, "witness file")
     profile = cli.profile_from_json(profile)
     maslov = cli.as_int(maslov, what="witness field 'maslov'")
-    verdicts = [cli.verdict_from_json(v) for v in (verdict, oracle) if v is not None]
+    verdicts = [cli.verdict_from_json(v) for v in (verdict, oracle)[:1 + (oracle is not None)]]
     return profile, maslov, verdicts
 
 

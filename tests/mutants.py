@@ -131,6 +131,14 @@ MUTANTS = [
            "    if hi is not None and hi < lo:",
            "    if False:",
            (f"{CLI}::test_failure_exit_code_and_error_line[slots-entry-empty]",)),
+    Mutant("null-verdict-skipped", "commands.py",
+           "for v in (verdict, oracle)[:1 + (oracle is not None)]]",
+           "for v in (verdict, oracle) if v is not None]",
+           (f"{CLI}::test_failure_exit_code_and_error_line[null-verdict]",)),
+    Mutant("null-witness-type-read-as-missing", "check.py",
+           '("type", ...)  # read first: it picks the other keys\n    if wtype is ...:',
+           '("type")  # read first: it picks the other keys\n    if wtype is None:',
+           (f"{CLI}::test_failure_exit_code_and_error_line[null-witness-type]",)),
     Mutant("pairs-not-ascending", "check.py",
            "last < (s, r) and r >= 1 and count >= 1",
            "r >= 1 and count >= 1",

@@ -1073,6 +1073,14 @@ FAILURES = [
                  "missing verdict field 'slot'", id="missing-verdict-key"),
     pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "note"), None), 2,
                  "unknown verdict field 'note'", id="unknown-verdict-key"),
+    # a null required key is read, not skipped like an absent oracle
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict",), None), 2,
+                 "verdict must be a JSON object", id="null-verdict"),
+    # a null type is refused as any other unknown type, not as an untyped witness
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "type"), None),
+                 2, "does not match witness type None", id="null-witness-type"),
+    pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "type"), 5),
+                 2, "does not match witness type 5", id="int-witness-type"),
     pytest.param(REPLAY, dropped(envelope(G4_12_PROFILE, 3), ("verdict", "witness", "type")), 2,
                  "missing witness field 'type'", id="missing-witness-type"),
     pytest.param(REPLAY, edited(envelope(G4_22_PROFILE, 4), ("verdict", "witness", "chain", 0,
@@ -2080,6 +2088,23 @@ def test_an_unknown_or_missing_key_at_any_depth_exits_2(stored_witnesses, data, 
     assert (code, out.getvalue()) == (2, ""), err.getvalue()
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert f"{words} " in err.getvalue() and f" field {key!r}" in err.getvalue()
+
+
+
+@pytest.mark.parametrize("name", ["g4-22", "g4-12", "barrier"])
+def test_a_null_required_object_exits_2(stored_witnesses, name):
+    # a null where an object belongs is refused, as a null oracle alone is not
+    folder, stored = stored_witnesses
+    file = folder / "nulled.json"
+    paths = [path for path in object_paths(stored[name]) if path and path[-1] != "oracle"]
+    assert ("verdict",) in paths and ("verdict", "witness") in paths
+    for path in paths:
+        file.write_text(json.dumps(edited(stored[name], path, None)), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["replay", str(file)])
+        assert (code, out.getvalue()) == (2, ""), (path, err.getvalue())
+        assert err.getvalue().count("error: ") == 1 and "must be a JSON object" in err.getvalue()
 
 
 # --- profile fuzzing ----------------------------------------------------------
